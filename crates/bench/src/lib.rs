@@ -9,7 +9,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use gputx_core::config::StrategyChoice;
 use gputx_core::{execute_bulk, Bulk, BulkReport, EngineConfig, ExecContext, StrategyKind};
 use gputx_cpu::engine::CpuEngine;
 use gputx_cpu::{adhoc_cpu_single_core, adhoc_gpu_single_core};
@@ -86,16 +85,9 @@ pub fn gpu_workload_throughput(
     let mut time = gputx_sim::SimDuration::ZERO;
     for chunk in sigs.chunks(config.bulk_size) {
         let bulk = Bulk::new(chunk.to_vec());
-        let profile = gputx_core::profiler::profile_bulk(&bundle.registry, &db, &bulk.txns);
-        let strategy = match config.strategy {
-            StrategyChoice::ForceTpl => StrategyKind::Tpl,
-            StrategyChoice::ForcePart => StrategyKind::Part,
-            StrategyChoice::ForceKset => StrategyKind::Kset,
-            StrategyChoice::Auto => {
-                gputx_core::select::choose_by_rule(&profile, &config.thresholds)
-            }
-            StrategyChoice::Adaptive => gputx_core::adaptive::cost_based_choice(config, &profile),
-        };
+        let (strategy, _) = gputx_core::choose_strategy(config, None, || {
+            gputx_core::profiler::profile_bulk(&bundle.registry, &db, &bulk.txns)
+        });
         let mut ctx = ExecContext {
             gpu: &mut gpu,
             db: &mut db,

@@ -1,14 +1,13 @@
 //! One construction surface for every engine flavor.
 //!
-//! Engine construction had accreted variants — `EngineConfig`'s
-//! `with_executor` / `with_durability[_config]`, `GpuTxEngine::new` +
-//! `into_pipelined`, `PipelinedGpuTx::new`'s four positional arguments,
-//! `CpuEngine`'s own builder methods — and replication roles would have added
-//! another axis to each. [`EngineBuilder`] replaces the sprawl: database and
-//! registry in, one fluent chain for executor/durability/pipeline/replication,
-//! then [`build`](EngineBuilder::build) (one-shot),
+//! [`EngineBuilder`] is the only way to construct an engine: database and
+//! registry in, one fluent chain for
+//! executor/durability/pipeline/replication/analytics/robustness, then
+//! [`build`](EngineBuilder::build) (one-shot),
 //! [`build_pipelined`](EngineBuilder::build_pipelined) (streaming) or
-//! [`build_cpu`](EngineBuilder::build_cpu) (the CPU reference engine).
+//! [`build_cpu`](EngineBuilder::build_cpu) (the CPU reference engine). The
+//! GPU terminals open the engine's group-commit seam (`commit.rs`) exactly
+//! once, from the parts collected here.
 //!
 //! ```
 //! use gputx_core::{EngineBuilder, StrategyChoice};
@@ -21,6 +20,7 @@
 //! assert_eq!(engine.pending(), 0);
 //! ```
 
+use crate::commit::GroupCommit;
 use crate::config::{EngineConfig, PipelineConfig, StrategyChoice};
 use crate::engine::GpuTxEngine;
 use crate::pipeline::PipelinedGpuTx;
@@ -305,38 +305,31 @@ impl EngineBuilder {
 
     // -- terminals ------------------------------------------------------------
 
-    /// Build the one-shot bulk engine ([`GpuTxEngine`]).
-    pub fn build(self) -> GpuTxEngine {
-        GpuTxEngine::with_parts(
-            self.db,
-            self.registry,
-            self.config,
-            self.replication,
-            self.analytics,
-            crate::pipeline::RobustnessParts {
-                faults: self.faults,
-                heal_policy: self.heal_policy,
-                health: self.health,
-            },
+    /// Open the group-commit seam over everything this builder collected.
+    /// Panics if the durability directory cannot be initialized.
+    fn open_commit(&mut self) -> GroupCommit {
+        GroupCommit::open(
+            &self.config.durability,
+            &self.db,
+            self.replication.take(),
+            self.analytics.take(),
+            self.faults.take(),
+            self.heal_policy,
+            self.health.clone(),
         )
+    }
+
+    /// Build the one-shot bulk engine ([`GpuTxEngine`]).
+    pub fn build(mut self) -> GpuTxEngine {
+        let commit = self.open_commit();
+        GpuTxEngine::assemble(self.db, self.registry, self.config, commit)
     }
 
     /// Build the streaming engine ([`PipelinedGpuTx`]): continuous ingest,
     /// grouping overlapped with execution.
-    pub fn build_pipelined(self) -> PipelinedGpuTx {
-        PipelinedGpuTx::with_parts(
-            self.db,
-            self.registry,
-            self.config,
-            self.pipeline,
-            self.replication,
-            self.analytics,
-            crate::pipeline::RobustnessParts {
-                faults: self.faults,
-                heal_policy: self.heal_policy,
-                health: self.health,
-            },
-        )
+    pub fn build_pipelined(mut self) -> PipelinedGpuTx {
+        let commit = self.open_commit();
+        PipelinedGpuTx::start(self.db, self.registry, self.config, self.pipeline, commit)
     }
 
     /// Build the CPU reference engine for `spec`, carrying over the
@@ -345,9 +338,6 @@ impl EngineBuilder {
     /// builder's database/registry/durability/replication settings do not
     /// apply to it — tune those with [`CpuEngine::with_partition_size`].
     pub fn build_cpu(&self, spec: CpuSpec) -> CpuEngine {
-        // The deprecated per-engine setter survives exactly for this
-        // forwarding use; external code goes through the builder.
-        #[allow(deprecated)]
         CpuEngine::new(spec).with_executor(self.config.executor)
     }
 }

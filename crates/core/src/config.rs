@@ -4,7 +4,6 @@ use gputx_durability::DurabilityConfig;
 use gputx_exec::ExecutorChoice;
 use gputx_sim::DeviceSpec;
 use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
 
 /// How the engine picks the execution strategy for a bulk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -139,40 +138,6 @@ impl EngineConfig {
         self.relax_timestamps = relax;
         self
     }
-
-    /// Builder-style: pick the host executor (serial or `parallel(n)`).
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct engines through `EngineBuilder::with_executor`, which applies the choice to every engine flavor"
-    )]
-    pub fn with_executor(mut self, executor: ExecutorChoice) -> Self {
-        self.executor = executor;
-        self
-    }
-
-    /// Builder-style: enable bulk-granular redo logging into `dir` with the
-    /// default `PerBulk` fsync policy (see
-    /// [`EngineConfig::with_durability_config`] for the other policies).
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct engines through `EngineBuilder::with_durability`"
-    )]
-    pub fn with_durability(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.durability = DurabilityConfig::at(dir);
-        self
-    }
-
-    /// Builder-style: full durability configuration (directory + fsync
-    /// policy, e.g. `DurabilityConfig::at(dir).with_fsync(FsyncPolicy::
-    /// EveryN(8))`).
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct engines through `EngineBuilder::with_durability_config`"
-    )]
-    pub fn with_durability_config(mut self, durability: DurabilityConfig) -> Self {
-        self.durability = durability;
-        self
-    }
 }
 
 /// Configuration of the streaming pipelined engine
@@ -240,7 +205,6 @@ impl PipelineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gputx_durability::FsyncPolicy;
 
     #[test]
     fn default_matches_paper_setup() {
@@ -252,21 +216,18 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // keeps the forwarding shims honest until removal
     fn builder_methods_apply() {
         let c = EngineConfig::default()
             .with_strategy(StrategyChoice::ForceKset)
             .with_bulk_size(1000)
             .with_grouping_passes(2)
             .with_partition_size(64)
-            .with_relaxed_timestamps(true)
-            .with_executor(ExecutorChoice::parallel(4));
+            .with_relaxed_timestamps(true);
         assert_eq!(c.strategy, StrategyChoice::ForceKset);
         assert_eq!(c.bulk_size, 1000);
         assert_eq!(c.grouping_passes, 2);
         assert_eq!(c.partition_size, 64);
         assert!(c.relax_timestamps);
-        assert_eq!(c.executor, ExecutorChoice::Parallel { threads: 4 });
     }
 
     #[test]
@@ -275,17 +236,8 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // keeps the forwarding shims honest until removal
-    fn durability_disabled_by_default_and_builders_apply() {
-        let c = EngineConfig::default();
-        assert!(!c.durability.enabled());
-        let c = c.with_durability_config(
-            DurabilityConfig::at("/tmp/gputx-wal").with_fsync(FsyncPolicy::EveryN(4)),
-        );
-        assert!(c.durability.enabled());
-        assert_eq!(c.durability.fsync, FsyncPolicy::EveryN(4));
-        let c = EngineConfig::default().with_durability("/tmp/gputx-wal");
-        assert_eq!(c.durability.fsync, FsyncPolicy::PerBulk);
+    fn durability_disabled_by_default() {
+        assert!(!EngineConfig::default().durability.enabled());
     }
 
     #[test]

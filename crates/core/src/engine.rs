@@ -7,14 +7,14 @@
 //! strategy and executes it on the (simulated) GPU. Results are collected in a
 //! result pool on the host.
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveSelector, DecisionStats};
+use crate::adaptive::{AdaptiveSelector, DecisionStats};
 use crate::bulk::{Bulk, BulkReport};
-use crate::config::{EngineConfig, PipelineConfig, StrategyChoice};
-use crate::pipeline::PipelinedGpuTx;
+use crate::commit::GroupCommit;
+use crate::config::EngineConfig;
 use crate::profiler::{profile_bulk, BulkProfile};
-use crate::select::choose_strategy;
+use crate::select::{choose_strategy, selector_for};
 use crate::strategy::{execute_bulk, ExecContext, StrategyKind};
-use gputx_durability::{Durability, DurabilityStats};
+use gputx_durability::DurabilityStats;
 use gputx_sim::{Gpu, SimDuration, Throughput};
 use gputx_storage::{Database, Value};
 use gputx_txn::{ProcedureRegistry, TransactionPool, TxnId, TxnOutcome, TxnTypeId};
@@ -28,7 +28,8 @@ pub struct TxnResult {
     pub outcome: TxnOutcome,
 }
 
-/// The GPUTx engine.
+/// The GPUTx engine. Constructed by
+/// [`EngineBuilder::build`](crate::EngineBuilder::build).
 #[derive(Debug)]
 pub struct GpuTxEngine {
     gpu: Gpu,
@@ -39,104 +40,28 @@ pub struct GpuTxEngine {
     reports: Vec<BulkReport>,
     results: Vec<TxnResult>,
     load_time: SimDuration,
-    /// Redo logging, when `config.durability` names a directory: each
-    /// committed bulk appends one record; `checkpoint` snapshots and
-    /// truncates.
-    durability: Option<Durability>,
-    /// Log shipping, when this engine is a replication primary (see
-    /// `EngineBuilder::replicate`): each committed bulk's redo record is
-    /// published to the hub after the local WAL append.
-    replication: Option<gputx_replication::PrimaryHub>,
-    /// HTAP read path, when this engine feeds an analytics session (see
-    /// `EngineBuilder::analytics`): each committed bulk's redo record is
-    /// published into the session's snapshot store, last in the consumer
-    /// chain (after WAL append and replication).
-    analytics: Option<gputx_analytics::AnalyticsSession>,
-    /// Supervised-heal policy for a poisoned WAL writer.
-    heal_policy: gputx_faults::HealPolicy,
-    /// Automatic heals still allowed before degrading.
-    heals_left: u32,
-    /// Shared health surface updated at the group-commit point.
-    health: gputx_faults::Health,
+    /// Where committed bulks go: WAL, replication hub, analytics session.
+    commit: GroupCommit,
     /// Cost-model strategy selector, present under
     /// `StrategyChoice::Adaptive`. The one-shot engine applies its strategy
     /// decisions but keeps `config.bulk_size` bulk boundaries — sizing
     /// feedback is a streaming-engine feature (see
-    /// [`PipelinedGpuTx::decision_stats`]).
+    /// [`PipelinedGpuTx::decision_stats`](crate::PipelinedGpuTx::decision_stats)).
     selector: Option<AdaptiveSelector>,
 }
 
 impl GpuTxEngine {
-    /// Create an engine: allocates the database in device memory and accounts
-    /// for the initial host→device load (the "initialization" transfer of
-    /// Figure 16).
-    ///
-    /// With durability configured, the engine writes the initial checkpoint
-    /// of `db` and opens a fresh write-ahead log before accepting work, so
-    /// recovery is self-contained from the first bulk onward. Panics if the
-    /// durability directory cannot be initialized — an engine that silently
-    /// dropped its durability guarantee would be worse than one that refuses
-    /// to start.
-    pub fn new(db: Database, registry: ProcedureRegistry, config: EngineConfig) -> Self {
-        Self::with_parts(
-            db,
-            registry,
-            config,
-            None,
-            None,
-            crate::pipeline::RobustnessParts::default(),
-        )
-    }
-
-    /// [`GpuTxEngine::new`] plus an optional replication hub and analytics
-    /// session whose mirrors were seeded from `db`, and the robustness
-    /// surface (fault plane, heal policy, health) — the
-    /// `EngineBuilder::build` entry point.
-    pub(crate) fn with_parts(
+    /// Allocate the database in device memory, accounting for the initial
+    /// host→device load (the "initialization" transfer of Figure 16).
+    pub(crate) fn assemble(
         db: Database,
         registry: ProcedureRegistry,
         config: EngineConfig,
-        replication: Option<gputx_replication::PrimaryHub>,
-        analytics: Option<gputx_analytics::AnalyticsSession>,
-        robustness: crate::pipeline::RobustnessParts,
+        commit: GroupCommit,
     ) -> Self {
         let mut gpu = Gpu::new(config.device.clone());
         let load_time = db.load_to_device(&mut gpu);
-        let mut durability = Durability::from_config(&config.durability, &db)
-            .unwrap_or_else(|e| panic!("cannot initialize durability: {e}"));
-        let crate::pipeline::RobustnessParts {
-            faults,
-            heal_policy,
-            health,
-        } = robustness;
-        if let Some(injector) = faults.as_ref() {
-            if let Some(d) = durability.as_mut() {
-                d.set_faults(injector);
-            }
-            health.attach_injector(injector.clone());
-        }
-        health.set_wal(if durability.is_some() {
-            gputx_faults::WalState::Healthy
-        } else {
-            gputx_faults::WalState::Disabled
-        });
-        // Keep WAL and stream numbering in lockstep: a fresh WAL starts at
-        // LSN 0, so a hub that already shipped records restarts its stream
-        // (new epoch, followers resync).
-        if durability.is_some() {
-            if let Some(hub) = replication.as_ref().filter(|h| h.next_lsn() != 0) {
-                hub.rotate_epoch();
-            }
-        }
-        let selector = matches!(config.strategy, StrategyChoice::Adaptive).then(|| {
-            AdaptiveSelector::new(
-                &config,
-                AdaptiveConfig {
-                    bulk_ceiling: config.bulk_size,
-                    ..AdaptiveConfig::default()
-                },
-            )
-        });
+        let selector = selector_for(&config, config.bulk_size);
         GpuTxEngine {
             gpu,
             db,
@@ -146,12 +71,7 @@ impl GpuTxEngine {
             reports: Vec::new(),
             results: Vec::new(),
             load_time,
-            durability,
-            replication,
-            analytics,
-            heals_left: heal_policy.heal_budget,
-            heal_policy,
-            health,
+            commit,
             selector,
         }
     }
@@ -159,7 +79,7 @@ impl GpuTxEngine {
     /// The engine's shared health surface (WAL state including automatic
     /// heals and degradation, replication progress, fault-plane activity).
     pub fn health(&self) -> gputx_faults::Health {
-        self.health.clone()
+        self.commit.health()
     }
 
     /// Submit a transaction (`Execute procedure_name(parameters)`); returns
@@ -176,28 +96,29 @@ impl GpuTxEngine {
     /// Profile the next bulk (up to `bulk_size` pending transactions) without
     /// executing it.
     pub fn profile_next_bulk(&self) -> Option<BulkProfile> {
+        (!self.pool.is_empty())
+            .then(|| profile_head(&self.pool, &self.registry, &self.db, self.config.bulk_size))
+    }
+
+    /// Generate and execute one bulk using the configured strategy choice
+    /// (under `Adaptive`: cost-model scoring with hysteresis and decision
+    /// stats; bulk boundaries stay at `config.bulk_size`). Returns `None`
+    /// when the pool is empty.
+    pub fn execute_pending(&mut self) -> Option<BulkReport> {
         if self.pool.is_empty() {
             return None;
         }
-        let sigs: Vec<_> = self
-            .pool
-            .peek()
-            .take(self.config.bulk_size)
-            .cloned()
-            .collect();
-        Some(profile_bulk(&self.registry, &self.db, &sigs))
-    }
-
-    /// Generate and execute one bulk using the configured strategy choice.
-    /// Returns `None` when the pool is empty.
-    pub fn execute_pending(&mut self) -> Option<BulkReport> {
-        let profile = self.profile_next_bulk()?;
-        let strategy = match self.selector.as_mut() {
-            // Adaptive: cost-model scoring with hysteresis and decision
-            // stats; bulk boundaries stay at `config.bulk_size`.
-            Some(selector) => selector.decide(&profile).strategy,
-            None => choose_strategy(&self.config, &profile),
-        };
+        let Self {
+            pool,
+            registry,
+            db,
+            config,
+            selector,
+            ..
+        } = self;
+        let (strategy, _) = choose_strategy(config, selector.as_mut(), || {
+            profile_head(pool, registry, db, config.bulk_size)
+        });
         self.execute_pending_with(strategy)
     }
 
@@ -207,21 +128,22 @@ impl GpuTxEngine {
         self.selector.as_ref().map(|s| s.stats_handle().snapshot())
     }
 
-    /// Generate and execute one bulk with an explicit strategy. With
-    /// durability enabled, the bulk's redo record is appended (and fsynced
-    /// per policy) before this returns — the group-commit point of the
-    /// one-shot engine.
+    /// Generate and execute one bulk with an explicit strategy. With a commit
+    /// consumer attached, the bulk's redo record is appended to the WAL (and
+    /// fsynced per policy) and published before this returns — the
+    /// group-commit point of the one-shot engine.
+    ///
+    /// Panics with the commit error when the log has degraded under
+    /// `HealPolicy { writes_when_degraded: false, .. }`: this API has no
+    /// per-bulk error channel, and returning normally would report an
+    /// unlogged bulk as committed.
     pub fn execute_pending_with(&mut self, strategy: StrategyKind) -> Option<BulkReport> {
         if self.pool.is_empty() {
             return None;
         }
         let sigs = self.pool.drain(self.config.bulk_size);
         let bulk = Bulk::new(sigs);
-        // Arm dirty-field tracking so the bulk's physical writes can be read
-        // back into its redo record after commit.
-        let capture =
-            (self.durability.is_some() || self.replication.is_some() || self.analytics.is_some())
-                .then(|| gputx_durability::WriteCapture::begin(&mut self.db));
+        let capture = self.commit.arm(&mut self.db);
         let mut ctx = ExecContext {
             gpu: &mut self.gpu,
             db: &mut self.db,
@@ -230,51 +152,7 @@ impl GpuTxEngine {
         };
         let outcome = execute_bulk(&mut ctx, strategy, &bulk);
         if let Some(capture) = capture {
-            // One redo record serves the local WAL and the replication hub;
-            // the local append comes first so followers never hold a record
-            // the primary did not log.
-            let lsn = match (&self.durability, &self.replication, &self.analytics) {
-                (Some(d), _, _) => d.next_lsn(),
-                (None, Some(hub), _) => hub.next_lsn(),
-                (None, None, Some(session)) => session.next_lsn(),
-                (None, None, None) => unreachable!("capture exists only with a consumer"),
-            };
-            let record = gputx_durability::BulkLogRecord {
-                lsn,
-                write_set: capture.finish(&mut self.db),
-            };
-            if let Some(durability) = self.durability.as_mut() {
-                if durability.append_record(&record).is_err() {
-                    // Supervised heal, mirroring the pipelined runner: the
-                    // bulk's effects are already in `db`, so a fresh
-                    // checkpoint absorbs the record that never landed.
-                    let mut healed = false;
-                    while self.heals_left > 0 {
-                        self.heals_left -= 1;
-                        if durability.heal(&self.db, 1).is_ok() {
-                            self.health.record_heal();
-                            healed = true;
-                            break;
-                        }
-                    }
-                    if !healed {
-                        self.health.set_wal(gputx_faults::WalState::Degraded);
-                        assert!(
-                            self.heal_policy.writes_when_degraded,
-                            "durability log append failed and the heal budget \
-                             is exhausted (writes_when_degraded = false)"
-                        );
-                        // Log superseded; serve on, unlogged.
-                        self.durability = None;
-                    }
-                }
-            }
-            if let Some(hub) = self.replication.as_ref() {
-                hub.publish(&record);
-            }
-            if let Some(session) = self.analytics.as_ref() {
-                session.publish(&record);
-            }
+            (self.commit.commit(&mut self.db, capture)).unwrap_or_else(|e| panic!("{e}"));
         }
         for (id, o) in &outcome.outcomes {
             self.results.push(TxnResult {
@@ -358,7 +236,7 @@ impl GpuTxEngine {
     /// is disabled; panics on I/O failure (like the logging path, a silently
     /// dropped snapshot would forfeit the durability guarantee).
     pub fn checkpoint(&mut self) -> bool {
-        match self.durability.as_mut() {
+        match self.commit.wal_mut() {
             Some(durability) => {
                 durability
                     .checkpoint(&self.db)
@@ -372,51 +250,25 @@ impl GpuTxEngine {
     /// Durability cost accounting (records, bytes, fsyncs, logging seconds);
     /// `None` when durability is disabled.
     pub fn durability_stats(&self) -> Option<DurabilityStats> {
-        self.durability.as_ref().map(|d| d.stats())
+        self.commit.wal().map(|d| d.stats())
     }
+}
 
-    /// Convert this one-shot engine into the streaming
-    /// [`PipelinedGpuTx`]: the database, registry and configuration carry
-    /// over, and any transactions still pending in the pool are re-submitted
-    /// into the pipeline (their pool timestamps are re-assigned by admission
-    /// order, which preserves their relative order).
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct the streaming engine directly with `EngineBuilder::build_pipelined`"
-    )]
-    pub fn into_pipelined(mut self, pipeline: PipelineConfig) -> PipelinedGpuTx {
-        let pending = self.pool.drain_all();
-        // Release this engine's log writer before the pipeline re-initializes
-        // the same durability directory (fresh checkpoint + truncated log).
-        drop(self.durability.take());
-        let replication = self.replication.take();
-        let analytics = self.analytics.take();
-        let streaming = PipelinedGpuTx::with_parts(
-            self.db,
-            self.registry,
-            self.config,
-            pipeline,
-            replication,
-            analytics,
-            crate::pipeline::RobustnessParts {
-                faults: None,
-                heal_policy: self.heal_policy,
-                health: self.health,
-            },
-        );
-        for sig in pending {
-            // The engine just started, so submissions cannot fail; tickets
-            // for carried-over transactions are intentionally dropped (the
-            // one-shot API had no per-transaction completion handle either).
-            let _ = streaming.submit(sig.ty, sig.params);
-        }
-        streaming
-    }
+/// Profile the (non-empty) pool's first `bulk_size` transactions.
+fn profile_head(
+    pool: &TransactionPool,
+    registry: &ProcedureRegistry,
+    db: &Database,
+    bulk_size: usize,
+) -> BulkProfile {
+    let sigs: Vec<_> = pool.peek().take(bulk_size).cloned().collect();
+    profile_bulk(registry, db, &sigs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::EngineBuilder;
     use crate::config::StrategyChoice;
     use gputx_storage::schema::{ColumnDef, TableSchema};
     use gputx_storage::{DataItemId, DataType};
@@ -453,7 +305,7 @@ mod tests {
     #[test]
     fn end_to_end_submit_execute_collect() {
         let (db, reg) = setup(1000);
-        let mut engine = GpuTxEngine::new(db, reg, EngineConfig::default());
+        let mut engine = EngineBuilder::new(db, reg).build();
         assert!(engine.load_time().as_secs() > 0.0);
         for i in 0..5000u64 {
             engine.submit(0, vec![Value::Int((i % 1000) as i64), Value::Double(1.0)]);
@@ -476,8 +328,7 @@ mod tests {
     #[test]
     fn bulk_size_limits_each_bulk() {
         let (db, reg) = setup(100);
-        let config = EngineConfig::default().with_bulk_size(128);
-        let mut engine = GpuTxEngine::new(db, reg, config);
+        let mut engine = EngineBuilder::new(db, reg).with_bulk_size(128).build();
         for i in 0..300u64 {
             engine.submit(0, vec![Value::Int((i % 100) as i64), Value::Double(1.0)]);
         }
@@ -490,11 +341,9 @@ mod tests {
     #[test]
     fn explicit_strategy_is_respected() {
         let (db, reg) = setup(64);
-        let mut engine = GpuTxEngine::new(
-            db,
-            reg,
-            EngineConfig::default().with_strategy(StrategyChoice::ForcePart),
-        );
+        let mut engine = EngineBuilder::new(db, reg)
+            .with_strategy(StrategyChoice::ForcePart)
+            .build();
         for i in 0..64u64 {
             engine.submit(0, vec![Value::Int(i as i64), Value::Double(2.0)]);
         }
@@ -506,7 +355,6 @@ mod tests {
 
     #[test]
     fn parallel_executor_runs_through_the_engine() {
-        use crate::builder::EngineBuilder;
         use gputx_exec::ExecutorChoice;
         let (db, reg) = setup(500);
         let mut results = Vec::new();
@@ -534,26 +382,9 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the conversion shim must keep working until removal
-    fn into_pipelined_carries_pending_transactions() {
-        let (db, reg) = setup(100);
-        let mut engine = GpuTxEngine::new(db, reg, EngineConfig::default());
-        for i in 0..50u64 {
-            engine.submit(0, vec![Value::Int((i % 100) as i64), Value::Double(2.0)]);
-        }
-        let streaming = engine.into_pipelined(PipelineConfig::default().with_max_bulk_size(16));
-        let (db, stats) = streaming.finish().expect("pipeline stays healthy");
-        assert_eq!(stats.committed, 50);
-        assert_eq!(
-            db.table_by_name("accounts").get(42, 1),
-            Value::Double(102.0)
-        );
-    }
-
-    #[test]
     fn profile_reflects_conflicts() {
         let (db, reg) = setup(10);
-        let mut engine = GpuTxEngine::new(db, reg, EngineConfig::default());
+        let mut engine = EngineBuilder::new(db, reg).build();
         for _ in 0..10 {
             engine.submit(0, vec![Value::Int(3), Value::Double(1.0)]);
         }

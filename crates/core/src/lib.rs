@@ -38,6 +38,7 @@
 pub mod adaptive;
 pub mod builder;
 pub mod bulk;
+mod commit;
 pub mod config;
 pub mod engine;
 pub mod error;

@@ -16,13 +16,13 @@
 //!   behind the paper's Figures 9 and 15 (periodic bulk cuts under a uniform
 //!   arrival process, simulated time only).
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveSelector, DecisionStats, DecisionStatsHandle};
+use crate::adaptive::{AdaptiveSelector, DecisionStats, DecisionStatsHandle};
 use crate::bulk::Bulk;
+use crate::commit::GroupCommit;
 use crate::config::{EngineConfig, PipelineConfig, StrategyChoice};
 use crate::profiler::profile_bulk;
-use crate::select::choose_strategy;
+use crate::select::{choose_strategy, selector_for};
 use crate::strategy::{execute_bulk, ExecContext, StrategyKind};
-use gputx_durability::{BulkLogRecord, Durability};
 use gputx_exec::{
     run_txn_planned, BulkPlanner, BulkRunner, BulkSizeKnob, ExecError, ExecPolicy, Executor,
     PipelineError, PipelineOptions, PipelineStats, PipelinedEngine, SubmitHandle, Ticket,
@@ -64,14 +64,6 @@ pub struct GpuTxPlanner {
     size_knob: Option<BulkSizeKnob>,
 }
 
-impl GpuTxPlanner {
-    fn snapshot(&self) -> &Database {
-        self.snapshot
-            .as_ref()
-            .expect("snapshot is populated for strategies that read it")
-    }
-}
-
 /// The plan the grouping stage hands to the execution stage: the chosen
 /// strategy, its precomputed schedule, and the pre-resolved access plan.
 #[derive(Debug, Clone)]
@@ -96,30 +88,17 @@ impl BulkPlanner for GpuTxPlanner {
     type Plan = GpuTxPlan;
 
     fn plan(&mut self, bulk: &[TxnSignature]) -> GpuTxPlan {
-        let strategy = match self.config.strategy {
-            StrategyChoice::ForceTpl => StrategyKind::Tpl,
-            StrategyChoice::ForcePart => StrategyKind::Part,
-            StrategyChoice::ForceKset => StrategyKind::Kset,
-            StrategyChoice::Auto => {
-                let profile = profile_bulk(&self.registry, self.snapshot(), bulk);
-                choose_strategy(&self.config, &profile)
-            }
-            StrategyChoice::Adaptive => {
-                let profile = profile_bulk(&self.registry, self.snapshot(), bulk);
-                let selector = self
-                    .selector
-                    .as_mut()
-                    .expect("Adaptive strategy always installs a selector");
-                let decision = selector.decide(&profile);
-                if let Some(knob) = self.size_knob.as_ref() {
-                    knob.set(decision.suggested_bulk_size);
-                }
-                decision.strategy
-            }
-        };
+        let snapshot =
+            || (self.snapshot.as_ref()).expect("snapshot is populated for strategies that read it");
+        let (strategy, size_hint) = choose_strategy(&self.config, self.selector.as_mut(), || {
+            profile_bulk(&self.registry, snapshot(), bulk)
+        });
+        if let (Some(knob), Some(size)) = (self.size_knob.as_ref(), size_hint) {
+            knob.set(size);
+        }
         let plan = match strategy {
             StrategyKind::Kset => {
-                let snapshot = self.snapshot();
+                let snapshot = snapshot();
                 let ops: Vec<_> = bulk
                     .iter()
                     .map(|sig| (sig.id, self.registry.read_write_set(sig, snapshot)))
@@ -182,43 +161,13 @@ pub struct GpuTxRunner {
     registry: ProcedureRegistry,
     executor: Box<dyn Executor>,
     policy: ExecPolicy,
-    /// Redo logging, when the engine config names a durability directory.
-    /// The execution stage is the pipeline's group-commit point: a bulk's
-    /// record is appended (and fsynced per policy) before the bulk reaches
-    /// the commit stage, so tickets resolve only after their bulk is durable
-    /// per policy — the fsync wait is naturally folded into the ticket
-    /// latencies `PipelineStats` reports as p50/p99.
-    durability: Option<Durability>,
-    /// Log shipping, when this engine is a replication primary. The same
-    /// group-commit point that appends a bulk's redo record to the WAL
-    /// publishes it into the hub, which fans it out to followers — shipping
-    /// and local durability always agree because they consume the *same*
-    /// record. Publishing never blocks on a follower (bounded queues shed).
-    replication: Option<gputx_replication::PrimaryHub>,
-    /// HTAP read path, when the engine feeds an analytics session (see
-    /// `EngineBuilder::analytics`). The session consumes the same record at
-    /// the same group-commit point, last in the chain: update propagation
-    /// into its snapshot mirror is a redo replay plus dirty-chunk marks;
-    /// the expensive copy-on-write rebuild is paid by scanners at snapshot
-    /// cut time, never here.
-    analytics: Option<gputx_analytics::AnalyticsSession>,
-    /// Supervised-heal policy for a poisoned WAL writer (see
-    /// [`GpuTxRunner::heal_or_degrade`]).
-    heal_policy: gputx_faults::HealPolicy,
-    /// Automatic heals still allowed before degrading.
-    heals_left: u32,
-    /// Shared health surface updated at the group-commit point.
-    health: gputx_faults::Health,
-}
-
-/// Robustness knobs threaded from `EngineBuilder` into the engines: the
-/// installed fault plane (if any), the WAL heal policy and the shared
-/// health surface.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct RobustnessParts {
-    pub(crate) faults: Option<gputx_faults::FaultInjector>,
-    pub(crate) heal_policy: gputx_faults::HealPolicy,
-    pub(crate) health: gputx_faults::Health,
+    /// Where committed bulks go. The execution stage is the pipeline's
+    /// group-commit point: a bulk's record is appended (and fsynced per
+    /// policy) and published before the bulk reaches the commit stage, so
+    /// tickets resolve only after their bulk is durable per policy — the
+    /// fsync wait is naturally folded into the ticket latencies
+    /// `PipelineStats` reports as p50/p99.
+    commit: GroupCommit,
 }
 
 impl GpuTxRunner {
@@ -288,46 +237,6 @@ impl GpuTxRunner {
         }
         Ok(())
     }
-
-    /// Supervised recovery from a failed redo-record append. The failing
-    /// bulk's effects are already applied to the live database, so a fresh
-    /// checkpoint absorbs them: [`Durability::heal`] snapshots the full
-    /// state under a fresh log epoch and advances the LSN past the record
-    /// that never landed — after which this bulk is durable (via the
-    /// snapshot) and the writer is clean again. Each heal consumes one unit
-    /// of the bounded [`HealPolicy::heal_budget`](gputx_faults::HealPolicy);
-    /// once it is spent (or healing itself keeps failing) the engine
-    /// degrades visibly instead of panicking: reads are always served, and
-    /// writes either continue unlogged
-    /// ([`writes_when_degraded`](gputx_faults::HealPolicy) — durability is
-    /// dropped, the health surface reports `Degraded`) or keep failing with
-    /// the poisoned writer's error so no caller is ever told "durable" for
-    /// work the log cannot reproduce.
-    fn heal_or_degrade(&mut self, cause: &std::io::Error) -> Result<(), ExecError> {
-        let durability = self
-            .durability
-            .as_mut()
-            .expect("heal_or_degrade is only reached with durability configured");
-        while self.heals_left > 0 {
-            self.heals_left -= 1;
-            if durability.heal(&self.db, 1).is_ok() {
-                self.health.record_heal();
-                return Ok(());
-            }
-        }
-        self.health.set_wal(gputx_faults::WalState::Degraded);
-        if self.heal_policy.writes_when_degraded {
-            // The log is superseded; drop it and serve on, unlogged. The
-            // hub/analytics keep numbering from their own counters, which
-            // never saw the failed record either.
-            self.durability = None;
-            Ok(())
-        } else {
-            Err(ExecError::LogAppendFailed {
-                message: format!("durability degraded (heal budget exhausted): {cause}"),
-            })
-        }
-    }
 }
 
 impl BulkRunner for GpuTxRunner {
@@ -351,13 +260,7 @@ impl BulkRunner for GpuTxRunner {
         if let Some(access) = plan.access.as_mut() {
             access.revalidate(&self.db);
         }
-        // Arm dirty-field tracking so the bulk's physical writes can be read
-        // back into its redo record after commit. Unlike the access plan,
-        // the capture cannot move to the grouping stage: it brackets the
-        // live database's mutation window.
-        let capture =
-            (self.durability.is_some() || self.replication.is_some() || self.analytics.is_some())
-                .then(|| gputx_durability::WriteCapture::begin(&mut self.db));
+        let capture = self.commit.arm(&mut self.db);
         let mut outcomes = Vec::with_capacity(bulk.len());
         if let Err(e) = self.run_plan(&bulk, &plan, &mut outcomes) {
             self.discard_insert_buffers();
@@ -366,43 +269,10 @@ impl BulkRunner for GpuTxRunner {
         self.db.apply_insert_buffers();
         outcomes.sort_by_key(|(id, _)| *id);
         if let Some(capture) = capture {
-            // Group commit: one redo record serves both consumers. The WAL
-            // append (and its policy-driven fsync) must land before the
-            // commit stage resolves this bulk's tickets. An append failure
-            // fails this bulk's tickets AND poisons the log writer, so every
-            // later bulk's tickets fail too — the functional effects are
-            // applied, but nobody is ever told "durable" for work the log
-            // cannot reproduce. A checkpoint (full snapshot + fresh log
-            // epoch) is the way back. Publishing to followers happens after
-            // the local append: a record a follower holds is always one the
-            // primary logged.
-            let lsn = match (&self.durability, &self.replication, &self.analytics) {
-                (Some(d), _, _) => d.next_lsn(),
-                (None, Some(hub), _) => hub.next_lsn(),
-                (None, None, Some(session)) => session.next_lsn(),
-                (None, None, None) => unreachable!("capture exists only with a consumer"),
-            };
-            let record = BulkLogRecord {
-                lsn,
-                write_set: capture.finish(&mut self.db),
-            };
-            if let Some(durability) = self.durability.as_mut() {
-                if let Err(e) = durability.append_record(&record) {
-                    self.heal_or_degrade(&e)?;
-                }
-            }
-            if let Some(hub) = self.replication.as_ref() {
-                hub.publish(&record);
-                let acks = hub.follower_acks();
-                self.health.set_replication(
-                    acks.len() as u64,
-                    hub.next_lsn(),
-                    acks.iter().copied().min().unwrap_or(0),
-                );
-            }
-            if let Some(session) = self.analytics.as_ref() {
-                session.publish(&record);
-            }
+            // A commit error fails this bulk's tickets: its functional
+            // effects are applied, but nobody is told "durable" for work the
+            // log cannot reproduce.
+            self.commit.commit(&mut self.db, capture)?;
         }
         Ok(outcomes)
     }
@@ -437,86 +307,27 @@ pub struct PipelinedGpuTx {
 }
 
 impl PipelinedGpuTx {
-    /// Start the streaming engine over a database and registered transaction
-    /// types. `engine_config` supplies strategy selection, thresholds and
-    /// partition size; `pipeline` supplies the admission knobs and the
-    /// execution-stage host executor.
-    pub fn new(
+    /// Start the stage threads. `engine_config` supplies strategy selection,
+    /// thresholds and partition size; `pipeline` supplies the admission knobs
+    /// and the execution-stage host executor.
+    pub(crate) fn start(
         db: Database,
         registry: ProcedureRegistry,
         engine_config: EngineConfig,
         pipeline: PipelineConfig,
-    ) -> Self {
-        Self::with_parts(
-            db,
-            registry,
-            engine_config,
-            pipeline,
-            None,
-            None,
-            RobustnessParts::default(),
-        )
-    }
-
-    /// [`PipelinedGpuTx::new`] plus an optional replication hub and
-    /// analytics session whose mirrors were seeded from `db`, and the
-    /// robustness surface (fault plane, heal policy, health) — the
-    /// `EngineBuilder::build_pipelined` entry point.
-    pub(crate) fn with_parts(
-        db: Database,
-        registry: ProcedureRegistry,
-        engine_config: EngineConfig,
-        pipeline: PipelineConfig,
-        replication: Option<gputx_replication::PrimaryHub>,
-        analytics: Option<gputx_analytics::AnalyticsSession>,
-        robustness: RobustnessParts,
+        commit: GroupCommit,
     ) -> Self {
         let needs_snapshot = matches!(
             engine_config.strategy,
             StrategyChoice::ForceKset | StrategyChoice::Auto | StrategyChoice::Adaptive
         );
-        let mut durability = Durability::from_config(&engine_config.durability, &db)
-            .unwrap_or_else(|e| panic!("cannot initialize durability: {e}"));
-        let RobustnessParts {
-            faults,
-            heal_policy,
-            health,
-        } = robustness;
-        if let Some(injector) = faults.as_ref() {
-            if let Some(d) = durability.as_mut() {
-                d.set_faults(injector);
-            }
-            health.attach_injector(injector.clone());
-        }
-        health.set_wal(if durability.is_some() {
-            gputx_faults::WalState::Healthy
-        } else {
-            gputx_faults::WalState::Disabled
-        });
-        // A freshly created WAL numbers records from 0; a hub that already
-        // shipped records must restart its stream too (new epoch, followers
-        // resync) so both consumers keep numbering the same records
-        // identically.
-        if durability.is_some() {
-            if let Some(hub) = replication.as_ref().filter(|h| h.next_lsn() != 0) {
-                hub.rotate_epoch();
-            }
-        }
         // Under Adaptive the grouping stage holds the selector (decisions
         // happen where bulks become plans) and feeds sizing suggestions back
         // into admission through a shared knob.
-        let adaptive = matches!(engine_config.strategy, StrategyChoice::Adaptive);
-        let selector = adaptive.then(|| {
-            AdaptiveSelector::new(
-                &engine_config,
-                AdaptiveConfig {
-                    bulk_ceiling: pipeline.max_bulk_size,
-                    ..AdaptiveConfig::default()
-                },
-            )
-        });
-        let decisions = selector.as_ref().map(|s| s.stats_handle());
-        let size_knob = adaptive.then(BulkSizeKnob::new);
+        let selector = selector_for(&engine_config, pipeline.max_bulk_size);
+        let decisions = selector.as_ref().map(AdaptiveSelector::stats_handle);
+        let size_knob = selector.as_ref().map(|_| BulkSizeKnob::new());
+        let health = commit.health();
         let planner = GpuTxPlanner {
             registry: registry.clone(),
             snapshot: needs_snapshot.then(|| db.clone()),
@@ -529,12 +340,7 @@ impl PipelinedGpuTx {
             registry,
             executor: pipeline.executor.build(),
             policy: ExecPolicy::functional(),
-            durability,
-            replication,
-            analytics,
-            heals_left: heal_policy.heal_budget,
-            heal_policy,
-            health: health.clone(),
+            commit,
         };
         let opts = PipelineOptions {
             max_bulk_size: pipeline.max_bulk_size,
@@ -730,6 +536,7 @@ pub fn simulate_pipeline(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::EngineBuilder;
     use gputx_exec::ExecutorChoice;
     use gputx_storage::schema::{ColumnDef, TableSchema};
     use gputx_storage::{DataItemId, DataType};
@@ -835,15 +642,12 @@ mod tests {
             StrategyChoice::Auto,
         ] {
             for executor in [ExecutorChoice::Serial, ExecutorChoice::parallel(2)] {
-                let engine = PipelinedGpuTx::new(
-                    db0.clone(),
-                    reg.clone(),
-                    EngineConfig::default().with_strategy(strategy),
-                    PipelineConfig::default()
-                        .with_max_bulk_size(128)
-                        .with_max_wait_us(10_000_000)
-                        .with_executor(executor),
-                );
+                let engine = EngineBuilder::new(db0.clone(), reg.clone())
+                    .with_strategy(strategy)
+                    .with_max_bulk_size(128)
+                    .with_max_wait_us(10_000_000)
+                    .with_executor(executor)
+                    .build_pipelined();
                 let tickets: Vec<Ticket> = (0..n)
                     .map(|i| {
                         engine
@@ -898,14 +702,11 @@ mod tests {
             |p| Some(p[0].as_int() as u64),
             move |_ctx| panic!("procedure bug"),
         ));
-        let engine = PipelinedGpuTx::new(
-            db,
-            reg,
-            EngineConfig::default().with_strategy(StrategyChoice::ForceKset),
-            PipelineConfig::default()
-                .with_max_bulk_size(4)
-                .with_max_wait_us(10_000_000),
-        );
+        let engine = EngineBuilder::new(db, reg)
+            .with_strategy(StrategyChoice::ForceKset)
+            .with_max_bulk_size(4)
+            .with_max_wait_us(10_000_000)
+            .build_pipelined();
         // Bulk 1: two inserts execute, then the panic fails the bulk with two
         // inserts still buffered.
         let bulk1: Vec<Ticket> = [(0u32, 1i64), (0, 2), (1, 3), (0, 4)]
@@ -936,14 +737,10 @@ mod tests {
     #[test]
     fn deadline_bounds_latency_without_flush() {
         let (db0, reg) = setup(8);
-        let engine = PipelinedGpuTx::new(
-            db0,
-            reg,
-            EngineConfig::default(),
-            PipelineConfig::default()
-                .with_max_bulk_size(1_000_000)
-                .with_max_wait_us(3_000),
-        );
+        let engine = EngineBuilder::new(db0, reg)
+            .with_max_bulk_size(1_000_000)
+            .with_max_wait_us(3_000)
+            .build_pipelined();
         let ticket = engine.submit(0, vec![Value::Int(1)]).unwrap();
         // The deadline (not size, not flush) must commit this transaction.
         assert!(ticket.wait().is_ok());

@@ -10,6 +10,7 @@
 //!   acceptable → choose PART.
 //! * Otherwise → TPL.
 
+use crate::adaptive::{cost_based_choice, AdaptiveConfig, AdaptiveSelector};
 use crate::config::{EngineConfig, SelectionThresholds, StrategyChoice};
 use crate::profiler::BulkProfile;
 use crate::strategy::StrategyKind;
@@ -27,19 +28,46 @@ pub fn choose_by_rule(profile: &BulkProfile, thresholds: &SelectionThresholds) -
     StrategyKind::Tpl
 }
 
-/// Resolve the engine configuration's strategy choice for a concrete bulk.
-pub fn choose_strategy(config: &EngineConfig, profile: &BulkProfile) -> StrategyKind {
-    match config.strategy {
-        StrategyChoice::ForceTpl => StrategyKind::Tpl,
-        StrategyChoice::ForcePart => StrategyKind::Part,
-        StrategyChoice::ForceKset => StrategyKind::Kset,
-        StrategyChoice::Auto => choose_by_rule(profile, &config.thresholds),
-        // The stateless resolution: cost-model scoring without hysteresis.
-        // Engines that execute a *stream* of bulks hold an
-        // `adaptive::AdaptiveSelector` instead, which adds hysteresis and
-        // decision stats on top of the same scores.
-        StrategyChoice::Adaptive => crate::adaptive::cost_based_choice(config, profile),
+/// Resolve the engine configuration's strategy choice for a concrete bulk —
+/// the one place a [`StrategyChoice`] becomes a [`StrategyKind`].
+///
+/// `profile` is only invoked when the choice reads it (`Auto`, `Adaptive`);
+/// forced choices never pay for profiling. Engines that execute a *stream*
+/// of bulks pass their [`AdaptiveSelector`], which adds hysteresis
+/// and decision stats on top of the cost-model scores and whose bulk-size
+/// suggestion is returned beside the strategy; one-off call sites pass `None`
+/// and get the stateless [`cost_based_choice`].
+pub fn choose_strategy(
+    config: &EngineConfig,
+    selector: Option<&mut AdaptiveSelector>,
+    profile: impl FnOnce() -> BulkProfile,
+) -> (StrategyKind, Option<usize>) {
+    match (config.strategy, selector) {
+        (StrategyChoice::ForceTpl, _) => (StrategyKind::Tpl, None),
+        (StrategyChoice::ForcePart, _) => (StrategyKind::Part, None),
+        (StrategyChoice::ForceKset, _) => (StrategyKind::Kset, None),
+        (StrategyChoice::Auto, _) => (choose_by_rule(&profile(), &config.thresholds), None),
+        (StrategyChoice::Adaptive, Some(selector)) => {
+            let decision = selector.decide(&profile());
+            (decision.strategy, Some(decision.suggested_bulk_size))
+        }
+        (StrategyChoice::Adaptive, None) => (cost_based_choice(config, &profile()), None),
     }
+}
+
+/// The selector an engine threads through [`choose_strategy`]: present under
+/// `StrategyChoice::Adaptive`, with sizing suggestions bounded by the
+/// engine's own bulk limit.
+pub(crate) fn selector_for(config: &EngineConfig, bulk_ceiling: usize) -> Option<AdaptiveSelector> {
+    matches!(config.strategy, StrategyChoice::Adaptive).then(|| {
+        AdaptiveSelector::new(
+            config,
+            AdaptiveConfig {
+                bulk_ceiling,
+                ..AdaptiveConfig::default()
+            },
+        )
+    })
 }
 
 #[cfg(test)]
@@ -94,23 +122,23 @@ mod tests {
         );
     }
 
+    fn choose(config: &EngineConfig, p: &BulkProfile) -> StrategyKind {
+        choose_strategy(config, None, || p.clone()).0
+    }
+
     #[test]
-    fn forced_choices_override_the_rule() {
-        let p = profile(1_000_000, 0, 0);
+    fn forced_choices_override_the_rule_without_profiling() {
         let base = EngineConfig::default();
-        assert_eq!(
-            choose_strategy(&base.clone().with_strategy(StrategyChoice::ForceTpl), &p),
-            StrategyKind::Tpl
-        );
-        assert_eq!(
-            choose_strategy(&base.clone().with_strategy(StrategyChoice::ForcePart), &p),
-            StrategyKind::Part
-        );
-        assert_eq!(
-            choose_strategy(&base.clone().with_strategy(StrategyChoice::ForceKset), &p),
-            StrategyKind::Kset
-        );
-        assert_eq!(choose_strategy(&base, &p), StrategyKind::Kset);
+        for (choice, kind) in [
+            (StrategyChoice::ForceTpl, StrategyKind::Tpl),
+            (StrategyChoice::ForcePart, StrategyKind::Part),
+            (StrategyChoice::ForceKset, StrategyKind::Kset),
+        ] {
+            let config = base.clone().with_strategy(choice);
+            let resolved = choose_strategy(&config, None, || unreachable!("forced: no profile"));
+            assert_eq!(resolved, (kind, None));
+        }
+        assert_eq!(choose(&base, &profile(1_000_000, 0, 0)), StrategyKind::Kset);
     }
 
     #[test]
@@ -119,6 +147,11 @@ mod tests {
         // K-SET (and the conflict-free invariant forbids TPL outright).
         let p = profile(10_000, 0, 0);
         let c = EngineConfig::default().with_strategy(StrategyChoice::Adaptive);
-        assert_eq!(choose_strategy(&c, &p), StrategyKind::Kset);
+        assert_eq!(choose(&c, &p), StrategyKind::Kset);
+        // With the engine's selector the same scores also carry a size hint.
+        let mut selector = selector_for(&c, 512).expect("adaptive installs a selector");
+        let resolved = choose_strategy(&c, Some(&mut selector), || p.clone());
+        assert_eq!(resolved, (StrategyKind::Kset, Some(512)));
+        assert!(selector_for(&EngineConfig::default(), 512).is_none());
     }
 }

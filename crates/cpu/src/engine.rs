@@ -138,10 +138,8 @@ impl CpuEngine {
     /// Builder-style: pick the host executor. `Parallel` runs disjoint
     /// partition groups on worker threads; cross-partition transactions stay
     /// serial barriers, exactly like H-Store's serial global phase.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct CPU engines through `gputx_core::EngineBuilder::build_cpu`, which carries the builder's executor choice"
-    )]
+    /// (`gputx_core::EngineBuilder::build_cpu` carries the builder's choice
+    /// through this setter.)
     pub fn with_executor(mut self, executor: ExecutorChoice) -> Self {
         self.executor = executor;
         self
@@ -428,7 +426,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // exercises the shim; external code uses EngineBuilder
     fn parallel_executor_matches_serial_engine() {
         let (db0, reg) = setup(64);
         let mut work = bulk(2000, 64);

@@ -220,9 +220,7 @@ impl PrimaryHub {
             record.lsn, m.next_lsn,
             "published record must continue the mirror's LSN sequence"
         );
-        let mut write_set = record.write_set.clone();
-        write_set.merge_into(&mut m.db);
-        m.db.apply_insert_buffers();
+        record.clone().replay_into(&mut m.db);
         m.next_lsn += 1;
         self.shared
             .counters
@@ -345,9 +343,9 @@ impl PrimaryHub {
     /// Restart the stream under a fresh epoch, numbering records from 0
     /// again, and force every subscribed follower through a snapshot resync.
     /// The mirror state is unchanged — only the numbering restarts. Used
-    /// when the engine re-creates its WAL (e.g. the one-shot → pipelined
-    /// conversion truncates the log), so log and stream keep numbering the
-    /// same records identically.
+    /// when an engine is built over a fresh WAL and a hub that already
+    /// shipped records, so log and stream keep numbering the same records
+    /// identically.
     pub fn rotate_epoch(&self) {
         let mut m = self.shared.mirror.lock().expect("mirror poisoned");
         m.epoch = fresh_epoch().max(m.epoch + 1);

@@ -103,12 +103,12 @@ impl<'a> TxnCtx<'a> {
         path: u32,
         txn_id: u64,
     ) -> Self {
-        Self::with_parts(db, params, path, txn_id, None, Vec::new())
+        Self::with_cursor(db, params, path, txn_id, None, Vec::new())
     }
 
     /// Full constructor used by [`ProcedureRegistry::execute_planned`]: an
     /// optional pre-resolved lookup cursor plus a recycled undo buffer.
-    fn with_parts(
+    fn with_cursor(
         db: &'a mut (dyn StorageView + 'a),
         params: &'a [Value],
         path: u32,
@@ -571,7 +571,7 @@ impl ProcedureRegistry {
         let def = self.get(sig.ty);
         let cursor = plan.and_then(|p| p.cursor(sig.id));
         let undo = std::mem::take(&mut scratch.undo);
-        let mut ctx = TxnCtx::with_parts(db, &sig.params, sig.ty, sig.id, cursor, undo);
+        let mut ctx = TxnCtx::with_cursor(db, &sig.params, sig.ty, sig.id, cursor, undo);
         (def.execute)(&mut ctx);
         let (trace, outcome, undo_records, undo_buf) = ctx.finish();
         scratch.undo = undo_buf;

@@ -106,28 +106,67 @@ fn wal_storm_plan(seed: u64) -> FaultPlan {
     .with_max_faults(5)
 }
 
-/// One seeded WAL-storm run: returns the final database plus the observed
-/// (heals, faults_injected) so callers can assert determinism.
-fn run_wal_storm(plan: Option<FaultPlan>, name: &str) -> (Database, u64, u64) {
+/// Which engine a WAL storm drives. Both see the same bulk boundaries: the
+/// one-shot engine executes `PER_BULK` pending transactions at a time, the
+/// pipelined engine closes every bulk at `PER_BULK` by size.
+#[derive(Debug, Clone, Copy)]
+enum Flavor {
+    OneShot,
+    Pipelined,
+}
+
+/// What one WAL-storm run observed; equal across runs of one seed and across
+/// flavors.
+#[derive(Debug, PartialEq)]
+struct StormOutcome {
+    heals: u64,
+    injected: u64,
+    wal: WalState,
+}
+
+/// A durable engine builder over the storm stream's database, cut into
+/// `per_bulk`-sized bulks by either flavor.
+fn storm_builder(bundle: &WorkloadBundle, dir: &std::path::Path, per_bulk: usize) -> EngineBuilder {
+    EngineBuilder::new(bundle.db.clone(), bundle.registry.clone())
+        .with_strategy(StrategyChoice::ForceKset)
+        .with_durability(dir)
+        .with_bulk_size(per_bulk)
+        .with_max_bulk_size(per_bulk)
+        .with_max_wait_us(10_000_000)
+}
+
+/// One seeded WAL-storm run: returns the final database plus what the health
+/// surface observed, so callers can assert determinism and flavor parity.
+fn run_wal_storm(plan: Option<FaultPlan>, flavor: Flavor, name: &str) -> (Database, StormOutcome) {
     const BULKS: usize = 10;
     const PER_BULK: usize = 16;
     let bundle = micro(128, 0xD15C);
     let sigs = micro(128, 0xD15C).generate_signatures(BULKS * PER_BULK, 0);
     let dir = scratch_dir(name);
-    let mut builder = EngineBuilder::new(bundle.db.clone(), bundle.registry.clone())
-        .with_strategy(StrategyChoice::ForceKset)
-        .with_durability(&dir);
+    let mut builder = storm_builder(&bundle, &dir, PER_BULK);
     if let Some(plan) = plan {
         builder = builder.faults(plan);
     }
     let health = builder.health();
-    let mut engine = builder.build();
-    for chunk in sigs.chunks(PER_BULK) {
-        for sig in chunk {
-            engine.submit(sig.ty, sig.params.clone());
+    let db = match flavor {
+        Flavor::OneShot => {
+            let mut engine = builder.build();
+            for sig in &sigs {
+                engine.submit(sig.ty, sig.params.clone());
+            }
+            assert_eq!(engine.run_until_empty().len(), BULKS);
+            engine.db().clone()
         }
-        engine.execute_pending().expect("bulk executes");
-    }
+        Flavor::Pipelined => {
+            let engine = builder.build_pipelined();
+            for sig in &sigs {
+                engine.submit(sig.ty, sig.params.clone()).expect("submit");
+            }
+            let (db, stats) = engine.finish().expect("pipeline finishes cleanly");
+            assert_eq!((stats.bulks(), stats.bulks_failed), (BULKS as u64, 0));
+            db
+        }
+    };
     let report = health.report();
     assert!(
         matches!(report.wal, WalState::Healthy | WalState::Healed),
@@ -137,37 +176,114 @@ fn run_wal_storm(plan: Option<FaultPlan>, name: &str) -> (Database, u64, u64) {
     // Whatever the storm did, the log still replays to the live state.
     let recovered = recover(&dir).expect("recovery after WAL storm");
     assert!(
-        recovered.db == *engine.db(),
-        "recovery must reproduce the live state exactly"
+        recovered.db == db,
+        "{flavor:?}: recovery must reproduce the live state exactly"
     );
-    let db = engine.db().clone();
     let _ = std::fs::remove_dir_all(&dir);
-    (db, report.heals, report.faults_injected)
+    let outcome = StormOutcome {
+        heals: report.heals,
+        injected: report.faults_injected,
+        wal: report.wal,
+    };
+    (db, outcome)
 }
 
 /// The same seed injects the same WAL faults at the same appends; the engine
-/// heals through all of them; and the committed state is bit-identical to
-/// the fault-free run.
+/// heals through all of them; the committed state is bit-identical to the
+/// fault-free run — and, because both engines commit through one seam, the
+/// pipelined engine heals exactly as often and ends in the same WAL state as
+/// the one-shot engine.
 #[test]
 fn wal_fault_storm_heals_deterministically() {
-    let seed = 0xBAD_5EED;
-    let (db_a, heals_a, injected_a) = run_wal_storm(Some(wal_storm_plan(seed)), "wal-a");
-    let (db_b, heals_b, injected_b) = run_wal_storm(Some(wal_storm_plan(seed)), "wal-b");
-    assert!(injected_a > 0, "the storm must actually inject faults");
-    assert!(heals_a >= 1, "injected WAL faults must trigger heals");
-    assert_eq!(
-        (heals_a, injected_a),
-        (heals_b, injected_b),
-        "same seed, same fault schedule, same heal count"
-    );
+    let plan = || Some(wal_storm_plan(0xBAD_5EED));
+    let (db_a, a) = run_wal_storm(plan(), Flavor::OneShot, "wal-a");
+    let (db_b, b) = run_wal_storm(plan(), Flavor::OneShot, "wal-b");
+    let (db_p, p) = run_wal_storm(plan(), Flavor::Pipelined, "wal-p");
+    assert!(a.injected > 0, "the storm must actually inject faults");
+    assert!(a.heals >= 1, "injected WAL faults must trigger heals");
+    assert_eq!(a, b, "same seed, same fault schedule, same heal count");
+    assert_eq!(a, p, "one commit seam: both flavors heal identically");
     assert!(db_a == db_b, "same seed must produce bit-identical state");
+    assert!(
+        db_a == db_p,
+        "both flavors must produce bit-identical state"
+    );
 
-    let (db_clean, heals_clean, injected_clean) = run_wal_storm(None, "wal-clean");
-    assert_eq!((heals_clean, injected_clean), (0, 0));
+    let (db_clean, clean) = run_wal_storm(None, Flavor::OneShot, "wal-clean");
+    assert_eq!((clean.heals, clean.injected), (0, 0));
     assert!(
         db_a == db_clean,
         "healed WAL faults must never change committed state"
     );
+}
+
+/// With the budget spent and `writes_when_degraded: false` both flavors
+/// refuse the write with the same typed error: the pipelined engine fails
+/// the bulk's tickets with it, the one-shot engine — whose API has no
+/// per-bulk error channel — panics with its `Display`.
+#[test]
+fn degraded_log_refuses_writes_identically_on_both_flavors() {
+    const PER_BULK: usize = 8;
+    let bundle = micro(64, 0xF00D);
+    let sigs = micro(64, 0xF00D).generate_signatures(PER_BULK, 0);
+    let refusing = |name: &str| {
+        let dir = scratch_dir(name);
+        let builder = storm_builder(&bundle, &dir, PER_BULK)
+            .faults(FaultPlan {
+                seed: 7,
+                wal_append_error: 1.0,
+                ..FaultPlan::disabled()
+            })
+            .heal_policy(HealPolicy {
+                heal_budget: 0,
+                writes_when_degraded: false,
+            });
+        (builder, dir)
+    };
+
+    let (builder, dir) = refusing("refuse-pipelined");
+    let health = builder.health();
+    let engine = builder.build_pipelined();
+    let tickets: Vec<_> = sigs
+        .iter()
+        .map(|sig| engine.submit(sig.ty, sig.params.clone()).expect("submit"))
+        .collect();
+    let mut errors: Vec<String> = tickets
+        .iter()
+        .map(|t| match t.wait() {
+            Err(gputx_exec::PipelineError::BulkFailed(msg)) => msg,
+            other => panic!("ticket must fail with the commit error, got {other:?}"),
+        })
+        .collect();
+    errors.dedup();
+    assert_eq!(errors.len(), 1, "one bulk, one error: {errors:?}");
+    assert!(
+        errors[0].starts_with("durability log append failed: "),
+        "tickets carry ExecError::LogAppendFailed: {errors:?}"
+    );
+    assert_eq!(health.report().wal, WalState::Degraded);
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let (builder, dir) = refusing("refuse-oneshot");
+    let health = builder.health();
+    let mut engine = builder.build();
+    for sig in &sigs {
+        engine.submit(sig.ty, sig.params.clone());
+    }
+    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        engine.execute_pending();
+    }))
+    .expect_err("a degraded one-shot engine must refuse the bulk");
+    let message = panic
+        .downcast_ref::<String>()
+        .expect("panic carries the formatted error");
+    assert_eq!(
+        *message, errors[0],
+        "the one-shot panic is the seam error's Display"
+    );
+    assert_eq!(health.report().wal, WalState::Degraded);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// With the heal budget spent the engine degrades *visibly* instead of

@@ -26,7 +26,7 @@ use gputx_txn::TxnSignature;
 use gputx_workloads::Tm1Config;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const N_TXNS: usize = 4_096;
 const MAX_BULK: usize = 128;
@@ -273,7 +273,6 @@ fn replica_offload_scans_match_primary_snapshot() {
     let primary = scan(&final_db, table, ScanOptions::sequential());
     assert_eq!(local, offloaded, "replica-offload scan diverged");
     assert_eq!(local, primary, "snapshot scan diverged from primary state");
-    let start = Instant::now();
-    let _ = scan(&replica_db, table, ScanOptions::parallel(2));
-    assert!(start.elapsed() < WAIT);
+    let two = scan(&replica_db, table, ScanOptions::parallel(2));
+    assert_eq!(local, two, "scan result depends on the thread count");
 }

@@ -30,7 +30,7 @@ use gputx_workloads::{MicroConfig, MicroWorkload, WorkloadBundle};
 use proptest::prelude::*;
 use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
-use std::sync::OnceLock;
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 const WAIT: Duration = Duration::from_secs(10);
@@ -98,6 +98,12 @@ fn promoted_follower_prefix_is_bit_identical_to_serial_replay() {
         hub.wait_acked(BULKS as u64, WAIT),
         "follower must ack the full stream"
     );
+    // The one-shot engine commits through the same seam as the pipelined
+    // one, so its health surface tracks replication too (it used to report
+    // no followers and LSN 0 forever).
+    let report = engine.health().report();
+    assert_eq!(report.repl_followers, 1);
+    assert_eq!(report.repl_next_lsn, hub.next_lsn());
 
     // Primary loss: fence the hub and hand off to the best follower.
     assert!(hub.retire(), "retire hands off to the acked follower");
@@ -345,7 +351,6 @@ fn follower_killed_mid_run_resyncs_and_converges() {
 /// handshake), and converges to the primary — no manual seed plumbing.
 #[test]
 fn supervised_replica_reconnects_and_converges() {
-    use std::sync::{Arc, Mutex};
     const PER_BULK: usize = 24;
     let bundle = micro(128, 0xFEED);
     let sigs = {
@@ -503,67 +508,136 @@ fn promotion_during_resync_discards_partial_snapshot() {
     hub.stop();
 }
 
-/// Regression: a follower that stops reading must never block the commit
+/// Hub-side follower transport whose writes block by construction: reads
+/// pass through (so the subscribe handshake completes), every write parks on
+/// the gate, and only `shutdown_both` opens it — to fail the parked write.
+/// No byte ever reaches the follower, whatever the kernel would buffer.
+struct StalledWrites {
+    inner: UnixStream,
+    gate: Arc<(Mutex<Gate>, Condvar)>,
+}
+
+#[derive(Default)]
+struct Gate {
+    open: bool,
+    parked: usize,
+}
+
+impl std::io::Read for StalledWrites {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.inner.read(buf)
+    }
+}
+
+impl std::io::Write for StalledWrites {
+    fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
+        let (lock, cond) = &*self.gate;
+        let mut gate = lock.lock().expect("gate lock");
+        gate.parked += 1;
+        cond.notify_all();
+        while !gate.open {
+            gate = cond.wait(gate).expect("gate lock");
+        }
+        gate.parked -= 1;
+        Err(std::io::ErrorKind::BrokenPipe.into())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl gputx_server::Duplex for StalledWrites {
+    fn try_clone_box(&self) -> std::io::Result<Box<dyn gputx_server::Duplex>> {
+        Ok(Box::new(StalledWrites {
+            inner: self.inner.try_clone()?,
+            gate: Arc::clone(&self.gate),
+        }))
+    }
+    fn shutdown_both(&self) -> std::io::Result<()> {
+        let (lock, cond) = &*self.gate;
+        lock.lock().expect("gate lock").open = true;
+        cond.notify_all();
+        self.inner.shutdown(Shutdown::Both)
+    }
+}
+
+/// Regression: a follower that stops draining must never block the commit
 /// path — the hub marks it gapped and sheds, and every bulk still commits.
+/// The stall is by construction, not by racing the sender thread against a
+/// kernel socket buffer: the follower's session is parked inside its first
+/// write before the first publish and is still parked there after the last.
 #[test]
 fn slow_follower_sheds_but_never_blocks_commits() {
     const BULKS: usize = 64;
     const PER_BULK: usize = 16;
+    const QUEUE_DEPTH: usize = 4;
     let bundle = micro(128, 0x51de);
     let sigs = {
         let mut b = micro(128, 0x51de);
         b.generate_signatures(BULKS * PER_BULK, 0)
     };
-    // A tiny queue so the stalled follower gaps after a handful of records.
     let builder = EngineBuilder::new(bundle.db.clone(), bundle.registry.clone()).replicate_with(
         ReplicationOptions {
-            queue_depth: 4,
+            queue_depth: QUEUE_DEPTH,
             ..ReplicationOptions::default()
         },
     );
     let hub = builder.hub().expect("hub");
     let mut engine = builder.build();
 
-    // Raw follower: completes the handshake, then never reads again.
-    let (server_end, mut stalled) = socket_pair().expect("socketpair");
-    hub.attach(server_end).expect("attach");
+    let (server_end, mut follower) = socket_pair().expect("socketpair");
+    let gate = Arc::new((Mutex::new(Gate::default()), Condvar::new()));
+    hub.attach(StalledWrites {
+        inner: server_end,
+        gate: Arc::clone(&gate),
+    })
+    .expect("attach");
     write_frame(
-        &mut stalled,
+        &mut follower,
         &encode_repl(&ReplMsg::Subscribe {
             epoch: 0,
             applied_lsn: 0,
         }),
     )
     .expect("subscribe");
-    let deadline = Instant::now() + WAIT;
-    while hub.stats().followers == 0 {
-        assert!(Instant::now() < deadline, "follower must register");
-        std::thread::yield_now();
-    }
+    // The session registers the follower, then parks in its snapshot send.
+    // (WAIT only guards against a hang; nothing below depends on timing.)
+    let (lock, cond) = &*gate;
+    let (guard, _) = cond
+        .wait_timeout_while(lock.lock().expect("gate lock"), WAIT, |g| g.parked == 0)
+        .expect("gate lock");
+    assert_eq!(guard.parked, 1, "session must park in its first write");
+    drop(guard);
+    assert_eq!(hub.stats().followers, 1, "parked after registering");
 
-    let start = Instant::now();
     for chunk in sigs.chunks(PER_BULK) {
         for sig in chunk {
             engine.submit(sig.ty, sig.params.clone());
         }
         engine.execute_pending().expect("bulk executes");
     }
+    // Every publish returned while the follower was provably stalled: the
+    // gate never opened, so its session never left that first write.
+    assert_eq!(
+        lock.lock().expect("gate lock").parked,
+        1,
+        "follower stayed stalled throughout"
+    );
     assert_eq!(
         engine.total_committed() + engine.total_aborted(),
         BULKS * PER_BULK
     );
     assert_eq!(hub.next_lsn(), BULKS as u64, "every bulk published");
-    assert!(
-        start.elapsed() < WAIT,
-        "commit path must not wait on the stalled follower"
-    );
+    // Nobody drained the queue: it took QUEUE_DEPTH records, the next one
+    // overflowed it (gap), and everything after the gap was shed too.
     let stats = hub.stats();
-    assert!(
-        stats.records_shed > 0,
+    assert_eq!(
+        stats.records_shed,
+        (BULKS - QUEUE_DEPTH) as u64,
         "the stalled follower's queue overflowed and shed: {stats:?}"
     );
     hub.stop();
-    drop(stalled);
+    drop(follower);
 }
 
 /// Soak (CI `replication` job runs it with `--ignored`): two followers under
