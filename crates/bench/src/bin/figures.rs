@@ -157,6 +157,14 @@ fn main() {
     }
 }
 
+/// Per-connection closed-loop window that keeps two bulks' worth of requests
+/// in flight across all connections. With less than one bulk in flight no
+/// bulk can ever fill, every bulk closes on the `max_wait` timer, and the
+/// run measures the timer instead of the engine.
+fn two_bulks_in_flight(max_bulk: usize, connections: usize) -> usize {
+    (2 * max_bulk).div_ceil(connections)
+}
+
 /// Shared setup for the network experiments: a TM1-backed pipelined engine
 /// behind a real TCP listener on loopback, plus pre-drawn per-connection
 /// transaction streams and type names for the client-side bench harness.
@@ -195,7 +203,7 @@ fn net_run(
             mode: BenchMode::Closed,
             warmup: std::time::Duration::from_millis(200),
             measure,
-            max_in_flight: 64,
+            max_in_flight: two_bulks_in_flight(max_bulk, connections),
         },
         &type_names,
         &streams,
@@ -363,6 +371,7 @@ fn tpcc(json_path: Option<&str>) {
     banner("TPC-C — standard mix over loopback TCP, adaptive engine (tpm-C)");
     let warehouses = 2u64;
     let connections = 2usize;
+    let max_bulk = 256usize;
     let mut bundle = TpccConfig::default().with_warehouses(warehouses).build();
     let type_names: Vec<String> = (0..bundle.registry.num_types())
         .map(|t| bundle.registry.get(t as TxnTypeId).name.clone())
@@ -370,7 +379,7 @@ fn tpcc(json_path: Option<&str>) {
     let streams: Vec<_> = (0..connections).map(|_| bundle.generate(4_096)).collect();
     let engine = EngineBuilder::new(bundle.db.clone(), bundle.registry.clone())
         .adaptive()
-        .with_max_bulk_size(256)
+        .with_max_bulk_size(max_bulk)
         .with_max_wait_us(2_000)
         .build_pipelined();
     let server = Server::new(engine.handle());
@@ -383,7 +392,7 @@ fn tpcc(json_path: Option<&str>) {
             mode: BenchMode::Closed,
             warmup: std::time::Duration::from_millis(200),
             measure: std::time::Duration::from_millis(1_500),
-            max_in_flight: 32,
+            max_in_flight: two_bulks_in_flight(max_bulk, connections),
         },
         &type_names,
         &streams,

@@ -50,8 +50,7 @@ use gputx_server::Duplex;
 use gputx_storage::Value;
 use gputx_txn::{TxnId, TxnTypeId};
 use std::collections::HashMap;
-use std::io;
-use std::io::Read;
+use std::io::{self, BufReader, Read};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -629,11 +628,18 @@ impl Drop for Client {
     }
 }
 
+/// Capacity of the demux reader's buffer: one socket read takes in every
+/// response frame the server's burst delivered, up to this much.
+const READ_BUF_LEN: usize = 64 * 1024;
+
 /// Tracks whether any bytes were consumed since the last frame boundary, so
 /// a read timeout can be classified: mid-frame it is a stalled peer (fatal),
 /// at a boundary it is mere idleness (poll the closing flag and wait on).
+/// It counts bytes handed to `read_frame`, not bytes read off the socket:
+/// the buffer reads ahead, so part of the next frame may already be in it
+/// when the socket times out — still a mid-frame stall.
 struct CountingReader {
-    inner: Box<dyn Duplex>,
+    inner: BufReader<Box<dyn Duplex>>,
     consumed: u64,
 }
 
@@ -656,7 +662,7 @@ fn is_timeout(e: &io::Error) -> bool {
 /// then fail whatever is left pending.
 fn reader_loop(stream: Box<dyn Duplex>, demux: &Demux, closing: &AtomicBool) {
     let mut reader = CountingReader {
-        inner: stream,
+        inner: BufReader::with_capacity(READ_BUF_LEN, stream),
         consumed: 0,
     };
     let close_reason = loop {
@@ -761,5 +767,134 @@ fn reader_loop(stream: Box<dyn Duplex>, demux: &Demux, closing: &AtomicBool) {
             Err(ClientError::ConnectionClosed(reason.clone()))
         };
         slot.resolve(verdict);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gputx_server::proto::{append_frame, encode_response};
+    use std::io::Write;
+    use std::sync::mpsc::{channel, Receiver, Sender};
+
+    type ReadStep = io::Result<Vec<u8>>;
+
+    /// A transport double whose reads follow a script: each step is the
+    /// bytes one socket read delivers, or the error it fails with; a closed
+    /// script is EOF. Reads park on the script, so a test decides what has
+    /// been submitted before the first byte arrives. Writes are swallowed.
+    struct Scripted {
+        script: Arc<Mutex<Receiver<ReadStep>>>,
+        /// Delivered bytes the caller's buffer had no room for yet.
+        leftover: Vec<u8>,
+    }
+
+    fn scripted() -> (Sender<ReadStep>, Scripted) {
+        let (tx, rx) = channel();
+        let stream = Scripted {
+            script: Arc::new(Mutex::new(rx)),
+            leftover: Vec::new(),
+        };
+        (tx, stream)
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.leftover.is_empty() {
+                match self.script.lock().expect("script lock").recv() {
+                    Ok(step) => self.leftover = step?,
+                    Err(_) => return Ok(0),
+                }
+            }
+            let n = buf.len().min(self.leftover.len());
+            buf[..n].copy_from_slice(&self.leftover[..n]);
+            self.leftover.drain(..n);
+            Ok(n)
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Duplex for Scripted {
+        fn try_clone_box(&self) -> io::Result<Box<dyn Duplex>> {
+            Ok(Box::new(Scripted {
+                script: Arc::clone(&self.script),
+                leftover: Vec::new(),
+            }))
+        }
+        fn shutdown_both(&self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn committed_frame(request_id: u64, txn_id: TxnId) -> Vec<u8> {
+        let mut frame = Vec::new();
+        append_frame(
+            &mut frame,
+            &encode_response(&Response::Committed { request_id, txn_id }),
+        );
+        frame
+    }
+
+    fn timed_out() -> ReadStep {
+        Err(io::ErrorKind::TimedOut.into())
+    }
+
+    /// One socket read delivers reply 1 and half of reply 2, then the socket
+    /// times out. The half frame sits in the read-ahead buffer, not on the
+    /// socket — it is still a peer that stalled mid-frame.
+    #[test]
+    fn timeout_with_half_a_frame_read_ahead_is_a_mid_frame_stall() {
+        let (script, stream) = scripted();
+        let client = Client::from_duplex(stream).expect("client");
+        let first = client.submit(0, vec![]).expect("submit 1");
+        let second = client.submit(0, vec![]).expect("submit 2");
+        let mut bytes = committed_frame(first.request_id(), 10);
+        let next = committed_frame(second.request_id(), 11);
+        bytes.extend_from_slice(&next[..next.len() / 2]);
+        script.send(Ok(bytes)).expect("reader is live");
+        script.send(timed_out()).expect("reader is live");
+        drop(script);
+        assert_eq!(first.wait(), Ok(TxnResult::Committed(10)));
+        assert_eq!(
+            second.wait(),
+            Err(ClientError::ConnectionClosed(
+                "peer stalled mid-frame (read timed out)".into()
+            ))
+        );
+    }
+
+    /// One socket read delivers exactly reply 1, then the socket times out:
+    /// a frame boundary, so the reader polls on and the connection still
+    /// delivers reply 2 afterwards.
+    #[test]
+    fn timeout_at_a_frame_boundary_is_an_idle_poll() {
+        let (script, stream) = scripted();
+        let client = Client::from_duplex(stream).expect("client");
+        let first = client.submit(0, vec![]).expect("submit 1");
+        let second = client.submit(0, vec![]).expect("submit 2");
+        script
+            .send(Ok(committed_frame(first.request_id(), 10)))
+            .expect("reader is live");
+        script.send(timed_out()).expect("reader is live");
+        assert_eq!(first.wait(), Ok(TxnResult::Committed(10)));
+        script
+            .send(Ok(committed_frame(second.request_id(), 11)))
+            .expect("reader is live");
+        assert_eq!(
+            second.wait(),
+            Ok(TxnResult::Committed(11)),
+            "the connection must stay up through the idle timeout"
+        );
+        assert_eq!(client.unmatched_responses(), 0);
+        // Closing the script is EOF, which lets `Drop` join the reader.
+        drop(script);
     }
 }

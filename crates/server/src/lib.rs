@@ -20,6 +20,11 @@
 //!   a single-connection run bit-reproducible against an in-process run of
 //!   the same stream.
 //!
+//! Both pay their syscall per *burst*, not per frame: the reader parses every
+//! complete frame one socket read delivered, and the responder writes every
+//! already-resolved response in one call, flushing before it would block —
+//! so no response ever waits on a later one.
+//!
 //! Failure is data, not a panic: a malformed frame gets a
 //! [`proto::Response::Error`] and a connection close, an engine shutdown
 //! resolves outstanding tickets as `Disconnected`, and a peer that vanishes
@@ -35,14 +40,14 @@ pub mod proto;
 use gputx_exec::{PipelineError, SubmitHandle, Ticket};
 use gputx_txn::TxnOutcome;
 use proto::{
-    decode_request, encode_response, read_frame, write_frame, FrameError, Request, Response,
-    MAX_FRAME_LEN,
+    append_frame, decode_request, encode_response, read_frame, write_frame, FrameError, Request,
+    Response, MAX_FRAME_LEN,
 };
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -112,6 +117,14 @@ impl Duplex for Box<dyn Duplex> {
 /// or delayed, reads delayed; either direction may tear the connection down
 /// with a reset. Built by [`chaos_wrap`]; wraps any transport, so the same
 /// chaos plane serves the client wire and replication follower streams.
+///
+/// A fault is drawn per *call*, and every sender hands `write` whole frames:
+/// a client request or a replication message is one frame per call, a server
+/// responder's call is a burst of whole response frames. So a `Drop` loses
+/// whole frames, never part of one, and a `Corrupt` garbles exactly one frame
+/// — whose CRC mismatch then closes the connection. On the read side the
+/// buffered frame readers draw one decision per socket read, however many
+/// frames it delivered.
 pub struct ChaosDuplex {
     inner: Box<dyn Duplex>,
     faults: Arc<gputx_faults::WireFaults>,
@@ -147,8 +160,8 @@ impl Read for ChaosDuplex {
 impl Write for ChaosDuplex {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         match self.faults.on_write() {
-            // Report success without writing: with one-write-per-frame
-            // callers (`write_frame`) this drops the frame cleanly.
+            // Report success without writing: callers write whole frames
+            // per call, so this drops them cleanly.
             Some(gputx_faults::WireFault::Drop) => return Ok(buf.len()),
             Some(gputx_faults::WireFault::Corrupt) if !buf.is_empty() => {
                 let mut garbled = buf.to_vec();
@@ -197,8 +210,12 @@ pub struct ServerStats {
     pub connections: u64,
     /// Well-formed requests parsed off the wire.
     pub requests: u64,
-    /// Responses written to peers (excludes drained-after-disconnect ones).
+    /// Response frames in bursts whose write succeeded (excludes
+    /// drained-after-disconnect ones).
     pub responses: u64,
+    /// Write calls issued by responders; `responses / response_writes` is
+    /// the frames-per-write the coalescing achieves.
+    pub response_writes: u64,
     /// Malformed frames / dirty disconnects (each also closes a connection).
     pub protocol_errors: u64,
     /// Connections refused at the [`ServerConfig::max_connections`] cap
@@ -214,6 +231,7 @@ struct StatCounters {
     connections: AtomicU64,
     requests: AtomicU64,
     responses: AtomicU64,
+    response_writes: AtomicU64,
     protocol_errors: AtomicU64,
     refused: AtomicU64,
     idle_reaped: AtomicU64,
@@ -231,6 +249,14 @@ pub struct ServerConfig {
     /// long (counted in [`ServerStats::idle_reaped`]). `None` = never.
     pub idle_timeout: Option<std::time::Duration>,
 }
+
+/// Capacity of a connection reader's buffer: one socket read takes in up to
+/// this much of whatever the peer has sent.
+const READ_BUF_LEN: usize = 64 * 1024;
+
+/// A responder writes its burst once it holds this many bytes, ready or not
+/// to block — a bound on the out-buffer, not a batching target.
+const FLUSH_CAP: usize = 32 * 1024;
 
 /// What the reader hands the responder, in request order.
 enum Outgoing {
@@ -381,6 +407,7 @@ impl Server {
             connections: self.shared.stats.connections.load(Ordering::Relaxed),
             requests: self.shared.stats.requests.load(Ordering::Relaxed),
             responses: self.shared.stats.responses.load(Ordering::Relaxed),
+            response_writes: self.shared.stats.response_writes.load(Ordering::Relaxed),
             protocol_errors: self.shared.stats.protocol_errors.load(Ordering::Relaxed),
             refused: self.shared.stats.refused.load(Ordering::Relaxed),
             idle_reaped: self.shared.stats.idle_reaped.load(Ordering::Relaxed),
@@ -463,11 +490,10 @@ fn attach_to<S: Duplex>(shared: &Arc<Shared>, stream: S) -> io::Result<()> {
             ));
         }
     }
-    shared.stats.connections.fetch_add(1, Ordering::Relaxed);
+    let conn_id = shared.stats.connections.fetch_add(1, Ordering::Relaxed) + 1;
     // Bounded queue: a peer that stops reading responses eventually
     // backpressures its own reader thread instead of buffering unboundedly.
     let (tx, rx) = sync_channel::<Outgoing>(1024);
-    let conn_id = shared.stats.connections.load(Ordering::Relaxed);
     let last_activity_ms = Arc::new(AtomicU64::new(shared.now_ms()));
     let reader = {
         let shared = Arc::clone(shared);
@@ -481,8 +507,17 @@ fn attach_to<S: Duplex>(shared: &Arc<Shared>, stream: S) -> io::Result<()> {
         let shared = Arc::clone(shared);
         std::thread::Builder::new()
             .name(format!("gputx-conn-{conn_id}-responder"))
-            .spawn(move || responder_loop(&shared, write_half, rx))
-            .map_err(io::Error::other)?
+            .spawn(move || responder_loop(&shared.stats, write_half, rx))
+    };
+    let responder = match responder {
+        Ok(handle) => handle,
+        Err(e) => {
+            // The reader is already running with a socket clone and nothing
+            // registered it: EOF it and join, or the thread leaks.
+            let _ = stream.shutdown_both();
+            let _ = reader.join();
+            return Err(e);
+        }
     };
     conns.push(Connection {
         stream: Box::new(stream),
@@ -552,10 +587,13 @@ fn reaper_loop(shared: &Shared, timeout: std::time::Duration) {
 /// finish draining and close the connection.
 fn reader_loop(
     shared: &Shared,
-    mut stream: Box<dyn Duplex>,
+    stream: Box<dyn Duplex>,
     tx: &SyncSender<Outgoing>,
     activity: &AtomicU64,
 ) {
+    // One socket read delivers every frame the peer has sent so far;
+    // `read_frame` then parses them out of the buffer.
+    let mut stream = BufReader::with_capacity(READ_BUF_LEN, stream);
     loop {
         let payload = match read_frame(&mut stream, shared.max_frame_len) {
             Ok(Some(p)) => p,
@@ -635,38 +673,233 @@ fn reader_loop(
     }
 }
 
-/// Resolve queued work FIFO and write response frames. If the peer stops
-/// accepting writes (disconnect mid-bulk), keep *draining* tickets without
-/// writing, so the pipeline's already-admitted transactions resolve normally
-/// and nothing blocks on the dead connection.
-fn responder_loop(shared: &Shared, mut stream: Box<dyn Duplex>, rx: Receiver<Outgoing>) {
-    let mut peer_alive = true;
-    for out in rx {
-        let response = match out {
-            Outgoing::Immediate(r) => r,
-            Outgoing::Pending { request_id, ticket } => match ticket.wait() {
-                Ok((txn_id, TxnOutcome::Committed)) => Response::Committed { request_id, txn_id },
-                Ok((txn_id, TxnOutcome::Aborted(_))) => Response::Aborted { request_id, txn_id },
-                Err(PipelineError::QueueFull) => Response::QueueFull { request_id },
-                Err(PipelineError::BulkFailed(message)) => Response::BulkFailed {
-                    request_id,
-                    message,
-                },
-                Err(PipelineError::ShutDown) | Err(PipelineError::Disconnected) => {
-                    Response::Disconnected { request_id }
-                }
-            },
-        };
-        if peer_alive {
-            let payload = encode_response(&response);
-            if write_frame(&mut stream, &payload).is_ok() {
-                shared.stats.responses.fetch_add(1, Ordering::Relaxed);
-            } else {
-                peer_alive = false;
-            }
+/// What the responder has encoded but not yet written: whole response
+/// frames, handed to the socket in one `write_all`.
+struct Burst<'a> {
+    stream: Box<dyn Duplex>,
+    stats: &'a StatCounters,
+    buf: Vec<u8>,
+    frames: u64,
+    /// Cleared by the first failed write; later responses are dropped
+    /// instead of encoded.
+    peer_alive: bool,
+}
+
+impl Burst<'_> {
+    fn push(&mut self, response: &Response) {
+        if !self.peer_alive {
+            return;
+        }
+        append_frame(&mut self.buf, &encode_response(response));
+        self.frames += 1;
+        if self.buf.len() >= FLUSH_CAP {
+            self.flush();
         }
     }
+
+    fn flush(&mut self) {
+        if self.buf.is_empty() {
+            return;
+        }
+        self.stats.response_writes.fetch_add(1, Ordering::Relaxed);
+        let written = self.stream.write_all(&self.buf);
+        if written.and_then(|()| self.stream.flush()).is_ok() {
+            self.stats
+                .responses
+                .fetch_add(self.frames, Ordering::Relaxed);
+        } else {
+            self.peer_alive = false;
+        }
+        self.buf.clear();
+        self.frames = 0;
+    }
+}
+
+/// Resolve queued work FIFO and write response frames, every already
+/// resolved response in one write. The one batching rule is **flush before
+/// block**: the loop never parks — on an empty queue or an unresolved ticket
+/// — holding unwritten bytes, so a response never waits on a later one. If
+/// the peer stops accepting writes (disconnect mid-bulk), keep *draining*
+/// tickets without writing, so the pipeline's already-admitted transactions
+/// resolve normally and nothing blocks on the dead connection.
+fn responder_loop(stats: &StatCounters, stream: Box<dyn Duplex>, rx: Receiver<Outgoing>) {
+    let mut burst = Burst {
+        stream,
+        stats,
+        buf: Vec::with_capacity(FLUSH_CAP),
+        frames: 0,
+        peer_alive: true,
+    };
+    loop {
+        let out = match rx.try_recv() {
+            Ok(out) => out,
+            Err(TryRecvError::Disconnected) => break,
+            Err(TryRecvError::Empty) => {
+                burst.flush();
+                match rx.recv() {
+                    Ok(out) => out,
+                    Err(_) => break,
+                }
+            }
+        };
+        let response = match out {
+            Outgoing::Immediate(r) => r,
+            Outgoing::Pending { request_id, ticket } => {
+                let resolved = ticket.try_get().unwrap_or_else(|| {
+                    burst.flush();
+                    ticket.wait()
+                });
+                match resolved {
+                    Ok((txn_id, TxnOutcome::Committed)) => {
+                        Response::Committed { request_id, txn_id }
+                    }
+                    Ok((txn_id, TxnOutcome::Aborted(_))) => {
+                        Response::Aborted { request_id, txn_id }
+                    }
+                    Err(PipelineError::QueueFull) => Response::QueueFull { request_id },
+                    Err(PipelineError::BulkFailed(message)) => Response::BulkFailed {
+                        request_id,
+                        message,
+                    },
+                    Err(PipelineError::ShutDown) | Err(PipelineError::Disconnected) => {
+                        Response::Disconnected { request_id }
+                    }
+                }
+            }
+        };
+        burst.push(&response);
+    }
+    burst.flush();
     // All responses written (or drained): signal EOF to the peer even though
     // the registry in `Shared::conns` still holds a handle to this socket.
-    let _ = stream.shutdown_both();
+    let _ = burst.stream.shutdown_both();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proto::{decode_response, FRAME_HEADER_LEN};
+
+    #[derive(Default)]
+    struct WriteLog {
+        calls: usize,
+        /// Bytes of each write call that succeeded.
+        writes: Vec<Vec<u8>>,
+    }
+
+    /// A write-only transport double: records every `write` call; the first
+    /// `ok_calls` succeed, every later one fails (a peer that went away).
+    struct Recording {
+        log: Arc<Mutex<WriteLog>>,
+        ok_calls: usize,
+    }
+
+    impl Read for Recording {
+        fn read(&mut self, _buf: &mut [u8]) -> io::Result<usize> {
+            Ok(0)
+        }
+    }
+
+    impl Write for Recording {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let mut log = self.log.lock().expect("log lock");
+            log.calls += 1;
+            if log.calls > self.ok_calls {
+                return Err(io::ErrorKind::BrokenPipe.into());
+            }
+            log.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Duplex for Recording {
+        fn try_clone_box(&self) -> io::Result<Box<dyn Duplex>> {
+            Ok(Box::new(Recording {
+                log: Arc::clone(&self.log),
+                ok_calls: self.ok_calls,
+            }))
+        }
+        fn shutdown_both(&self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Run a responder to completion over a queue pre-filled with `k` Pongs
+    /// (ids 1..=k) and a closed sender: nothing races, so what it writes is a
+    /// function of `FLUSH_CAP` alone.
+    fn respond_to_prefilled_queue(k: u64, ok_calls: usize) -> (WriteLog, StatCounters) {
+        let (tx, rx) = sync_channel(k as usize);
+        for request_id in 1..=k {
+            tx.send(Outgoing::Immediate(Response::Pong { request_id }))
+                .expect("queue sized to hold every response");
+        }
+        drop(tx);
+        let log = Arc::new(Mutex::new(WriteLog::default()));
+        let stream = Recording {
+            log: Arc::clone(&log),
+            ok_calls,
+        };
+        let stats = StatCounters::default();
+        responder_loop(&stats, Box::new(stream), rx);
+        let log = std::mem::take(&mut *log.lock().expect("log lock"));
+        (log, stats)
+    }
+
+    fn pong_frame_len() -> usize {
+        FRAME_HEADER_LEN + encode_response(&Response::Pong { request_id: 1 }).len()
+    }
+
+    #[test]
+    fn ready_responses_leave_in_cap_sized_bursts_of_whole_frames_in_order() {
+        let frame = pong_frame_len();
+        // A burst is the shortest run of whole frames reaching the cap.
+        let frames_per_burst = FLUSH_CAP.div_ceil(frame) as u64;
+        let k = 3 * frames_per_burst + 7;
+        let (log, stats) = respond_to_prefilled_queue(k, usize::MAX);
+
+        assert_eq!(log.calls as u64, k.div_ceil(frames_per_burst));
+        assert_eq!(stats.response_writes.load(Ordering::Relaxed), 4);
+        assert_eq!(stats.responses.load(Ordering::Relaxed), k);
+        let (last, full) = log.writes.split_last().expect("four writes");
+        for burst in full {
+            assert!((FLUSH_CAP..FLUSH_CAP + frame).contains(&burst.len()));
+        }
+        assert_eq!(last.len(), 7 * frame);
+        // Every write is whole frames, and together they are the K responses
+        // in queue order.
+        let mut next_id = 1;
+        for burst in &log.writes {
+            let mut cursor = &burst[..];
+            while let Some(payload) = read_frame(&mut cursor, MAX_FRAME_LEN).expect("whole frame") {
+                let response = decode_response(&payload).expect("well-formed response");
+                assert_eq!(
+                    response,
+                    Response::Pong {
+                        request_id: next_id
+                    }
+                );
+                next_id += 1;
+            }
+        }
+        assert_eq!(next_id, k + 1);
+    }
+
+    #[test]
+    fn failed_burst_is_not_counted_and_the_queue_still_drains() {
+        let frames_per_burst = FLUSH_CAP.div_ceil(pong_frame_len()) as u64;
+        // Three bursts' worth; the peer dies under the second write. The
+        // responder returning at all is the drain: it ends only on an empty,
+        // closed queue.
+        let (log, stats) = respond_to_prefilled_queue(3 * frames_per_burst, 1);
+        assert_eq!(log.calls, 2, "nothing is written after a failed write");
+        assert_eq!(stats.response_writes.load(Ordering::Relaxed), 2);
+        assert_eq!(
+            stats.responses.load(Ordering::Relaxed),
+            frames_per_burst,
+            "only the burst that reached the peer counts"
+        );
+    }
 }

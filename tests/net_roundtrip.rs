@@ -16,7 +16,11 @@
 //!   (the `SubmitGate` regression).
 //! * **Codec fuzz** — arbitrary garbled/byte-chopped request streams yield
 //!   clean per-connection errors, never a panic and never a committed
-//!   partial request (proptest).
+//!   partial request; the buffered frame reader fed 1..k bytes at a time
+//!   gives the verdicts the unbuffered one does (proptest).
+//! * **Batching** — the responder never holds a resolved response back for
+//!   an unresolved one (flush before block), and a peer that dies under a
+//!   burst still has every ticket drained.
 
 use gputx_client::{bench_run, Client, ClientConfig, TxnResult};
 use gputx_core::config::StrategyChoice;
@@ -738,6 +742,139 @@ fn idle_reaper_closes_stale_connections() {
     engine.finish().expect("clean finish");
 }
 
+/// Flush before block: `[Ping, Submit A]` arrive in one write and A's bulk
+/// cannot close (size 2, the deadline never fires), so the responder must
+/// hand over the Pong before it parks on A's ticket. A second connection's
+/// submit then fills the bulk and A's outcome follows.
+#[test]
+fn pong_is_not_held_back_for_a_pending_submit() {
+    let mut bundle = tm1();
+    let stream = bundle.generate(2);
+    let engine = engine_for(
+        &bundle,
+        PipelineConfig::default()
+            .with_max_bulk_size(2)
+            .with_max_wait_us(60_000_000),
+    );
+    let server = Server::new(engine.handle());
+    let (server_end, mut raw) = socket_pair().expect("socketpair");
+    server.attach(server_end).expect("attach");
+    // Watchdog only: a responder sitting on the Pong fails here, not hangs.
+    raw.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+
+    let mut bytes = Vec::new();
+    write_frame(
+        &mut bytes,
+        &encode_request(&Request::Ping { request_id: 1 }),
+    )
+    .expect("vec write");
+    write_frame(
+        &mut bytes,
+        &encode_request(&Request::Submit {
+            request_id: 2,
+            txn_type: stream[0].0,
+            params: stream[0].1.clone(),
+            no_wait: false,
+        }),
+    )
+    .expect("vec write");
+    raw.write_all(&bytes).expect("one write, two frames");
+
+    let pong = read_frame(&mut raw, proto::MAX_FRAME_LEN)
+        .expect("the Pong arrives while A's bulk is still open")
+        .expect("pong present");
+    assert_eq!(
+        proto::decode_response(&pong).expect("pong decodes"),
+        Response::Pong { request_id: 1 }
+    );
+
+    let (server_end, client_end) = socket_pair().expect("socketpair");
+    server.attach(server_end).expect("attach");
+    let client = Client::from_duplex(client_end).expect("client");
+    let filler = client
+        .submit(stream[1].0, stream[1].1.clone())
+        .expect("wire submit");
+    filler.wait().expect("the second submit closes the bulk");
+    let outcome = read_frame(&mut raw, proto::MAX_FRAME_LEN)
+        .expect("read A's outcome")
+        .expect("outcome present");
+    match proto::decode_response(&outcome).expect("outcome decodes") {
+        Response::Committed { request_id: 2, .. } | Response::Aborted { request_id: 2, .. } => {}
+        other => panic!("expected A's outcome, got {other:?}"),
+    }
+    drop(client);
+    drop(raw);
+    server.stop();
+    engine.finish().expect("clean finish");
+}
+
+/// A transport that reads fine but whose every write fails: a peer that is
+/// gone by the time the first burst of responses is ready.
+struct DeafPeer(std::os::unix::net::UnixStream);
+
+impl std::io::Read for DeafPeer {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.0.read(buf)
+    }
+}
+
+impl Write for DeafPeer {
+    fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
+        Err(std::io::ErrorKind::BrokenPipe.into())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Duplex for DeafPeer {
+    fn try_clone_box(&self) -> std::io::Result<Box<dyn Duplex>> {
+        Ok(Box::new(DeafPeer(self.0.try_clone()?)))
+    }
+    fn shutdown_both(&self) -> std::io::Result<()> {
+        self.0.shutdown(std::net::Shutdown::Both)
+    }
+}
+
+/// A burst that fails to reach the peer is one write call and zero
+/// responses, and the responder still drains every ticket behind it: the
+/// connection only closes (EOF below) once the queue is empty, and every
+/// admitted transaction commits.
+#[test]
+fn dead_peer_mid_burst_drains_every_ticket_and_counts_no_response() {
+    let mut bundle = tm1();
+    let stream = bundle.generate(BULK);
+    let engine = engine_for(&bundle, deterministic_config());
+    let server = Server::new(engine.handle());
+    let (server_end, mut raw) = socket_pair().expect("socketpair");
+    server.attach(DeafPeer(server_end)).expect("attach");
+    for (i, (ty, params)) in stream.iter().enumerate() {
+        let request = Request::Submit {
+            request_id: i as u64 + 1,
+            txn_type: *ty,
+            params: params.clone(),
+            no_wait: false,
+        };
+        write_frame(&mut raw, &encode_request(&request)).expect("write submit");
+    }
+    raw.shutdown(std::net::Shutdown::Write).expect("half-close");
+    assert!(
+        matches!(read_frame(&mut raw, proto::MAX_FRAME_LEN), Ok(None)),
+        "no response reaches the peer; the responder closes after draining"
+    );
+    server.stop();
+    let stats = server.stats();
+    assert_eq!(stats.requests, BULK as u64);
+    assert_eq!(
+        stats.response_writes, 1,
+        "nothing is written after a failed write"
+    );
+    assert_eq!(stats.responses, 0, "the failed burst must not be counted");
+    let (_db, pipeline) = engine.finish().expect("clean finish");
+    assert_eq!(pipeline.committed + pipeline.aborted, BULK as u64);
+}
+
 mod codec_fuzz {
     use super::*;
     use proptest::prelude::*;
@@ -749,6 +886,39 @@ mod codec_fuzz {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    /// A `Read` that hands out 1..=k bytes per call, however many are asked
+    /// for: a peer whose frames arrive in dribbles.
+    struct Dribble<'a> {
+        bytes: &'a [u8],
+        state: u64,
+        k: usize,
+    }
+
+    impl std::io::Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = (1 + mix(&mut self.state) as usize % self.k)
+                .min(buf.len())
+                .min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// Every frame a reader yields, then how the stream ended: `None` for a
+    /// clean EOF, the message for `Corrupt`.
+    fn drain_frames(mut r: impl std::io::Read) -> (Vec<Vec<u8>>, Option<String>) {
+        let mut frames = Vec::new();
+        loop {
+            match read_frame(&mut r, proto::MAX_FRAME_LEN) {
+                Ok(Some(payload)) => frames.push(payload),
+                Ok(None) => return (frames, None),
+                Err(FrameError::Corrupt(msg)) => return (frames, Some(msg)),
+                Err(FrameError::Io(e)) => panic!("in-memory reads cannot fail: {e}"),
+            }
+        }
     }
 
     proptest! {
@@ -772,6 +942,62 @@ mod codec_fuzz {
                     Err(FrameError::Corrupt(_)) | Err(FrameError::Io(_)) => break,
                 }
             }
+        }
+
+        /// The buffered reader the server and client use, fed 1..=k bytes
+        /// per socket read: the same frames come out as from the whole byte
+        /// string read unbuffered, and the stream ends the same way — a CRC
+        /// flip, an oversized length and a mid-frame EOF are still `Corrupt`
+        /// after exactly the frames before them, a clean EOF is still
+        /// `Ok(None)`.
+        #[test]
+        fn dribbled_reads_through_the_buffer_yield_the_same_frames(
+            seed in 0u64..u64::MAX / 2,
+            k in 1usize..96,
+            damage in 0usize..4,
+            capacity in 0usize..4,
+        ) {
+            let mut state = seed;
+            let mut bundle = micro();
+            bundle.reseed(seed);
+            let payloads: Vec<Vec<u8>> = bundle
+                .generate(12)
+                .into_iter()
+                .enumerate()
+                .map(|(i, (txn_type, params))| encode_request(&Request::Submit {
+                    request_id: i as u64 + 1,
+                    txn_type,
+                    params,
+                    no_wait: false,
+                }))
+                .collect();
+            let mut bytes = Vec::new();
+            let mut frame_starts = Vec::new();
+            for payload in &payloads {
+                frame_starts.push(bytes.len());
+                write_frame(&mut bytes, payload).expect("vec write");
+            }
+            // Damage frame `victim`; the frames before it must survive.
+            let victim = mix(&mut state) as usize % payloads.len();
+            let start = frame_starts[victim];
+            match damage {
+                0 => {}
+                1 => bytes[start + proto::FRAME_HEADER_LEN] ^= 0x01,
+                2 => bytes[start..start + 4]
+                    .copy_from_slice(&(proto::MAX_FRAME_LEN + 1).to_le_bytes()),
+                _ => bytes.truncate(start + 1 + mix(&mut state) as usize % (payloads[victim].len() + 7)),
+            }
+            let dribble = Dribble { bytes: &bytes, state, k };
+            // Capacities below a frame's length force refills mid-frame; the
+            // last is the size the server and client run with.
+            let capacity = [1, 13, 100, 64 * 1024][capacity];
+            let (frames, end) = drain_frames(std::io::BufReader::with_capacity(capacity, dribble));
+            let (frames_ref, end_ref) = drain_frames(&bytes[..]);
+            prop_assert_eq!(&frames, &frames_ref);
+            prop_assert_eq!(&end, &end_ref);
+            let intact = if damage == 0 { payloads.len() } else { victim };
+            prop_assert_eq!(&frames[..], &payloads[..intact]);
+            prop_assert_eq!(end.is_some(), damage != 0);
         }
 
         /// Server-level fuzz: a valid request stream chopped at an arbitrary
