@@ -115,6 +115,7 @@ pub fn read_checkpoint(path: impl AsRef<Path>) -> io::Result<Checkpoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gputx_storage::index::IndexKey;
     use gputx_storage::schema::{ColumnDef, TableSchema};
     use gputx_storage::{DataType, StorageLayout, Value};
     use std::path::PathBuf;
@@ -156,23 +157,46 @@ mod tests {
 
     #[test]
     fn round_trip_both_layouts() {
+        let long_name = "a name too long to keep inline in an index key";
         for (i, layout) in [StorageLayout::Column, StorageLayout::Row]
             .into_iter()
             .enumerate()
         {
-            let db = populated_db(layout);
+            let mut db = populated_db(layout);
+            // A spilled (long) non-unique key holding several rows.
+            let t = db.table_id("accounts").expect("table exists");
+            for id in [100i64, 101, 102] {
+                db.insert_indexed(
+                    t,
+                    vec![
+                        Value::Int(id),
+                        Value::Double(0.0),
+                        Value::Str(long_name.into()),
+                    ],
+                );
+            }
             let path = tmp(&format!("roundtrip{i}"));
             write_checkpoint(&path, &db, 42, 7).expect("write");
             let ckpt = read_checkpoint(&path).expect("read");
             assert_eq!(ckpt.next_lsn, 42);
             assert!(ckpt.db == db, "{layout:?}: snapshot must equal the source");
             // Index handles resolved pre-checkpoint stay valid post-decode.
-            let t = ckpt.db.table_id("accounts").expect("table exists");
             let pk = ckpt.db.index_id(t, "pk").expect("index exists");
             assert_eq!(
-                ckpt.db
-                    .lookup_unique_id(pk, &gputx_storage::index::IndexKey::single(5i64)),
+                ckpt.db.lookup_unique_id(pk, &IndexKey::single(5i64)),
                 Some(5)
+            );
+            // Non-unique keys keep their rows in insertion order.
+            let by_name = ckpt.db.index_id(t, "by_name").expect("index exists");
+            assert_eq!(
+                ckpt.db.lookup_id(by_name, &IndexKey::single(long_name)),
+                &[50, 51, 52]
+            );
+            let name_2 = IndexKey::single("name-2");
+            assert_eq!(ckpt.db.lookup_id(by_name, &name_2).len(), 7);
+            assert_eq!(
+                ckpt.db.lookup_id(by_name, &name_2),
+                db.lookup_id(by_name, &name_2)
             );
         }
     }

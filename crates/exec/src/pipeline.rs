@@ -985,9 +985,11 @@ mod tests {
         }
     }
 
-    /// Toy runner: counts per key; type 9 fails the bulk, type 8 panics.
+    /// Toy runner: counts per key; type 9 fails the bulk, type 8 panics,
+    /// type 7 sleeps and type 6 blocks until `gate` yields.
     struct CountRunner {
         counts: HashMap<i64, i64>,
+        gate: Option<Receiver<()>>,
     }
     impl BulkRunner for CountRunner {
         type Plan = Vec<i64>;
@@ -1009,6 +1011,11 @@ mod tests {
             if bulk.iter().any(|s| s.ty == 7) {
                 std::thread::sleep(Duration::from_millis(20));
             }
+            if bulk.iter().any(|s| s.ty == 6) {
+                if let Some(gate) = &self.gate {
+                    gate.recv().expect("gate opens");
+                }
+            }
             for key in plan {
                 *self.counts.entry(key).or_insert(0) += 1;
             }
@@ -1024,6 +1031,7 @@ mod tests {
             CountPlanner,
             CountRunner {
                 counts: HashMap::new(),
+                gate: None,
             },
             opts,
         )
@@ -1066,6 +1074,7 @@ mod tests {
             CountPlanner,
             CountRunner {
                 counts: HashMap::new(),
+                gate: None,
             },
             PipelineOptions {
                 max_bulk_size: 1_000,
@@ -1200,44 +1209,68 @@ mod tests {
 
     #[test]
     fn engine_drop_with_live_handle_submitters_does_not_block() {
-        // A remote submitter (e.g. a network connection handler) keeps
-        // submitting through a SubmitHandle while the engine is dropped from
-        // another thread. The drop must complete promptly — shutdown may not
-        // wait for the submitter to stop first — and every ticket the
-        // submitter obtained must still resolve (committed or an error),
-        // never hang.
-        let eng = engine(PipelineOptions {
-            max_bulk_size: 4,
-            max_wait: Duration::from_micros(100),
-            queue_depth: 4,
-        });
+        // A remote submitter (e.g. a network connection handler) is parked
+        // in a blocking submit on a full admission queue when the engine is
+        // dropped from another thread. The drop must return without waiting
+        // for the submitter to stop first, the submitter must end in
+        // ShutDown, and every ticket it obtained must resolve.
+        let (open_gate, gate) = std::sync::mpsc::channel();
+        let eng = PipelinedEngine::new(
+            CountPlanner,
+            CountRunner {
+                counts: HashMap::new(),
+                gate: Some(gate),
+            },
+            PipelineOptions {
+                max_bulk_size: 1,
+                max_wait: Duration::from_secs(10),
+                queue_depth: 1,
+            },
+        );
+        // The first transaction holds the runner at the gate. Behind it,
+        // one-transaction bulks fill every slot that can hold one: the
+        // planned and formed channels, the grouping and admission threads
+        // (each blocked handing its bulk on) and the admission queue. With
+        // those full, the next submit cannot complete until the gate opens.
+        let stalled_capacity = 1 + 2 * STAGE_CHANNEL_DEPTH + 2 + 1;
         let handle = eng.handle();
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
         let submitter = std::thread::spawn(move || {
             let mut tickets = Vec::new();
             loop {
-                match handle.submit(0, vec![Value::Int(1)]) {
+                let ty = if tickets.is_empty() { 6 } else { 0 };
+                match handle.submit(ty, vec![Value::Int(1)]) {
                     Ok(t) => tickets.push(t),
-                    Err(PipelineError::ShutDown) => break,
-                    Err(e) => panic!("unexpected submit error: {e}"),
+                    Err(e) => return (tickets, e),
                 }
+                // Announce the ticket count before the next submit.
+                let _ = held_tx.send(tickets.len());
             }
-            assert!(handle.is_closed());
-            tickets
         });
-        // Let the submitter get going, then drop the engine out from under it.
-        std::thread::sleep(Duration::from_millis(20));
-        let dropped_at = Instant::now();
-        drop(eng);
-        assert!(
-            dropped_at.elapsed() < Duration::from_secs(10),
-            "drop must not wait for the live submitter"
+        assert_eq!(held_rx.recv(), Ok(1), "the submitter's first ticket");
+        while held_rx.recv().expect("submitter alive") < stalled_capacity {}
+        // The submitter holds every slot and is in (or entering) its next
+        // submit, which the full queue parks.
+        assert_eq!(
+            eng.try_submit(0, vec![Value::Int(1)]).unwrap_err(),
+            PipelineError::QueueFull
         );
-        let tickets = submitter.join().expect("submitter exits via ShutDown");
-        assert!(!tickets.is_empty(), "submitter made progress before drop");
+        let gate_closed = eng.handle();
+        let dropper = std::thread::spawn(move || drop(eng));
+        // Shutdown closes the submit gate first; only then release the
+        // runner so the pipeline can drain.
+        while !gate_closed.is_closed() {
+            std::thread::yield_now();
+        }
+        open_gate.send(()).expect("runner waits at the gate");
+        dropper.join().expect("drop returned");
+        let (tickets, last) = submitter.join().expect("submitter exits");
+        assert_eq!(last, PipelineError::ShutDown);
+        // A parked submit already holds a queue sender, so it lands in the
+        // final drain; the submit after it is refused.
+        assert!(tickets.len() >= stalled_capacity);
         for t in tickets {
-            // Resolved either way: committed before the drain, or
-            // Disconnected if its slot was dropped mid-pipeline.
-            let _ = t.wait();
+            assert!(t.wait().expect("resolves").1.is_committed());
         }
     }
 

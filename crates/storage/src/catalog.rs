@@ -176,12 +176,16 @@ impl Database {
 
     /// Insert a row and update every index of the table. Returns the row id.
     pub fn insert_indexed(&mut self, table: TableId, row: Vec<Value>) -> RowId {
-        let row_id = self.tables[table as usize].insert(row.clone());
+        // Row ids are dense, so the keys are built from the borrowed row
+        // before it moves into the table.
+        let row_id = self.tables[table as usize].num_rows() as RowId;
         for idx in &mut self.indexes[table as usize] {
             let key = idx.key_of(&row);
             idx.insert(key, row_id)
                 .unwrap_or_else(|e| panic!("index {} on table {}: {e}", idx.name, table));
         }
+        let inserted = self.tables[table as usize].insert(row);
+        debug_assert_eq!(inserted, row_id);
         row_id
     }
 
@@ -220,17 +224,11 @@ impl Database {
     /// Apply every table's insert buffer as a batched update (the post-kernel
     /// step of §3.2), maintaining indexes for the newly visible rows.
     pub fn apply_insert_buffers(&mut self) {
-        for t in 0..self.tables.len() {
-            let new_rows = self.tables[t].apply_insert_buffer();
-            for row_id in new_rows {
-                let row = self.tables[t].get_row(row_id);
-                for idx in &mut self.indexes[t] {
-                    let key = idx.key_of(&row);
-                    // Buffered inserts from aborted transactions were already
-                    // discarded, so duplicates here are programming errors.
-                    idx.insert(key, row_id)
-                        .unwrap_or_else(|e| panic!("index {}: {e}", idx.name));
-                }
+        for t in 0..self.tables.len() as TableId {
+            for row in self.tables[t as usize].take_insert_buffer() {
+                // Buffered inserts from aborted transactions were already
+                // discarded, so a duplicate key here is a programming error.
+                self.insert_indexed(t, row);
             }
         }
     }
@@ -431,6 +429,106 @@ mod tests {
         let mut db = Database::column_store();
         db.create_table(accounts_schema());
         db.create_table(accounts_schema());
+    }
+
+    /// A database whose every index holds exactly one key, so its encoding
+    /// does not depend on hash-map iteration order. The keys cover a
+    /// negative int, a 15-byte string, `-0.0`, `i64::MAX`, a two-row
+    /// non-unique key and a composite key too long to store inline.
+    fn one_key_per_index_db() -> Database {
+        let mut db = Database::column_store();
+        let subs = db.create_table(TableSchema::new(
+            "subscriber",
+            vec![
+                ColumnDef::new("s_id", DataType::Int),
+                ColumnDef::new("sub_nbr", DataType::Str),
+                ColumnDef::new("bal", DataType::Double),
+            ],
+            vec![0],
+        ));
+        db.create_index(subs, "pk", vec![0], true);
+        db.create_index(subs, "by_nbr", vec![1], true);
+        db.create_index(subs, "by_bal", vec![2], true);
+        db.insert_indexed(
+            subs,
+            vec![
+                Value::Int(-7),
+                Value::Str("000000000000042".into()),
+                Value::Double(-0.0),
+            ],
+        );
+        let notes = db.create_table(TableSchema::new(
+            "notes",
+            vec![
+                ColumnDef::new("s_id", DataType::Int),
+                ColumnDef::new("note", DataType::Str),
+                ColumnDef::new("w", DataType::Double),
+            ],
+            vec![0],
+        ));
+        db.create_index(notes, "by_sub", vec![0], false);
+        db.create_index(notes, "by_note", vec![1, 0, 2], false);
+        for _ in 0..2 {
+            db.insert_indexed(
+                notes,
+                vec![
+                    Value::Int(i64::MAX),
+                    Value::Str("a note longer than twenty-two bytes".into()),
+                    Value::Double(1.5),
+                ],
+            );
+        }
+        db
+    }
+
+    /// The checkpoint / replication-snapshot bytes of
+    /// [`one_key_per_index_db`]. They must not change: checkpoints and
+    /// snapshots already written decode through the same path. Index keys
+    /// travel as `Value`s, whatever their in-memory layout.
+    const ONE_KEY_PER_INDEX_DB_HEX: [&str; 21] = [
+        "0002000000000000000a00000000000000737562736372696265720300000000000000040000000000000073",
+        "5f6964000107000000000000007375625f6e62720201030000000000000062616c0101010000000000000000",
+        "000000000000000001000000000000000300000000000000000100000000000000f9ffffffffffffff020100",
+        "0000000000000f00000000000000303030303030303030303030303432010100000000000000000000000000",
+        "0080010000000000000000000000000000000003000000000000000200000000000000706b01000000000000",
+        "000000000000000000010100000000000000010000000000000000f9ffffffffffffff010000000000000000",
+        "00000000000000060000000000000062795f6e62720100000000000000010000000000000001010000000000",
+        "00000100000000000000020f0000000000000030303030303030303030303030343201000000000000000000",
+        "000000000000060000000000000062795f62616c010000000000000002000000000000000101000000000000",
+        "0001000000000000000100000000000000800100000000000000000000000000000005000000000000006e6f",
+        "74657303000000000000000400000000000000735f6964000104000000000000006e6f746502010100000000",
+        "0000007701010100000000000000000000000000000000020000000000000003000000000000000002000000",
+        "00000000ffffffffffffff7fffffffffffffff7f020200000000000000230000000000000061206e6f746520",
+        "6c6f6e676572207468616e207477656e74792d74776f206279746573230000000000000061206e6f7465206c",
+        "6f6e676572207468616e207477656e74792d74776f206279746573010200000000000000000000000000f83f",
+        "000000000000f83f020000000000000000000000000000000000020000000000000006000000000000006279",
+        "5f73756201000000000000000000000000000000000100000000000000010000000000000000ffffffffffff",
+        "ff7f020000000000000000000000000000000100000000000000070000000000000062795f6e6f7465030000",
+        "0000000000010000000000000000000000000000000200000000000000000100000000000000030000000000",
+        "000002230000000000000061206e6f7465206c6f6e676572207468616e207477656e74792d74776f20627974",
+        "657300ffffffffffffff7f01000000000000f83f020000000000000000000000000000000100000000000000",
+    ];
+
+    #[test]
+    fn database_wire_encoding_is_pinned_byte_for_byte() {
+        let hex = ONE_KEY_PER_INDEX_DB_HEX.concat();
+        let pinned: Vec<u8> = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex"))
+            .collect();
+        let db = one_key_per_index_db();
+        let mut w = WireWriter::new();
+        db.encode_into(&mut w);
+        assert_eq!(w.bytes(), &pinned[..], "the index wire format moved");
+        // Bytes written by the old layout decode to the same database.
+        let mut r = WireReader::new(&pinned);
+        let decoded = Database::decode(&mut r).expect("pinned bytes decode");
+        r.expect_end().expect("no trailing bytes");
+        assert_eq!(decoded, db);
+        let notes = decoded.table_id("notes").expect("table");
+        let by_note = decoded.index_id(notes, "by_note").expect("index");
+        let key = IndexKey::triple("a note longer than twenty-two bytes", i64::MAX, 1.5);
+        assert_eq!(decoded.lookup_id(by_note, &key), &[0, 1]);
     }
 
     #[test]

@@ -184,9 +184,15 @@ impl Table {
     /// Apply the insert buffer as a batched update in ascending tag
     /// (timestamp) order, returning the row ids assigned to the buffered rows.
     pub fn apply_insert_buffer(&mut self) -> Vec<RowId> {
-        let mut rows: Vec<(u64, Vec<Value>)> = std::mem::take(&mut self.insert_buffer);
+        self.take_insert_buffer().map(|r| self.insert(r)).collect()
+    }
+
+    /// Empty the insert buffer, yielding its rows in the ascending tag
+    /// (timestamp) order [`Table::apply_insert_buffer`] applies them in.
+    pub(crate) fn take_insert_buffer(&mut self) -> impl Iterator<Item = Vec<Value>> {
+        let mut rows = std::mem::take(&mut self.insert_buffer);
         rows.sort_by_key(|(tag, _)| *tag);
-        rows.into_iter().map(|(_, r)| self.insert(r)).collect()
+        rows.into_iter().map(|(_, r)| r)
     }
 
     /// Discard the insert buffer (used when a bulk aborts before applying it).
