@@ -1,23 +1,21 @@
-//! Gather/scatter hot path: the plan-backed typed access path against the
-//! legacy `Value`/hash access path.
+//! Gather/scatter hot path: one TM1 registry run with its access plan against
+//! the same registry run without one.
 //!
 //! Both sides execute the identical transaction stream on identical databases
-//! through the same serial executor; the only difference is the storage-access
-//! API the procedures are written against:
+//! through the same serial executor and the same procedure bodies; the only
+//! difference is the [`AccessPlan`]:
 //!
-//! * **legacy** — string-keyed index lookups resolved per operation, every
-//!   field access materializing a `Value`, a fresh undo buffer per
-//!   transaction;
-//! * **planned** — per-bulk [`AccessPlan`] (index keys pre-resolved during
-//!   grouping, zero hash lookups during execution), typed columnar accessors
-//!   (`read_i64`/`write_f64`/…), pooled undo buffers.
+//! * **unplanned** — every `lookup_*_by` builds its key and probes the live
+//!   hash index during execution;
+//! * **planned** — index keys pre-resolved during grouping, zero hash
+//!   lookups during execution.
 //!
 //! The plan build (the gather step) is benchmarked separately: in the
 //! streaming engine it runs on the grouping stage, overlapped with the
 //! previous bulk's execution, so it is not part of the execution-path cost.
 //!
 //! The headline numbers live in `figures -- hotpath` (64k bulks, database
-//! clone excluded from the timed window, prints `HOTPATH-SPEEDUP` lines);
+//! clone excluded from the timed window, prints a `HOTPATH-SPEEDUP` line);
 //! this criterion harness tracks the same paths at a smaller size suitable
 //! for repeated sampling, with the clone *included* in each iteration (so
 //! absolute ratios here understate the execution-path speedup). Run with:
@@ -26,82 +24,43 @@
 //! cargo bench --bench hotpath
 //! ```
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gputx_exec::{ExecPolicy, Executor, SerialExecutor};
-use gputx_txn::{AccessPlan, TxnSignature};
-use gputx_workloads::{AccessApi, Tm1Config, TpcbConfig, WorkloadBundle};
+use gputx_txn::AccessPlan;
+use gputx_workloads::Tm1Config;
 
 const BULK: usize = 8_192;
 
-struct Fixture {
-    bundle: WorkloadBundle,
-    sigs: Vec<TxnSignature>,
-    plan: Option<AccessPlan>,
-}
-
-fn fixture(name: &str, api: AccessApi) -> Fixture {
-    let mut bundle = match name {
-        "tm1" => Tm1Config { scale_factor: 1 }.build_with_api(api),
-        "tpcb" => TpcbConfig::default()
-            .with_scale_factor(64)
-            .build_with_api(api),
-        other => panic!("unknown workload {other}"),
-    };
-    let sigs = bundle.generate_signatures(BULK, 0);
-    let plan = match api {
-        AccessApi::Legacy => None,
-        AccessApi::Planned => {
-            let plan = AccessPlan::build(&bundle.registry, &bundle.db, &sigs);
-            (!plan.is_empty()).then_some(plan)
-        }
-    };
-    Fixture { bundle, sigs, plan }
-}
-
 fn bench_hotpath(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hotpath_serial");
-    for workload in ["tm1", "tpcb"] {
-        for api in [AccessApi::Legacy, AccessApi::Planned] {
-            let fx = fixture(workload, api);
-            let groups = gputx_bench::partition_groups(&fx.bundle.registry, &fx.sigs);
-            let policy = ExecPolicy::gpu(true);
-            let label = match api {
-                AccessApi::Legacy => "legacy",
-                AccessApi::Planned => "planned",
-            };
-            group.bench_function(BenchmarkId::new(workload, label), |b| {
-                b.iter(|| {
-                    let mut db = fx.bundle.db.clone();
-                    let out = SerialExecutor
-                        .run_groups(
-                            &mut db,
-                            &fx.bundle.registry,
-                            &policy,
-                            &groups,
-                            fx.plan.as_ref(),
-                        )
-                        .expect("no procedure panics");
-                    black_box(out.len())
-                })
-            });
-        }
-    }
-    group.finish();
-}
+    let mut bundle = Tm1Config { scale_factor: 1 }.build();
+    let sigs = bundle.generate_signatures(BULK, 0);
+    let plan = AccessPlan::build(&bundle.registry, &bundle.db, &sigs);
+    let groups = gputx_bench::partition_groups(&bundle.registry, &sigs);
+    let policy = ExecPolicy::gpu(true);
 
-fn bench_plan_build(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hotpath_plan_build");
-    for workload in ["tm1", "tpcb"] {
-        let fx = fixture(workload, AccessApi::Planned);
-        group.bench_function(workload, |b| {
+    let mut group = c.benchmark_group("hotpath_serial");
+    for (label, plan) in [("unplanned", None), ("planned", Some(&plan))] {
+        group.bench_function(label, |b| {
             b.iter(|| {
-                let plan = AccessPlan::build(&fx.bundle.registry, &fx.bundle.db, &fx.sigs);
-                black_box(plan.num_entries())
+                let mut db = bundle.db.clone();
+                let out = SerialExecutor
+                    .run_groups(&mut db, &bundle.registry, &policy, &groups, plan)
+                    .expect("no procedure panics");
+                black_box(out.len())
             })
         });
     }
     group.finish();
+
+    let mut group = c.benchmark_group("hotpath_plan_build");
+    group.bench_function("tm1", |b| {
+        b.iter(|| {
+            let plan = AccessPlan::build(&bundle.registry, &bundle.db, &sigs);
+            black_box(plan.num_entries())
+        })
+    });
+    group.finish();
 }
 
-criterion_group!(benches, bench_hotpath, bench_plan_build);
+criterion_group!(benches, bench_hotpath);
 criterion_main!(benches);

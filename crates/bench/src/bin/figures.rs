@@ -9,7 +9,7 @@
 //!
 //! Experiments: `fig3 fig4 fig5 fig6 fig7 cost fig8 fig9 fig12 fig13 fig14
 //! fig15 fig16 fig17 adhoc storage all`. Each prints the same rows/series the
-//! paper reports (scaled-down populations; see EXPERIMENTS.md).
+//! paper reports (scaled-down populations; see `docs/paper-map.md`).
 //!
 //! The extra `smoke` experiment (not part of `all`) runs a tiny TM1 bulk for
 //! CI: it prints the usual table and, with `--json <path>`, writes the key
@@ -1477,120 +1477,76 @@ fn durability(json_path: Option<&str>) {
     }
 }
 
-/// Hot-path experiment: the plan-backed typed access path (pre-resolved
-/// `AccessPlan` lookups + typed columnar accessors + pooled undo buffers)
-/// against the legacy `Value`/hash path, on 64k-transaction TM1 and TPC-B
-/// bulks. Both paths execute the identical transaction stream on identical
-/// databases through the same serial executor; only the storage-access API
-/// differs. The plan is built outside the timed window — in the streaming
-/// engine the gather step runs on the grouping stage, overlapped with the
-/// previous bulk's execution — and its build time is reported separately so
-/// the overlap assumption is visible, not hidden.
+/// Hot-path experiment: one TM1 registry executing a 64k-transaction bulk
+/// with its pre-resolved `AccessPlan` against the same registry with
+/// `plan = None`, where every lookup probes the live index. Both runs execute
+/// the identical transaction stream on identical databases through the same
+/// serial executor and procedure bodies; only the plan differs. The plan is
+/// built outside the timed window — in the streaming engine the gather step
+/// runs on the grouping stage, overlapped with the previous bulk's execution
+/// — and its build time is reported separately so the overlap assumption is
+/// visible, not hidden.
 fn hotpath(json_path: Option<&str>) {
     use gputx_exec::{ExecPolicy, Executor, SerialExecutor};
     use gputx_txn::AccessPlan;
-    use gputx_workloads::{AccessApi, WorkloadBundle};
     use std::time::Instant;
 
-    banner("Hot path — plan-backed typed access vs legacy Value/hash access");
+    banner("Hot path — plan-backed lookups vs live index probes (TM1)");
     const N_TXNS: usize = 65_536;
     const ROUNDS: usize = 3;
 
-    struct Case {
-        name: &'static str,
-        legacy_ms: f64,
-        planned_ms: f64,
-        plan_build_ms: f64,
-        speedup: f64,
-    }
+    let mut bundle = Tm1Config::default().build();
+    let sigs = bundle.generate_signatures(N_TXNS, 0);
+    let groups = gputx_bench::partition_groups(&bundle.registry, &sigs);
 
-    type BuildFn = fn(AccessApi) -> WorkloadBundle;
-    let mut cases: Vec<Case> = Vec::new();
-    let builds: [(&'static str, BuildFn); 2] = [
-        ("tm1", |api| Tm1Config::default().build_with_api(api)),
-        ("tpcb", |api| {
-            TpcbConfig::default()
-                .with_scale_factor(64)
-                .build_with_api(api)
-        }),
-    ];
-    for (name, build) in builds {
-        let mut legacy = build(AccessApi::Legacy);
-        let planned = build(AccessApi::Planned);
-        // One transaction stream, shared by both sides (same seed, same
-        // generator either way; the API choice never touches the generator —
-        // tests/hotpath_equivalence.rs asserts the streams stay identical).
-        let sigs = legacy.generate_signatures(N_TXNS, 0);
+    // The gather step (timed separately, outside the execution windows).
+    let build_start = Instant::now();
+    let plan = AccessPlan::build(&bundle.registry, &bundle.db, &sigs);
+    let plan_build_ms = build_start.elapsed().as_secs_f64() * 1e3;
 
-        let groups = gputx_bench::partition_groups(&legacy.registry, &sigs);
-
-        // The gather step (timed separately, outside the execution windows).
-        let build_start = Instant::now();
-        let plan = AccessPlan::build(&planned.registry, &planned.db, &sigs);
-        let plan_build_ms = build_start.elapsed().as_secs_f64() * 1e3;
-        let plan = (!plan.is_empty()).then_some(plan);
-
-        let policy = ExecPolicy::gpu(true);
-        let time_ms = |bundle: &WorkloadBundle, plan: Option<&AccessPlan>| -> f64 {
-            let mut best = f64::INFINITY;
-            for _ in 0..ROUNDS {
-                let mut db = bundle.db.clone();
-                let start = Instant::now();
-                SerialExecutor
-                    .run_groups(&mut db, &bundle.registry, &policy, &groups, plan)
-                    .expect("no procedure panics");
-                best = best.min(start.elapsed().as_secs_f64() * 1e3);
-            }
-            best
-        };
-        let legacy_ms = time_ms(&legacy, None);
-        let planned_ms = time_ms(&planned, plan.as_ref());
-        let speedup = legacy_ms / planned_ms;
-        println!(
-            "HOTPATH-SPEEDUP {name} serial {}k: {speedup:.2}x \
-             (legacy {legacy_ms:.1} ms, planned {planned_ms:.1} ms, plan build {plan_build_ms:.1} ms)",
-            N_TXNS / 1024,
-        );
-        cases.push(Case {
-            name,
-            legacy_ms,
-            planned_ms,
-            plan_build_ms,
-            speedup,
-        });
-    }
+    let policy = ExecPolicy::gpu(true);
+    let time_ms = |plan: Option<&AccessPlan>| -> f64 {
+        let mut best = f64::INFINITY;
+        for _ in 0..ROUNDS {
+            let mut db = bundle.db.clone();
+            let start = Instant::now();
+            SerialExecutor
+                .run_groups(&mut db, &bundle.registry, &policy, &groups, plan)
+                .expect("no procedure panics");
+            best = best.min(start.elapsed().as_secs_f64() * 1e3);
+        }
+        best
+    };
+    let unplanned_ms = time_ms(None);
+    let planned_ms = time_ms(Some(&plan));
+    let speedup = unplanned_ms / planned_ms;
+    println!(
+        "HOTPATH-SPEEDUP tm1 serial {}k: {speedup:.2}x \
+         (unplanned {unplanned_ms:.1} ms, planned {planned_ms:.1} ms, plan build {plan_build_ms:.1} ms)",
+        N_TXNS / 1024,
+    );
 
     let mut table = TextTable::new(&[
         "workload",
-        "legacy (ms)",
+        "unplanned (ms)",
         "planned (ms)",
         "plan build (ms)",
         "speedup",
     ]);
-    for c in &cases {
-        table.row(vec![
-            c.name.to_string(),
-            format!("{:.1}", c.legacy_ms),
-            format!("{:.1}", c.planned_ms),
-            format!("{:.1}", c.plan_build_ms),
-            format!("{:.2}x", c.speedup),
-        ]);
-    }
+    table.row(vec![
+        "tm1".to_string(),
+        format!("{unplanned_ms:.1}"),
+        format!("{planned_ms:.1}"),
+        format!("{plan_build_ms:.1}"),
+        format!("{speedup:.2}x"),
+    ]);
     println!("{}", table.render());
 
     // Hand-rolled JSON (the workspace serde is an offline shim).
-    let per_case = |c: &Case| {
-        format!(
-            "  \"{0}_legacy_ms\": {1:.3},\n  \"{0}_planned_ms\": {2:.3},\n  \
-             \"{0}_plan_build_ms\": {3:.3},\n  \"{0}_speedup\": {4:.4}",
-            c.name, c.legacy_ms, c.planned_ms, c.plan_build_ms, c.speedup
-        )
-    };
     let json = format!(
-        "{{\n  \"schema\": 1,\n  \"experiment\": \"hotpath\",\n  \"transactions\": {},\n{},\n{}\n}}\n",
-        N_TXNS,
-        per_case(&cases[0]),
-        per_case(&cases[1]),
+        "{{\n  \"schema\": 1,\n  \"experiment\": \"hotpath\",\n  \"transactions\": {N_TXNS},\n  \
+         \"tm1_unplanned_ms\": {unplanned_ms:.3},\n  \"tm1_planned_ms\": {planned_ms:.3},\n  \
+         \"tm1_plan_build_ms\": {plan_build_ms:.3},\n  \"tm1_speedup\": {speedup:.4}\n}}\n",
     );
     match json_path {
         Some(path) => {

@@ -210,9 +210,9 @@ impl<'a> TxnCtx<'a> {
     /// Write one integer field (undo-logged; identical behaviour to
     /// [`TxnCtx::write`] with a `Value::Int`, including the widening store
     /// into double columns). The undo read goes through `get_field` so the
-    /// undo record holds the column's own representation, exactly like the
-    /// legacy path; scalar `Value`s carry no heap allocation, so this costs
-    /// one enum construct per write.
+    /// undo record holds the column's own representation, exactly like
+    /// [`TxnCtx::write`]; scalar `Value`s carry no heap allocation, so this
+    /// costs one enum construct per write.
     #[inline]
     pub fn write_i64(&mut self, table: TableId, row: RowId, col: usize, value: i64) {
         let old = self.db.get_field(table, row, col);
@@ -250,9 +250,9 @@ impl<'a> TxnCtx<'a> {
     /// access plan, the pre-resolved row is returned and `key` is **never
     /// built** — no key allocation, no hashing, no probe. Without a plan (or
     /// for a stale plan entry) the closure supplies the key and the live
-    /// index is probed, exactly like the legacy path. Trace accounting (one
-    /// bucket-header read + one entry read) is identical either way, so
-    /// planned and unplanned executions stay bit-identical.
+    /// index is probed. Trace accounting (one bucket-header read + one entry
+    /// read) is identical either way, so planned and unplanned executions
+    /// stay bit-identical.
     pub fn lookup_unique_by(
         &mut self,
         idx: IndexId,
@@ -583,7 +583,7 @@ impl ProcedureRegistry {
 mod tests {
     use super::*;
     use gputx_storage::schema::{ColumnDef, TableSchema};
-    use gputx_storage::{DataType, StorageLayout, Table};
+    use gputx_storage::{DataType, StorageLayout};
 
     fn test_db() -> (Database, TableId) {
         let mut db = Database::column_store();
@@ -783,32 +783,88 @@ mod tests {
 
     #[test]
     fn typed_writes_widen_into_double_columns_like_the_value_path() {
-        // Legacy `write(.., Value::Int(x))` into a Double column widened the
-        // store and undo-logged the column's own Double representation; the
-        // typed `write_i64` must behave identically (including rollback).
-        let (db0, t) = test_db();
-        let params: Vec<Value> = vec![];
-        let mut legacy_db = db0.clone();
-        {
-            let mut ctx = TxnCtx::new(&mut legacy_db, &params, 0, 1);
-            ctx.write(t, 0, 1, Value::Int(7)); // col 1 is Double
-            ctx.abort("roll back");
-            let (_, outcome, undo, _) = ctx.finish();
-            assert!(!outcome.is_committed());
-            assert_eq!(undo, 1);
+        // Every typed accessor must behave exactly like its `Value` twin: the
+        // same value, trace, undo count, state after the access and state
+        // after rollback. `field_bytes` differs between layouts, so both run.
+        // Column 0 is Int and column 1 is Double: `ReadF64(0)` is the widening
+        // read and `WriteI64(1, _)` the widening store.
+        #[derive(Debug, Clone, Copy)]
+        enum Access {
+            ReadI64(usize),
+            ReadF64(usize),
+            WriteI64(usize, i64),
+            WriteF64(usize, f64),
         }
-        let mut typed_db = db0.clone();
-        {
-            let mut ctx = TxnCtx::new(&mut typed_db, &params, 0, 1);
-            ctx.write_i64(t, 0, 1, 7);
-            assert_eq!(ctx.read_f64(t, 0, 1), 7.0, "widened store visible");
+        /// Run one access (typed, or through its `Value` twin) on a copy of
+        /// `db0`, then roll it back. Returns the value read, the state right
+        /// after the access, the trace, the undo count and the rolled-back
+        /// state.
+        fn run(
+            db0: &Database,
+            t: TableId,
+            access: Access,
+            typed: bool,
+        ) -> (Option<Value>, Database, ThreadTrace, usize, Database) {
+            let mut db = db0.clone();
+            let params: [Value; 0] = [];
+            let mut ctx = TxnCtx::new(&mut db, &params, 0, 1);
+            let row = 2;
+            let read = match (access, typed) {
+                (Access::ReadI64(col), true) => Some(Value::Int(ctx.read_i64(t, row, col))),
+                (Access::ReadI64(col), false) => Some(Value::Int(ctx.read(t, row, col).as_int())),
+                (Access::ReadF64(col), true) => Some(Value::Double(ctx.read_f64(t, row, col))),
+                (Access::ReadF64(col), false) => {
+                    Some(Value::Double(ctx.read(t, row, col).as_double()))
+                }
+                (Access::WriteI64(col, v), true) => {
+                    ctx.write_i64(t, row, col, v);
+                    None
+                }
+                (Access::WriteI64(col, v), false) => {
+                    ctx.write(t, row, col, Value::Int(v));
+                    None
+                }
+                (Access::WriteF64(col, v), true) => {
+                    ctx.write_f64(t, row, col, v);
+                    None
+                }
+                (Access::WriteF64(col, v), false) => {
+                    ctx.write(t, row, col, Value::Double(v));
+                    None
+                }
+            };
+            let after_access = ctx.db().clone();
             ctx.abort("roll back");
-            let (_, outcome, undo, _) = ctx.finish();
+            let (trace, outcome, undo, _) = ctx.finish();
             assert!(!outcome.is_committed());
-            assert_eq!(undo, 1);
+            (read, after_access, trace, undo, db)
         }
-        assert!(legacy_db == typed_db, "rollback must restore identically");
-        assert!(legacy_db == db0);
+
+        let cases = [
+            Access::ReadI64(0),
+            Access::ReadF64(0),
+            Access::ReadF64(1),
+            Access::WriteI64(0, 7),
+            Access::WriteI64(1, 7),
+            Access::WriteF64(1, 2.5),
+        ];
+        let (column_db, t) = test_db();
+        for layout in [StorageLayout::Column, StorageLayout::Row] {
+            let db0 = column_db.rebuilt_with_layout(layout);
+            for access in cases {
+                let (value, after, trace, undo, rolled_back) = run(&db0, t, access, true);
+                let twin = run(&db0, t, access, false);
+                let what = format!("{layout:?} {access:?}");
+                assert_eq!(value, twin.0, "{what}: value read");
+                assert!(after == twin.1, "{what}: state after the access");
+                assert_eq!(trace, twin.2, "{what}: trace");
+                assert_eq!(undo, twin.3, "{what}: undo count");
+                assert!(rolled_back == twin.4, "{what}: state after rollback");
+                assert!(rolled_back == db0, "{what}: rollback restores the original");
+                let writes = matches!(access, Access::WriteI64(..) | Access::WriteF64(..));
+                assert_eq!(after != db0, writes, "{what}: only writes change state");
+            }
+        }
     }
 
     #[test]
@@ -863,8 +919,4 @@ mod tests {
         assert_eq!(out_a, out_b, "traces/outcomes/undo counts must match");
         assert!(db_a == db_b, "final state must match");
     }
-
-    // Unused import guard: Table/StorageLayout are exercised indirectly.
-    #[allow(dead_code)]
-    fn _silence(_: StorageLayout, _: &Table) {}
 }

@@ -22,16 +22,15 @@
 //! workload behind the `figures -- tpcc` decision histogram and the
 //! adaptive equivalence matrix.
 //!
-//! Like the other workloads, the ledger builds against either storage-access
-//! API; the planned variant resolves the (parameter-derived) account probes
-//! at bulk-formation time.
+//! Both procedures declare access-plan callbacks: every account probe derives
+//! from the parameters, so it is resolved at bulk-formation time.
 
 use crate::skew::SkewedPicker;
-use crate::workload::{AccessApi, WorkloadBundle};
+use crate::workload::WorkloadBundle;
 use gputx_storage::catalog::TableId;
 use gputx_storage::index::IndexKey;
 use gputx_storage::schema::{ColumnDef, TableSchema};
-use gputx_storage::{DataItemId, DataType, Database, IndexId, Value};
+use gputx_storage::{DataItemId, DataType, Database, Value};
 use gputx_txn::{BasicOp, ProcedureDef, ProcedureRegistry, TxnTypeId};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -82,13 +81,8 @@ impl LedgerConfig {
     }
 
     /// Build the populated database, the two procedures and the
-    /// phase-alternating generator, using the plan-backed fast path.
+    /// phase-alternating generator.
     pub fn build(&self) -> WorkloadBundle {
-        self.build_with_api(AccessApi::default())
-    }
-
-    /// Build with an explicit storage-access API.
-    pub fn build_with_api(&self, api: AccessApi) -> WorkloadBundle {
         let accounts = self.accounts;
         let mut db = Database::column_store();
         let acct_t = db.create_table(TableSchema::new(
@@ -111,10 +105,64 @@ impl LedgerConfig {
         }
 
         let mut registry = ProcedureRegistry::new();
-        match api {
-            AccessApi::Legacy => register_legacy(&mut registry, acct_t, acct_pk),
-            AccessApi::Planned => register_planned(&mut registry, acct_t, acct_pk),
-        }
+        // 0: TRANSFER(src, dst, amount)
+        registry.register(
+            ProcedureDef::new(
+                "TRANSFER",
+                move |p, _| transfer_rwset(acct_t, p),
+                transfer_partition,
+                move |ctx| {
+                    let src = ctx.param_int(0);
+                    let dst = ctx.param_int(1);
+                    let amount = ctx.param_double(2);
+                    let s_row = ctx
+                        .lookup_unique_by(acct_pk, || IndexKey::single(src))
+                        .expect("source account exists");
+                    let d_row = ctx
+                        .lookup_unique_by(acct_pk, || IndexKey::single(dst))
+                        .expect("destination account exists");
+                    let s_bal = ctx.read_f64(acct_t, s_row, 1);
+                    if s_bal < amount {
+                        ctx.abort("insufficient funds");
+                        return;
+                    }
+                    ctx.write_f64(acct_t, s_row, 1, s_bal - amount);
+                    let d_bal = ctx.read_f64(acct_t, d_row, 1);
+                    ctx.write_f64(acct_t, d_row, 1, d_bal + amount);
+                    let cnt = ctx.read_i64(acct_t, d_row, 2);
+                    ctx.write_i64(acct_t, d_row, 2, cnt + 1);
+                },
+            )
+            .with_plan_access(move |p, probe| {
+                probe.unique(acct_pk, &IndexKey::single(p[0].as_int()));
+                probe.unique(acct_pk, &IndexKey::single(p[1].as_int()));
+            }),
+        );
+        // 1: BALANCE_CHECK(account)
+        registry.register(
+            ProcedureDef::new(
+                "BALANCE_CHECK",
+                move |p, _| {
+                    vec![BasicOp::read(DataItemId::new(
+                        acct_t,
+                        p[0].as_int() as u64,
+                        1,
+                    ))]
+                },
+                |p| Some(p[0].as_int() as u64),
+                move |ctx| {
+                    let account = ctx.param_int(0);
+                    let row = ctx
+                        .lookup_unique_by(acct_pk, || IndexKey::single(account))
+                        .expect("account exists");
+                    ctx.read_f64(acct_t, row, 1);
+                    ctx.compute_cycles(10);
+                },
+            )
+            .with_plan_access(move |p, probe| {
+                probe.unique(acct_pk, &IndexKey::single(p[0].as_int()));
+            }),
+        );
 
         // Phase-alternating generator: `issued` counts drawn transactions so
         // the regime toggles every `phase_len` of them. The counter lives in
@@ -175,120 +223,6 @@ fn transfer_rwset(acct_t: TableId, p: &[Value]) -> Vec<BasicOp> {
 fn transfer_partition(p: &[Value]) -> Option<u64> {
     let (src, dst) = (p[0].as_int(), p[1].as_int());
     (src == dst).then_some(src as u64)
-}
-
-/// The original `Value`-typed procedures.
-fn register_legacy(registry: &mut ProcedureRegistry, acct_t: TableId, acct_pk: IndexId) {
-    // 0: TRANSFER(src, dst, amount)
-    registry.register(ProcedureDef::new(
-        "TRANSFER",
-        move |p, _| transfer_rwset(acct_t, p),
-        transfer_partition,
-        move |ctx| {
-            let src = ctx.param_int(0);
-            let dst = ctx.param_int(1);
-            let amount = ctx.param_double(2);
-            let s_row = ctx
-                .lookup_unique_by(acct_pk, || IndexKey::single(src))
-                .expect("source account exists");
-            let d_row = ctx
-                .lookup_unique_by(acct_pk, || IndexKey::single(dst))
-                .expect("destination account exists");
-            let s_bal = ctx.read(acct_t, s_row, 1).as_double();
-            if s_bal < amount {
-                ctx.abort("insufficient funds");
-                return;
-            }
-            ctx.write(acct_t, s_row, 1, Value::Double(s_bal - amount));
-            let d_bal = ctx.read(acct_t, d_row, 1).as_double();
-            ctx.write(acct_t, d_row, 1, Value::Double(d_bal + amount));
-            let cnt = ctx.read(acct_t, d_row, 2).as_int();
-            ctx.write(acct_t, d_row, 2, Value::Int(cnt + 1));
-        },
-    ));
-    // 1: BALANCE_CHECK(account)
-    registry.register(ProcedureDef::new(
-        "BALANCE_CHECK",
-        move |p, _| {
-            vec![BasicOp::read(DataItemId::new(
-                acct_t,
-                p[0].as_int() as u64,
-                1,
-            ))]
-        },
-        |p| Some(p[0].as_int() as u64),
-        move |ctx| {
-            let account = ctx.param_int(0);
-            let row = ctx
-                .lookup_unique_by(acct_pk, || IndexKey::single(account))
-                .expect("account exists");
-            ctx.read(acct_t, row, 1);
-            ctx.compute_cycles(10);
-        },
-    ));
-}
-
-/// The plan-backed fast path: both account probes derive from the
-/// parameters, so both procedures are fully plannable.
-fn register_planned(registry: &mut ProcedureRegistry, acct_t: TableId, acct_pk: IndexId) {
-    // 0: TRANSFER(src, dst, amount)
-    registry.register(
-        ProcedureDef::new(
-            "TRANSFER",
-            move |p, _| transfer_rwset(acct_t, p),
-            transfer_partition,
-            move |ctx| {
-                let src = ctx.param_int(0);
-                let dst = ctx.param_int(1);
-                let amount = ctx.param_double(2);
-                let s_row = ctx
-                    .lookup_unique_by(acct_pk, || IndexKey::single(src))
-                    .expect("source account exists");
-                let d_row = ctx
-                    .lookup_unique_by(acct_pk, || IndexKey::single(dst))
-                    .expect("destination account exists");
-                let s_bal = ctx.read_f64(acct_t, s_row, 1);
-                if s_bal < amount {
-                    ctx.abort("insufficient funds");
-                    return;
-                }
-                ctx.write_f64(acct_t, s_row, 1, s_bal - amount);
-                let d_bal = ctx.read_f64(acct_t, d_row, 1);
-                ctx.write_f64(acct_t, d_row, 1, d_bal + amount);
-                let cnt = ctx.read_i64(acct_t, d_row, 2);
-                ctx.write_i64(acct_t, d_row, 2, cnt + 1);
-            },
-        )
-        .with_plan_access(move |p, probe| {
-            probe.unique(acct_pk, &IndexKey::single(p[0].as_int()));
-            probe.unique(acct_pk, &IndexKey::single(p[1].as_int()));
-        }),
-    );
-    // 1: BALANCE_CHECK(account)
-    registry.register(
-        ProcedureDef::new(
-            "BALANCE_CHECK",
-            move |p, _| {
-                vec![BasicOp::read(DataItemId::new(
-                    acct_t,
-                    p[0].as_int() as u64,
-                    1,
-                ))]
-            },
-            |p| Some(p[0].as_int() as u64),
-            move |ctx| {
-                let account = ctx.param_int(0);
-                let row = ctx
-                    .lookup_unique_by(acct_pk, || IndexKey::single(account))
-                    .expect("account exists");
-                ctx.read_f64(acct_t, row, 1);
-                ctx.compute_cycles(10);
-            },
-        )
-        .with_plan_access(move |p, probe| {
-            probe.unique(acct_pk, &IndexKey::single(p[0].as_int()));
-        }),
-    );
 }
 
 #[cfg(test)]
@@ -359,39 +293,6 @@ mod tests {
         }
         assert!(states[0] == states[1], "TPL and PART disagree");
         assert!(states[1] == states[2], "PART and K-SET disagree");
-    }
-
-    #[test]
-    fn planned_and_legacy_apis_agree_on_final_state() {
-        let mut legacy = LedgerConfig::default()
-            .with_accounts(1024)
-            .build_with_api(AccessApi::Legacy);
-        let mut planned = LedgerConfig::default()
-            .with_accounts(1024)
-            .build_with_api(AccessApi::Planned);
-        assert!(legacy.db == planned.db);
-        legacy.reseed(9);
-        planned.reseed(9);
-        let sigs = legacy.generate_signatures(800, 0);
-        let check = planned.generate_signatures(800, 0);
-        assert_eq!(sigs.len(), check.len());
-        let config = EngineConfig::default();
-        let run = |bundle: &WorkloadBundle| {
-            let mut db = bundle.db.clone();
-            let mut gpu = Gpu::c1060();
-            let mut ctx = ExecContext {
-                gpu: &mut gpu,
-                db: &mut db,
-                registry: &bundle.registry,
-                config: &config,
-            };
-            let out = execute_bulk(&mut ctx, StrategyKind::Kset, &Bulk::new(sigs.clone()));
-            (db, out.committed, out.aborted)
-        };
-        let (db_l, c_l, a_l) = run(&legacy);
-        let (db_p, c_p, a_p) = run(&planned);
-        assert_eq!((c_l, a_l), (c_p, a_p));
-        assert!(db_l == db_p);
     }
 
     /// The reason this workload exists: driven through the adaptive one-shot

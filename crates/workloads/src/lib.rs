@@ -14,7 +14,7 @@
 //! * [`tpcb`] — TPC-B: branch/teller/account/history, one transaction type,
 //!   branch id as the partitioning key.
 //! * [`tpcc`] — TPC-C (simplified but structurally faithful): nine tables,
-//!   five transaction types, warehouse×district as the partitioning key, with
+//!   five transaction types, the warehouse as the partitioning key, with
 //!   the customer-by-last-name splits of Appendix E.
 //! * [`ledger`] — a hot-key payments ledger whose generator alternates
 //!   between uniform and skewed phases, forcing a cost-driven selector to
@@ -28,7 +28,7 @@
 //!
 //! Scale factors are linearly scaled down from the original benchmark
 //! populations so that simulation runs stay laptop-sized; the scaling constants
-//! are documented on each workload's config type and in `EXPERIMENTS.md`.
+//! are documented on each workload's config type and in `docs/paper-map.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,4 +51,4 @@ pub use stream::{
 pub use tm1::Tm1Config;
 pub use tpcb::TpcbConfig;
 pub use tpcc::TpccConfig;
-pub use workload::{AccessApi, WorkloadBundle};
+pub use workload::WorkloadBundle;

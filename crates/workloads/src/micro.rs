@@ -10,7 +10,7 @@
 //! uniformly (Figure 6).
 
 use crate::skew::SkewedPicker;
-use crate::workload::{AccessApi, WorkloadBundle};
+use crate::workload::WorkloadBundle;
 use gputx_storage::schema::{ColumnDef, TableSchema};
 use gputx_storage::{DataItemId, DataType, Database, Value};
 use gputx_txn::{BasicOp, ProcedureDef, ProcedureRegistry, TxnTypeId};
@@ -78,16 +78,8 @@ impl MicroWorkload {
     pub const TABLE: &'static str = "tuples";
 
     /// Build the populated database, the `T` registered types and the skewed
-    /// transaction generator, using the typed fast path
-    /// ([`AccessApi::Planned`]).
+    /// transaction generator.
     pub fn build(config: &MicroConfig) -> WorkloadBundle {
-        Self::build_with_api(config, AccessApi::default())
-    }
-
-    /// Build with an explicit storage-access API. The micro benchmark does no
-    /// index lookups; the variants differ only in `Value`-materializing vs
-    /// typed field access. Behaviour is identical.
-    pub fn build_with_api(config: &MicroConfig, api: AccessApi) -> WorkloadBundle {
         let mut db = Database::column_store();
         let table = db.create_table(TableSchema::new(
             Self::TABLE,
@@ -110,32 +102,19 @@ impl MicroWorkload {
                 vec![BasicOp::write(DataItemId::new(table, row, 1))]
             };
             let partition_key = |params: &[Value]| Some(params[0].as_int() as u64);
-            match api {
-                AccessApi::Legacy => registry.register(ProcedureDef::new(
-                    format!("micro_type_{ty}"),
-                    read_write_set,
-                    partition_key,
-                    move |ctx| {
-                        let row = ctx.param_int(0) as u64;
-                        let v = ctx.read(table, row, 1).as_double();
-                        ctx.compute_calls(calls);
-                        // A cheap type-dependent transformation keeps branches
-                        // semantically distinct.
-                        ctx.write(table, row, 1, Value::Double(v + 1.0 + ty as f64 * 1e-9));
-                    },
-                )),
-                AccessApi::Planned => registry.register(ProcedureDef::new(
-                    format!("micro_type_{ty}"),
-                    read_write_set,
-                    partition_key,
-                    move |ctx| {
-                        let row = ctx.param_int(0) as u64;
-                        let v = ctx.read_f64(table, row, 1);
-                        ctx.compute_calls(calls);
-                        ctx.write_f64(table, row, 1, v + 1.0 + ty as f64 * 1e-9);
-                    },
-                )),
-            };
+            registry.register(ProcedureDef::new(
+                format!("micro_type_{ty}"),
+                read_write_set,
+                partition_key,
+                move |ctx| {
+                    let row = ctx.param_int(0) as u64;
+                    let v = ctx.read_f64(table, row, 1);
+                    ctx.compute_calls(calls);
+                    // A cheap type-dependent transformation keeps branches
+                    // semantically distinct.
+                    ctx.write_f64(table, row, 1, v + 1.0 + ty as f64 * 1e-9);
+                },
+            ));
         }
 
         let picker = SkewedPicker::new(config.skew_alpha, config.num_tuples);

@@ -17,11 +17,10 @@
 //! access-info rows, 1–4 special facilities, 0–3 call forwardings per
 //! facility) follows the benchmark.
 
-use crate::workload::{AccessApi, WorkloadBundle};
-use gputx_storage::catalog::TableId;
+use crate::workload::WorkloadBundle;
 use gputx_storage::index::IndexKey;
 use gputx_storage::schema::{ColumnDef, TableSchema};
-use gputx_storage::{DataItemId, DataType, Database, IndexId, Value};
+use gputx_storage::{DataItemId, DataType, Database, Value};
 use gputx_txn::{BasicOp, OpKind, ProcedureDef, ProcedureRegistry, TxnTypeId};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -73,16 +72,8 @@ impl Tm1Config {
         self.scale_factor * SUBSCRIBERS_PER_SF
     }
 
-    /// Build the populated database, the seven procedures and the generator,
-    /// using the plan-backed fast path ([`AccessApi::Planned`]).
+    /// Build the populated database, the seven procedures and the generator.
     pub fn build(&self) -> WorkloadBundle {
-        self.build_with_api(AccessApi::default())
-    }
-
-    /// Build with an explicit storage-access API. [`AccessApi::Legacy`]
-    /// registers the original string-keyed/`Value` procedures (the benchmark
-    /// baseline); both variants are behaviourally identical.
-    pub fn build_with_api(&self, api: AccessApi) -> WorkloadBundle {
         let subscribers = self.subscribers();
         let mut db = Database::column_store();
 
@@ -193,22 +184,236 @@ impl Tm1Config {
             }
         }
 
-        let handles = Tm1Handles {
-            sub_t,
-            ai_t,
-            sf_t,
-            cf_t,
-            by_nbr,
-            ai_pk,
-            sf_pk,
-            cf_pk,
-            cf_by_sf,
-        };
+        // Every procedure that probes an index declares a plan callback, so
+        // the gather step resolves its lookups during bulk grouping and the
+        // body executes without hash probes.
         let mut registry = ProcedureRegistry::new();
-        match api {
-            AccessApi::Legacy => register_legacy(&mut registry, handles),
-            AccessApi::Planned => register_planned(&mut registry, handles),
-        }
+        let root_read = move |params: &[Value]| {
+            vec![BasicOp {
+                item: DataItemId::whole_row(sub_t, params[0].as_int() as u64),
+                kind: OpKind::Read,
+            }]
+        };
+        let root_write = move |params: &[Value]| {
+            vec![BasicOp {
+                item: DataItemId::whole_row(sub_t, params[0].as_int() as u64),
+                kind: OpKind::Write,
+            }]
+        };
+        let by_sid = |params: &[Value]| Some(params[0].as_int() as u64);
+
+        // 0: GET_SUBSCRIBER_DATA(s_id) — no lookups; typed reads only.
+        registry.register(ProcedureDef::new(
+            "GET_SUBSCRIBER_DATA",
+            move |p, _| root_read(p),
+            by_sid,
+            move |ctx| {
+                let s = ctx.param_int(0) as u64;
+                for col in [2, 3, 4] {
+                    ctx.read_i64(sub_t, s, col);
+                }
+            },
+        ));
+        // 1: GET_NEW_DESTINATION(s_id, sf_type, start_time, end_time)
+        registry.register(
+            ProcedureDef::new(
+                "GET_NEW_DESTINATION",
+                move |p, _| root_read(p),
+                by_sid,
+                move |ctx| {
+                    let s = ctx.param_int(0);
+                    let sf_type = ctx.param_int(1);
+                    let start = ctx.param_int(2);
+                    let end = ctx.param_int(3);
+                    let sf_row = ctx.lookup_unique_by(sf_pk, || IndexKey::pair(s, sf_type));
+                    let active = match sf_row {
+                        Some(r) => ctx.read_i64(sf_t, r, 2) == 1,
+                        None => false,
+                    };
+                    if !active {
+                        ctx.abort("no active special facility");
+                        return;
+                    }
+                    let cf_rows = ctx.lookup_by(cf_by_sf, || IndexKey::pair(s, sf_type));
+                    let mut found = false;
+                    for &r in cf_rows.iter() {
+                        let st = ctx.read_i64(cf_t, r, 2);
+                        let en = ctx.read_i64(cf_t, r, 3);
+                        if st <= start && end < en {
+                            ctx.read_i64(cf_t, r, 3);
+                            found = true;
+                        }
+                    }
+                    if !found {
+                        ctx.abort("no matching call forwarding");
+                    }
+                },
+            )
+            .with_plan_access(move |p, probe| {
+                // Both lookups are param-derived; resolve them unconditionally
+                // (the body skips the second on abort, which is fine).
+                probe.unique(sf_pk, &IndexKey::pair(p[0].as_int(), p[1].as_int()));
+                probe.multi(cf_by_sf, &IndexKey::pair(p[0].as_int(), p[1].as_int()));
+            }),
+        );
+        // 2: GET_ACCESS_DATA(s_id, ai_type)
+        registry.register(
+            ProcedureDef::new(
+                "GET_ACCESS_DATA",
+                move |p, _| root_read(p),
+                by_sid,
+                move |ctx| {
+                    let s = ctx.param_int(0);
+                    let ai_type = ctx.param_int(1);
+                    match ctx.lookup_unique_by(ai_pk, || IndexKey::pair(s, ai_type)) {
+                        Some(r) => {
+                            ctx.read_i64(ai_t, r, 2);
+                            ctx.read_i64(ai_t, r, 3);
+                        }
+                        None => ctx.abort("access info not found"),
+                    }
+                },
+            )
+            .with_plan_access(move |p, probe| {
+                probe.unique(ai_pk, &IndexKey::pair(p[0].as_int(), p[1].as_int()));
+            }),
+        );
+        // 3: UPDATE_SUBSCRIBER_DATA(s_id, bit_1, sf_type, data_a)
+        registry.register(
+            ProcedureDef::new(
+                "UPDATE_SUBSCRIBER_DATA",
+                move |p, _| root_write(p),
+                by_sid,
+                move |ctx| {
+                    let s = ctx.param_int(0) as u64;
+                    let sf_type = ctx.param_int(2);
+                    // Two-phase: check existence before any write.
+                    let sf_row = ctx.lookup_unique_by(sf_pk, || IndexKey::pair(s as i64, sf_type));
+                    let Some(sf_row) = sf_row else {
+                        ctx.abort("special facility not found");
+                        return;
+                    };
+                    let bit = ctx.param_int(1);
+                    let data_a = ctx.param_int(3);
+                    ctx.write_i64(sub_t, s, 2, bit);
+                    ctx.write_i64(sf_t, sf_row, 3, data_a);
+                },
+            )
+            .with_plan_access(move |p, probe| {
+                probe.unique(sf_pk, &IndexKey::pair(p[0].as_int(), p[2].as_int()));
+            }),
+        );
+        // 4: UPDATE_LOCATION(s_id, sub_nbr, vlr_location) — string lookup split.
+        // With a plan the sub_nbr string is never touched during execution.
+        registry.register(
+            ProcedureDef::new(
+                "UPDATE_LOCATION",
+                move |p, _| root_write(p),
+                by_sid,
+                move |ctx| {
+                    let p = ctx.params();
+                    let Some(row) =
+                        ctx.lookup_unique_by(by_nbr, || IndexKey::single(p[1].as_str()))
+                    else {
+                        ctx.abort("unknown subscriber number");
+                        return;
+                    };
+                    let vlr = ctx.param_int(2);
+                    ctx.write_i64(sub_t, row, 4, vlr);
+                },
+            )
+            .with_plan_access(move |p, probe| {
+                probe.unique(by_nbr, &IndexKey::single(p[1].as_str()));
+            }),
+        );
+        // 5: INSERT_CALL_FORWARDING(s_id, sub_nbr, sf_type, start_time, end_time)
+        registry.register(
+            ProcedureDef::new(
+                "INSERT_CALL_FORWARDING",
+                move |p, _| root_write(p),
+                by_sid,
+                move |ctx| {
+                    let p = ctx.params();
+                    let Some(s_row) =
+                        ctx.lookup_unique_by(by_nbr, || IndexKey::single(p[1].as_str()))
+                    else {
+                        ctx.abort("unknown subscriber number");
+                        return;
+                    };
+                    let s = s_row as i64;
+                    let sf_type = ctx.param_int(2);
+                    let start = ctx.param_int(3);
+                    let end = ctx.param_int(4);
+                    if ctx
+                        .lookup_unique_by(sf_pk, || IndexKey::pair(s, sf_type))
+                        .is_none()
+                    {
+                        ctx.abort("special facility not found");
+                        return;
+                    }
+                    if ctx
+                        .lookup_unique_by(cf_pk, || IndexKey::triple(s, sf_type, start))
+                        .is_some()
+                    {
+                        ctx.abort("call forwarding already exists");
+                        return;
+                    }
+                    ctx.insert(
+                        cf_t,
+                        vec![
+                            Value::Int(s),
+                            Value::Int(sf_type),
+                            Value::Int(start),
+                            Value::Int(end),
+                            Value::Str(format!("{:015}", s)),
+                        ],
+                    );
+                },
+            )
+            .with_plan_access(move |p, probe| {
+                // The later keys derive from the first resolution; stop on a
+                // miss the body will abort on (it then never consumes further
+                // entries, keeping plan and body aligned).
+                let Some(s_row) = probe.unique(by_nbr, &IndexKey::single(p[1].as_str())) else {
+                    return;
+                };
+                let s = s_row as i64;
+                let sf_type = p[2].as_int();
+                let start = p[3].as_int();
+                probe.unique(sf_pk, &IndexKey::pair(s, sf_type));
+                probe.unique(cf_pk, &IndexKey::triple(s, sf_type, start));
+            }),
+        );
+        // 6: DELETE_CALL_FORWARDING(s_id, sub_nbr, sf_type, start_time)
+        registry.register(
+            ProcedureDef::new(
+                "DELETE_CALL_FORWARDING",
+                move |p, _| root_write(p),
+                by_sid,
+                move |ctx| {
+                    let p = ctx.params();
+                    let Some(_) = ctx.lookup_unique_by(by_nbr, || IndexKey::single(p[1].as_str()))
+                    else {
+                        ctx.abort("unknown subscriber number");
+                        return;
+                    };
+                    let s = ctx.param_int(0);
+                    let sf_type = ctx.param_int(2);
+                    let start = ctx.param_int(3);
+                    match ctx.lookup_unique_by(cf_pk, || IndexKey::triple(s, sf_type, start)) {
+                        Some(row) => ctx.delete(cf_t, row),
+                        None => ctx.abort("call forwarding not found"),
+                    }
+                },
+            )
+            .with_plan_access(move |p, probe| {
+                probe.unique(by_nbr, &IndexKey::single(p[1].as_str()));
+                probe.unique(
+                    cf_pk,
+                    &IndexKey::triple(p[0].as_int(), p[2].as_int(), p[3].as_int()),
+                );
+            }),
+        );
 
         // The standard TM1 transaction mix.
         let mix: [(TxnTypeId, u32); 7] = [
@@ -269,455 +474,6 @@ impl Tm1Config {
 
         WorkloadBundle::new("tm1", db, registry, subscribers, generator)
     }
-}
-
-/// Table and index handles shared by both procedure registrations.
-#[derive(Clone, Copy)]
-struct Tm1Handles {
-    sub_t: TableId,
-    ai_t: TableId,
-    sf_t: TableId,
-    cf_t: TableId,
-    by_nbr: IndexId,
-    ai_pk: IndexId,
-    sf_pk: IndexId,
-    cf_pk: IndexId,
-    cf_by_sf: IndexId,
-}
-
-/// The original `Value`-typed procedures: the `hotpath` benchmark baseline
-/// and the reference the equivalence suite compares the plan-backed fast
-/// path against. Lookups go through interned [`IndexId`] handles (no access
-/// plans, so every probe hits the live index); reads and writes stay on the
-/// untyped `Value` path.
-fn register_legacy(registry: &mut ProcedureRegistry, h: Tm1Handles) {
-    let Tm1Handles {
-        sub_t,
-        ai_t,
-        sf_t,
-        cf_t,
-        by_nbr,
-        ai_pk,
-        sf_pk,
-        cf_pk,
-        cf_by_sf,
-    } = h;
-    let root_read = move |params: &[Value]| {
-        vec![BasicOp {
-            item: DataItemId::whole_row(sub_t, params[0].as_int() as u64),
-            kind: OpKind::Read,
-        }]
-    };
-    let root_write = move |params: &[Value]| {
-        vec![BasicOp {
-            item: DataItemId::whole_row(sub_t, params[0].as_int() as u64),
-            kind: OpKind::Write,
-        }]
-    };
-    let by_sid = |params: &[Value]| Some(params[0].as_int() as u64);
-
-    // 0: GET_SUBSCRIBER_DATA(s_id)
-    registry.register(ProcedureDef::new(
-        "GET_SUBSCRIBER_DATA",
-        move |p, _| root_read(p),
-        by_sid,
-        move |ctx| {
-            let s = ctx.param_int(0) as u64;
-            for col in [2, 3, 4] {
-                ctx.read(sub_t, s, col);
-            }
-        },
-    ));
-    // 1: GET_NEW_DESTINATION(s_id, sf_type, start_time, end_time)
-    registry.register(ProcedureDef::new(
-        "GET_NEW_DESTINATION",
-        move |p, _| root_read(p),
-        by_sid,
-        move |ctx| {
-            let s = ctx.param_int(0);
-            let sf_type = ctx.param_int(1);
-            let start = ctx.param_int(2);
-            let end = ctx.param_int(3);
-            let sf_row = ctx.lookup_unique_by(sf_pk, || IndexKey::pair(s, sf_type));
-            let active = match sf_row {
-                Some(r) => ctx.read(sf_t, r, 2).as_int() == 1,
-                None => false,
-            };
-            if !active {
-                ctx.abort("no active special facility");
-                return;
-            }
-            let cf_rows = ctx.lookup_by(cf_by_sf, || IndexKey::pair(s, sf_type));
-            let mut found = false;
-            for &r in cf_rows.iter() {
-                let st = ctx.read(cf_t, r, 2).as_int();
-                let en = ctx.read(cf_t, r, 3).as_int();
-                if st <= start && end < en {
-                    ctx.read(cf_t, r, 3);
-                    found = true;
-                }
-            }
-            if !found {
-                ctx.abort("no matching call forwarding");
-            }
-        },
-    ));
-    // 2: GET_ACCESS_DATA(s_id, ai_type)
-    registry.register(ProcedureDef::new(
-        "GET_ACCESS_DATA",
-        move |p, _| root_read(p),
-        by_sid,
-        move |ctx| {
-            let s = ctx.param_int(0);
-            let ai_type = ctx.param_int(1);
-            match ctx.lookup_unique_by(ai_pk, || IndexKey::pair(s, ai_type)) {
-                Some(r) => {
-                    ctx.read(ai_t, r, 2);
-                    ctx.read(ai_t, r, 3);
-                }
-                None => ctx.abort("access info not found"),
-            }
-        },
-    ));
-    // 3: UPDATE_SUBSCRIBER_DATA(s_id, bit_1, sf_type, data_a)
-    registry.register(ProcedureDef::new(
-        "UPDATE_SUBSCRIBER_DATA",
-        move |p, _| root_write(p),
-        by_sid,
-        move |ctx| {
-            let s = ctx.param_int(0) as u64;
-            let sf_type = ctx.param_int(2);
-            // Two-phase: check existence before any write.
-            let sf_row = ctx.lookup_unique_by(sf_pk, || IndexKey::pair(s as i64, sf_type));
-            let Some(sf_row) = sf_row else {
-                ctx.abort("special facility not found");
-                return;
-            };
-            let bit = ctx.param_int(1);
-            let data_a = ctx.param_int(3);
-            ctx.write(sub_t, s, 2, Value::Int(bit));
-            ctx.write(sf_t, sf_row, 3, Value::Int(data_a));
-        },
-    ));
-    // 4: UPDATE_LOCATION(s_id, sub_nbr, vlr_location) — string lookup split.
-    registry.register(ProcedureDef::new(
-        "UPDATE_LOCATION",
-        move |p, _| root_write(p),
-        by_sid,
-        move |ctx| {
-            let nbr = ctx.param_str(1).to_string();
-            let Some(row) = ctx.lookup_unique_by(by_nbr, || IndexKey::single(nbr.as_str())) else {
-                ctx.abort("unknown subscriber number");
-                return;
-            };
-            let vlr = ctx.param_int(2);
-            ctx.write(sub_t, row, 4, Value::Int(vlr));
-        },
-    ));
-    // 5: INSERT_CALL_FORWARDING(s_id, sub_nbr, sf_type, start_time, end_time)
-    registry.register(ProcedureDef::new(
-        "INSERT_CALL_FORWARDING",
-        move |p, _| root_write(p),
-        by_sid,
-        move |ctx| {
-            let nbr = ctx.param_str(1).to_string();
-            let Some(s_row) = ctx.lookup_unique_by(by_nbr, || IndexKey::single(nbr.as_str()))
-            else {
-                ctx.abort("unknown subscriber number");
-                return;
-            };
-            let s = s_row as i64;
-            let sf_type = ctx.param_int(2);
-            let start = ctx.param_int(3);
-            let end = ctx.param_int(4);
-            if ctx
-                .lookup_unique_by(sf_pk, || IndexKey::pair(s, sf_type))
-                .is_none()
-            {
-                ctx.abort("special facility not found");
-                return;
-            }
-            if ctx
-                .lookup_unique_by(cf_pk, || IndexKey::triple(s, sf_type, start))
-                .is_some()
-            {
-                ctx.abort("call forwarding already exists");
-                return;
-            }
-            ctx.insert(
-                cf_t,
-                vec![
-                    Value::Int(s),
-                    Value::Int(sf_type),
-                    Value::Int(start),
-                    Value::Int(end),
-                    Value::Str(format!("{:015}", s)),
-                ],
-            );
-        },
-    ));
-    // 6: DELETE_CALL_FORWARDING(s_id, sub_nbr, sf_type, start_time)
-    registry.register(ProcedureDef::new(
-        "DELETE_CALL_FORWARDING",
-        move |p, _| root_write(p),
-        by_sid,
-        move |ctx| {
-            let nbr = ctx.param_str(1).to_string();
-            let Some(_) = ctx.lookup_unique_by(by_nbr, || IndexKey::single(nbr.as_str())) else {
-                ctx.abort("unknown subscriber number");
-                return;
-            };
-            let s = ctx.param_int(0);
-            let sf_type = ctx.param_int(2);
-            let start = ctx.param_int(3);
-            match ctx.lookup_unique_by(cf_pk, || IndexKey::triple(s, sf_type, start)) {
-                Some(row) => ctx.delete(cf_t, row),
-                None => ctx.abort("call forwarding not found"),
-            }
-        },
-    ));
-}
-
-/// The plan-backed fast path: interned index handles, gather callbacks that
-/// pre-resolve every lookup during bulk grouping, and typed field accessors.
-/// Bodies mirror the legacy procedures operation for operation, so outcomes,
-/// traces and final state are bit-identical.
-fn register_planned(registry: &mut ProcedureRegistry, h: Tm1Handles) {
-    let Tm1Handles {
-        sub_t,
-        ai_t,
-        sf_t,
-        cf_t,
-        by_nbr,
-        ai_pk,
-        sf_pk,
-        cf_pk,
-        cf_by_sf,
-    } = h;
-    let root_read = move |params: &[Value]| {
-        vec![BasicOp {
-            item: DataItemId::whole_row(sub_t, params[0].as_int() as u64),
-            kind: OpKind::Read,
-        }]
-    };
-    let root_write = move |params: &[Value]| {
-        vec![BasicOp {
-            item: DataItemId::whole_row(sub_t, params[0].as_int() as u64),
-            kind: OpKind::Write,
-        }]
-    };
-    let by_sid = |params: &[Value]| Some(params[0].as_int() as u64);
-
-    // 0: GET_SUBSCRIBER_DATA(s_id) — no lookups; typed reads only.
-    registry.register(ProcedureDef::new(
-        "GET_SUBSCRIBER_DATA",
-        move |p, _| root_read(p),
-        by_sid,
-        move |ctx| {
-            let s = ctx.param_int(0) as u64;
-            for col in [2, 3, 4] {
-                ctx.read_i64(sub_t, s, col);
-            }
-        },
-    ));
-    // 1: GET_NEW_DESTINATION(s_id, sf_type, start_time, end_time)
-    registry.register(
-        ProcedureDef::new(
-            "GET_NEW_DESTINATION",
-            move |p, _| root_read(p),
-            by_sid,
-            move |ctx| {
-                let s = ctx.param_int(0);
-                let sf_type = ctx.param_int(1);
-                let start = ctx.param_int(2);
-                let end = ctx.param_int(3);
-                let sf_row = ctx.lookup_unique_by(sf_pk, || IndexKey::pair(s, sf_type));
-                let active = match sf_row {
-                    Some(r) => ctx.read_i64(sf_t, r, 2) == 1,
-                    None => false,
-                };
-                if !active {
-                    ctx.abort("no active special facility");
-                    return;
-                }
-                let cf_rows = ctx.lookup_by(cf_by_sf, || IndexKey::pair(s, sf_type));
-                let mut found = false;
-                for &r in cf_rows.iter() {
-                    let st = ctx.read_i64(cf_t, r, 2);
-                    let en = ctx.read_i64(cf_t, r, 3);
-                    if st <= start && end < en {
-                        ctx.read_i64(cf_t, r, 3);
-                        found = true;
-                    }
-                }
-                if !found {
-                    ctx.abort("no matching call forwarding");
-                }
-            },
-        )
-        .with_plan_access(move |p, probe| {
-            // Both lookups are param-derived; resolve them unconditionally
-            // (the body skips the second on abort, which is fine).
-            probe.unique(sf_pk, &IndexKey::pair(p[0].as_int(), p[1].as_int()));
-            probe.multi(cf_by_sf, &IndexKey::pair(p[0].as_int(), p[1].as_int()));
-        }),
-    );
-    // 2: GET_ACCESS_DATA(s_id, ai_type)
-    registry.register(
-        ProcedureDef::new(
-            "GET_ACCESS_DATA",
-            move |p, _| root_read(p),
-            by_sid,
-            move |ctx| {
-                let s = ctx.param_int(0);
-                let ai_type = ctx.param_int(1);
-                match ctx.lookup_unique_by(ai_pk, || IndexKey::pair(s, ai_type)) {
-                    Some(r) => {
-                        ctx.read_i64(ai_t, r, 2);
-                        ctx.read_i64(ai_t, r, 3);
-                    }
-                    None => ctx.abort("access info not found"),
-                }
-            },
-        )
-        .with_plan_access(move |p, probe| {
-            probe.unique(ai_pk, &IndexKey::pair(p[0].as_int(), p[1].as_int()));
-        }),
-    );
-    // 3: UPDATE_SUBSCRIBER_DATA(s_id, bit_1, sf_type, data_a)
-    registry.register(
-        ProcedureDef::new(
-            "UPDATE_SUBSCRIBER_DATA",
-            move |p, _| root_write(p),
-            by_sid,
-            move |ctx| {
-                let s = ctx.param_int(0) as u64;
-                let sf_type = ctx.param_int(2);
-                // Two-phase: check existence before any write.
-                let sf_row = ctx.lookup_unique_by(sf_pk, || IndexKey::pair(s as i64, sf_type));
-                let Some(sf_row) = sf_row else {
-                    ctx.abort("special facility not found");
-                    return;
-                };
-                let bit = ctx.param_int(1);
-                let data_a = ctx.param_int(3);
-                ctx.write_i64(sub_t, s, 2, bit);
-                ctx.write_i64(sf_t, sf_row, 3, data_a);
-            },
-        )
-        .with_plan_access(move |p, probe| {
-            probe.unique(sf_pk, &IndexKey::pair(p[0].as_int(), p[2].as_int()));
-        }),
-    );
-    // 4: UPDATE_LOCATION(s_id, sub_nbr, vlr_location) — string lookup split.
-    // With a plan the sub_nbr string is never touched during execution.
-    registry.register(
-        ProcedureDef::new(
-            "UPDATE_LOCATION",
-            move |p, _| root_write(p),
-            by_sid,
-            move |ctx| {
-                let p = ctx.params();
-                let Some(row) = ctx.lookup_unique_by(by_nbr, || IndexKey::single(p[1].as_str()))
-                else {
-                    ctx.abort("unknown subscriber number");
-                    return;
-                };
-                let vlr = ctx.param_int(2);
-                ctx.write_i64(sub_t, row, 4, vlr);
-            },
-        )
-        .with_plan_access(move |p, probe| {
-            probe.unique(by_nbr, &IndexKey::single(p[1].as_str()));
-        }),
-    );
-    // 5: INSERT_CALL_FORWARDING(s_id, sub_nbr, sf_type, start_time, end_time)
-    registry.register(
-        ProcedureDef::new(
-            "INSERT_CALL_FORWARDING",
-            move |p, _| root_write(p),
-            by_sid,
-            move |ctx| {
-                let p = ctx.params();
-                let Some(s_row) = ctx.lookup_unique_by(by_nbr, || IndexKey::single(p[1].as_str()))
-                else {
-                    ctx.abort("unknown subscriber number");
-                    return;
-                };
-                let s = s_row as i64;
-                let sf_type = ctx.param_int(2);
-                let start = ctx.param_int(3);
-                let end = ctx.param_int(4);
-                if ctx
-                    .lookup_unique_by(sf_pk, || IndexKey::pair(s, sf_type))
-                    .is_none()
-                {
-                    ctx.abort("special facility not found");
-                    return;
-                }
-                if ctx
-                    .lookup_unique_by(cf_pk, || IndexKey::triple(s, sf_type, start))
-                    .is_some()
-                {
-                    ctx.abort("call forwarding already exists");
-                    return;
-                }
-                ctx.insert(
-                    cf_t,
-                    vec![
-                        Value::Int(s),
-                        Value::Int(sf_type),
-                        Value::Int(start),
-                        Value::Int(end),
-                        Value::Str(format!("{:015}", s)),
-                    ],
-                );
-            },
-        )
-        .with_plan_access(move |p, probe| {
-            // The later keys derive from the first resolution; stop on a
-            // miss the body will abort on (it then never consumes further
-            // entries, keeping plan and body aligned).
-            let Some(s_row) = probe.unique(by_nbr, &IndexKey::single(p[1].as_str())) else {
-                return;
-            };
-            let s = s_row as i64;
-            let sf_type = p[2].as_int();
-            let start = p[3].as_int();
-            probe.unique(sf_pk, &IndexKey::pair(s, sf_type));
-            probe.unique(cf_pk, &IndexKey::triple(s, sf_type, start));
-        }),
-    );
-    // 6: DELETE_CALL_FORWARDING(s_id, sub_nbr, sf_type, start_time)
-    registry.register(
-        ProcedureDef::new(
-            "DELETE_CALL_FORWARDING",
-            move |p, _| root_write(p),
-            by_sid,
-            move |ctx| {
-                let p = ctx.params();
-                let Some(_) = ctx.lookup_unique_by(by_nbr, || IndexKey::single(p[1].as_str()))
-                else {
-                    ctx.abort("unknown subscriber number");
-                    return;
-                };
-                let s = ctx.param_int(0);
-                let sf_type = ctx.param_int(2);
-                let start = ctx.param_int(3);
-                match ctx.lookup_unique_by(cf_pk, || IndexKey::triple(s, sf_type, start)) {
-                    Some(row) => ctx.delete(cf_t, row),
-                    None => ctx.abort("call forwarding not found"),
-                }
-            },
-        )
-        .with_plan_access(move |p, probe| {
-            probe.unique(by_nbr, &IndexKey::single(p[1].as_str()));
-            probe.unique(
-                cf_pk,
-                &IndexKey::triple(p[0].as_int(), p[2].as_int(), p[3].as_int()),
-            );
-        }),
-    );
 }
 
 #[cfg(test)]

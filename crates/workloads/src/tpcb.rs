@@ -11,7 +11,7 @@
 //! 1,000 per branch so simulation stays laptop-sized (the access pattern —
 //! one account, one teller, one branch per transaction — is unchanged).
 
-use crate::workload::{AccessApi, WorkloadBundle};
+use crate::workload::WorkloadBundle;
 use gputx_storage::schema::{ColumnDef, TableSchema};
 use gputx_storage::{DataItemId, DataType, Database, Value};
 use gputx_txn::{BasicOp, ProcedureDef, ProcedureRegistry};
@@ -44,17 +44,8 @@ impl TpcbConfig {
         self
     }
 
-    /// Build the populated database, registered procedure and generator,
-    /// using the typed fast path ([`AccessApi::Planned`]).
+    /// Build the populated database, registered procedure and generator.
     pub fn build(&self) -> WorkloadBundle {
-        self.build_with_api(AccessApi::default())
-    }
-
-    /// Build with an explicit storage-access API. TPC-B performs no index
-    /// lookups, so the two variants differ only in field access: the legacy
-    /// body materializes a `Value` per read/write, the planned body uses the
-    /// allocation-free typed accessors. Behaviour is identical.
-    pub fn build_with_api(&self, api: AccessApi) -> WorkloadBundle {
         let branches = self.scale_factor;
         let mut db = Database::column_store();
         let branch_t = db.create_table(TableSchema::new(
@@ -127,60 +118,32 @@ impl TpcbConfig {
             ]
         };
         let partition_key = |params: &[Value]| Some(params[0].as_int() as u64);
-        match api {
-            AccessApi::Legacy => registry.register(ProcedureDef::new(
-                "tpcb_transaction",
-                read_write_set,
-                partition_key,
-                move |ctx| {
-                    let branch = ctx.param_int(0) as u64;
-                    let teller = ctx.param_int(1) as u64;
-                    let account = ctx.param_int(2) as u64;
-                    let delta = ctx.param_double(3);
-                    let ab = ctx.read(account_t, account, 2).as_double();
-                    ctx.write(account_t, account, 2, Value::Double(ab + delta));
-                    let tb = ctx.read(teller_t, teller, 2).as_double();
-                    ctx.write(teller_t, teller, 2, Value::Double(tb + delta));
-                    let bb = ctx.read(branch_t, branch, 1).as_double();
-                    ctx.write(branch_t, branch, 1, Value::Double(bb + delta));
-                    ctx.insert(
-                        history_t,
-                        vec![
-                            Value::Int(account as i64),
-                            Value::Int(teller as i64),
-                            Value::Int(branch as i64),
-                            Value::Double(delta),
-                        ],
-                    );
-                },
-            )),
-            AccessApi::Planned => registry.register(ProcedureDef::new(
-                "tpcb_transaction",
-                read_write_set,
-                partition_key,
-                move |ctx| {
-                    let branch = ctx.param_int(0) as u64;
-                    let teller = ctx.param_int(1) as u64;
-                    let account = ctx.param_int(2) as u64;
-                    let delta = ctx.param_double(3);
-                    let ab = ctx.read_f64(account_t, account, 2);
-                    ctx.write_f64(account_t, account, 2, ab + delta);
-                    let tb = ctx.read_f64(teller_t, teller, 2);
-                    ctx.write_f64(teller_t, teller, 2, tb + delta);
-                    let bb = ctx.read_f64(branch_t, branch, 1);
-                    ctx.write_f64(branch_t, branch, 1, bb + delta);
-                    ctx.insert(
-                        history_t,
-                        vec![
-                            Value::Int(account as i64),
-                            Value::Int(teller as i64),
-                            Value::Int(branch as i64),
-                            Value::Double(delta),
-                        ],
-                    );
-                },
-            )),
-        };
+        registry.register(ProcedureDef::new(
+            "tpcb_transaction",
+            read_write_set,
+            partition_key,
+            move |ctx| {
+                let branch = ctx.param_int(0) as u64;
+                let teller = ctx.param_int(1) as u64;
+                let account = ctx.param_int(2) as u64;
+                let delta = ctx.param_double(3);
+                let ab = ctx.read_f64(account_t, account, 2);
+                ctx.write_f64(account_t, account, 2, ab + delta);
+                let tb = ctx.read_f64(teller_t, teller, 2);
+                ctx.write_f64(teller_t, teller, 2, tb + delta);
+                let bb = ctx.read_f64(branch_t, branch, 1);
+                ctx.write_f64(branch_t, branch, 1, bb + delta);
+                ctx.insert(
+                    history_t,
+                    vec![
+                        Value::Int(account as i64),
+                        Value::Int(teller as i64),
+                        Value::Int(branch as i64),
+                        Value::Double(delta),
+                    ],
+                );
+            },
+        ));
 
         let generator = Box::new(move |rng: &mut rand::rngs::StdRng| {
             let branch = rng.random_range(0..branches);

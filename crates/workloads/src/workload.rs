@@ -8,26 +8,6 @@ use rand::SeedableRng;
 /// Closure type that draws the next transaction (type + parameters).
 pub type TxnGenerator = Box<dyn FnMut(&mut StdRng) -> (TxnTypeId, Vec<Value>) + Send>;
 
-/// Which storage-access API a workload's procedures are written against.
-///
-/// The two variants register *behaviourally identical* procedures — same
-/// outcomes, same thread traces, same final database state — differing only
-/// in how they touch storage. The equivalence suite
-/// (`tests/hotpath_equivalence.rs`) and the `hotpath` benchmark compare them
-/// directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AccessApi {
-    /// The original path: string-keyed index lookups resolved per operation
-    /// and every field access materializing a `Value`. Kept as the benchmark
-    /// baseline.
-    Legacy,
-    /// The fast path (the default): interned `IndexId` handles, per-bulk
-    /// `AccessPlan` gather callbacks, and allocation-free typed accessors
-    /// (`read_i64`/`write_f64`/…).
-    #[default]
-    Planned,
-}
-
 /// A fully built workload: populated database, registered procedures and a
 /// random transaction generator.
 pub struct WorkloadBundle {

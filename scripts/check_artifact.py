@@ -68,24 +68,12 @@ SCHEMAS = {
             "schema": int,
             "experiment": str,
             "transactions": int,
-            "tm1_legacy_ms": NUMBER,
+            "tm1_unplanned_ms": NUMBER,
             "tm1_planned_ms": NUMBER,
             "tm1_plan_build_ms": NUMBER,
             "tm1_speedup": NUMBER,
-            "tpcb_legacy_ms": NUMBER,
-            "tpcb_planned_ms": NUMBER,
-            "tpcb_plan_build_ms": NUMBER,
-            "tpcb_speedup": NUMBER,
         },
-        "positive": [
-            "transactions",
-            "tm1_legacy_ms",
-            "tm1_planned_ms",
-            "tm1_speedup",
-            "tpcb_legacy_ms",
-            "tpcb_planned_ms",
-            "tpcb_speedup",
-        ],
+        "positive": ["transactions", "tm1_unplanned_ms", "tm1_planned_ms", "tm1_speedup"],
     },
     # `figures -- durability --json`
     "durability": {
@@ -436,6 +424,17 @@ _VALID_REPLICATION = {
 }
 
 
+_VALID_HOTPATH = {
+    "schema": 1,
+    "experiment": "hotpath",
+    "transactions": 65536,
+    "tm1_unplanned_ms": 60.1,
+    "tm1_planned_ms": 31.7,
+    "tm1_plan_build_ms": 29.5,
+    "tm1_speedup": 1.896,
+}
+
+
 _VALID_TPCC = {
     "schema": 1,
     "experiment": "tpcc",
@@ -483,7 +482,10 @@ def _self_test_cases():
     bad_decision_sum = _tpcc_with_ledger(decisions={"kset": 4, "part": 1, "tpl": 4})
     degenerate = _tpcc_with_ledger(decisions={"kset": 8, "part": 0, "tpl": 0}, strategies_used=1)
     miscounted_used = _tpcc_with_ledger(strategies_used=3)
+    zero_planned = dict(_VALID_HOTPATH, tm1_planned_ms=0.0)
     return [
+        ("hotpath-valid", "hotpath", _VALID_HOTPATH, True),
+        ("hotpath-zero-planned", "hotpath", zero_planned, False),
         ("htap-valid", "htap", _VALID_HTAP, True),
         ("htap-inconsistent", "htap", inconsistent, False),
         ("htap-p50-above-p99", "htap", crossed, False),

@@ -1,178 +1,158 @@
-//! The plan-backed typed fast path is bit-identical to the legacy
-//! `Value`/hash path.
+//! Plan-backed execution is bit-identical to live probing.
 //!
-//! Each bundled workload (TM1, TPC-B, micro, TPC-C) can be built against either
-//! storage-access API (`AccessApi::Legacy` / `AccessApi::Planned`). For the
-//! same seed both variants receive the identical transaction stream; this
-//! suite asserts that executing it produces identical per-transaction
-//! outcomes, identical thread traces (byte-for-byte trace accounting) and an
-//! identical final database state —
+//! Every workload whose procedures declare access-plan callbacks (TM1, TPC-C
+//! and the ledger) runs one transaction stream through one registry twice:
+//! with the stream's [`AccessPlan`], so each `lookup_*_by` returns a
+//! pre-resolved row, and without one, so each lookup probes the live index —
+//! the path the engine takes for a stale plan entry. This suite asserts
+//! identical per-transaction outcomes, thread traces (byte-for-byte trace
+//! accounting) and undo counts, and an identical final database —
 //!
-//! * per transaction through the registry (serial, with and without a
-//!   pre-built [`AccessPlan`]),
-//! * through the full strategy path (`execute_bulk`, K-SET and PART) at
-//!   1/2/4/8 worker threads,
+//! * per transaction through the registry (serial),
+//! * through `Executor::run_groups` at 1/2/4/8 worker threads against the
+//!   serial executor,
+//! * through the full strategy path (`try_execute_bulk_planned`, K-SET and
+//!   PART) at 1/2/4/8 worker threads,
 //! * and for a plan gone *stale* (built against a snapshot whose indexes
 //!   have since changed), which must transparently fall back to live probes.
 
-use gputx_core::{execute_bulk, Bulk, EngineConfig, ExecContext, StrategyKind};
-use gputx_exec::Executor;
-use gputx_exec::{ExecPolicy, ExecutorChoice, ParallelExecutor, SerialExecutor};
+use gputx_core::strategy::try_execute_bulk_planned;
+use gputx_core::{Bulk, EngineConfig, ExecContext, StrategyKind};
+use gputx_exec::{ExecPolicy, Executor, ExecutorChoice, ParallelExecutor, SerialExecutor};
 use gputx_sim::Gpu;
-use gputx_storage::{Database, Value};
-use gputx_txn::{AccessPlan, ProcedureRegistry, TxnScratch, TxnSignature};
-use gputx_workloads::{
-    AccessApi, MicroConfig, MicroWorkload, Tm1Config, TpcbConfig, TpccConfig, WorkloadBundle,
-};
+use gputx_storage::Value;
+use gputx_txn::{plan_kset_waves, plan_partition_groups, AccessPlan, TxnScratch, TxnSignature};
+use gputx_workloads::{LedgerConfig, Tm1Config, TpccConfig, WorkloadBundle};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Build the Legacy and Planned variants of one workload plus the identical
-/// transaction stream both will execute.
-fn variants(
-    name: &str,
-    n: usize,
-    seed: u64,
-) -> (WorkloadBundle, WorkloadBundle, Vec<TxnSignature>) {
-    let build = |api: AccessApi| -> WorkloadBundle {
-        match name {
-            "tm1" => Tm1Config { scale_factor: 1 }.build_with_api(api),
-            "tpcb" => TpcbConfig::default()
-                .with_scale_factor(8)
-                .build_with_api(api),
-            "micro" => MicroWorkload::build_with_api(
-                &MicroConfig::default().with_tuples(512).with_skew(0.3),
-                api,
-            ),
-            // Single-partition so the partition-grouping tests apply; the
-            // cross-partition planned path is covered by the workload's own
-            // suite and the adaptive equivalence matrix.
-            "tpcc" => TpccConfig::default()
-                .with_warehouses(2)
-                .single_partition_only()
-                .build_with_api(api),
-            other => panic!("unknown workload {other}"),
-        }
+/// The workloads whose procedures declare access-plan callbacks.
+const PLANNED_WORKLOADS: [&str; 3] = ["tm1", "tpcc", "ledger"];
+
+/// Build one workload, draw `n` transactions at `seed`, and resolve their
+/// access plan against the populated database.
+fn fixture(name: &str, n: usize, seed: u64) -> (WorkloadBundle, Vec<TxnSignature>, AccessPlan) {
+    let mut bundle = match name {
+        "tm1" => Tm1Config { scale_factor: 1 }.build(),
+        // The default mix, remote payments and remote new-orders included.
+        "tpcc" => TpccConfig::default().with_warehouses(2).build(),
+        "ledger" => LedgerConfig::default().with_accounts(1024).build(),
+        other => panic!("unknown workload {other}"),
     };
-    let mut legacy = build(AccessApi::Legacy);
-    let mut planned = build(AccessApi::Planned);
-    assert!(
-        legacy.db == planned.db,
-        "{name}: the API choice must not change the populated database"
-    );
-    legacy.reseed(seed);
-    planned.reseed(seed);
-    let sigs = legacy.generate_signatures(n, 0);
-    let planned_sigs = planned.generate_signatures(n, 0);
-    let a: Vec<_> = sigs
-        .iter()
-        .map(|s| (s.id, s.ty, s.params.clone()))
-        .collect();
-    let b: Vec<_> = planned_sigs
-        .iter()
-        .map(|s| (s.id, s.ty, s.params.clone()))
-        .collect();
-    assert_eq!(a, b, "{name}: identical streams for identical seeds");
-    (legacy, planned, sigs)
+    bundle.reseed(seed);
+    let sigs = bundle.generate_signatures(n, 0);
+    let plan = AccessPlan::build(&bundle.registry, &bundle.db, &sigs);
+    assert!(!plan.is_empty(), "{name} procedures declare plan callbacks");
+    (bundle, sigs, plan)
 }
 
-/// Serial, per-transaction: legacy execution vs planned execution with a
+/// An executor schedule for a stream, as rounds of disjoint groups run one
+/// after another: one round of partition groups when every transaction is
+/// single-partition, otherwise one round per K-SET wave with one transaction
+/// per group.
+fn schedule<'a>(
+    bundle: &WorkloadBundle,
+    sigs: &'a [TxnSignature],
+) -> Vec<Vec<Vec<&'a TxnSignature>>> {
+    let registry = &bundle.registry;
+    let keys: Vec<_> = sigs
+        .iter()
+        .map(|s| (s.id, registry.partition_key(s)))
+        .collect();
+    let rounds = match plan_partition_groups(&keys, 1) {
+        Some(groups) => vec![groups],
+        None => {
+            let ops: Vec<_> = sigs
+                .iter()
+                .map(|s| (s.id, registry.read_write_set(s, &bundle.db)))
+                .collect();
+            plan_kset_waves(&ops)
+                .into_iter()
+                .map(|wave| wave.into_iter().map(|id| vec![id]).collect())
+                .collect()
+        }
+    };
+    // Signature ids start at 0, so an id is also the signature's index.
+    rounds
+        .into_iter()
+        .map(|round: Vec<Vec<u64>>| {
+            round
+                .into_iter()
+                .map(|group| group.into_iter().map(|id| &sigs[id as usize]).collect())
+                .collect()
+        })
+        .collect()
+}
+
+/// Serial, per transaction: live-probe execution vs execution with the
 /// pre-built access plan. Traces, outcomes and undo counts must be equal
 /// transaction by transaction; the final databases must be equal.
 #[test]
 fn serial_per_txn_traces_outcomes_and_state_match() {
-    for name in ["tm1", "tpcb", "micro", "tpcc"] {
-        let (legacy, planned, sigs) = variants(name, 1_500, 7);
-        let mut legacy_db = legacy.db.clone();
-        let legacy_out: Vec<_> = sigs
+    for name in PLANNED_WORKLOADS {
+        let (bundle, sigs, plan) = fixture(name, 1_500, 7);
+        let mut live_db = bundle.db.clone();
+        let live_out: Vec<_> = sigs
             .iter()
-            .map(|sig| legacy.registry.execute(sig, &mut legacy_db))
+            .map(|sig| bundle.registry.execute(sig, &mut live_db))
             .collect();
-        legacy_db.apply_insert_buffers();
+        live_db.apply_insert_buffers();
 
-        let plan = AccessPlan::build(&planned.registry, &planned.db, &sigs);
-        let plan = (!plan.is_empty()).then_some(plan);
-        if name == "tm1" || name == "tpcc" {
-            assert!(plan.is_some(), "{name} procedures declare plan callbacks");
-        }
-        let mut planned_db = planned.db.clone();
+        let mut planned_db = bundle.db.clone();
         let mut scratch = TxnScratch::default();
         let planned_out: Vec<_> = sigs
             .iter()
             .map(|sig| {
-                planned
+                bundle
                     .registry
-                    .execute_planned(sig, &mut planned_db, plan.as_ref(), &mut scratch)
+                    .execute_planned(sig, &mut planned_db, Some(&plan), &mut scratch)
             })
             .collect();
         planned_db.apply_insert_buffers();
 
         assert_eq!(
-            legacy_out, planned_out,
+            live_out, planned_out,
             "{name}: traces/outcomes/undo counts must be bit-identical"
         );
         assert!(
-            legacy_db == planned_db,
+            live_db == planned_db,
             "{name}: final database state must be bit-identical"
         );
     }
 }
 
-/// Executor-level at 1/2/4/8 threads: the planned path (with plan) through
-/// the parallel executor must match the legacy path through the serial
-/// reference, including traces.
+/// Executor-level at 1/2/4/8 threads: the plan-backed parallel executor must
+/// match the live-probe serial executor on the same schedule, traces included.
 #[test]
-fn parallel_executor_matches_legacy_serial_reference() {
-    for name in ["tm1", "tpcb", "micro", "tpcc"] {
-        let (legacy, planned, sigs) = variants(name, 1_200, 11);
-        // One group per partition key, in timestamp order.
-        let groups = |bundle: &WorkloadBundle, sigs: &[TxnSignature]| {
-            let mut by_partition: std::collections::BTreeMap<u64, Vec<usize>> = Default::default();
-            for (i, sig) in sigs.iter().enumerate() {
-                let key = bundle
-                    .registry
-                    .partition_key(sig)
-                    .expect("single-partition");
-                by_partition.entry(key).or_default().push(i);
-            }
-            by_partition.into_values().collect::<Vec<_>>()
-        };
-        let group_idx = groups(&legacy, &sigs);
-        let as_refs = |idx: &[Vec<usize>]| -> Vec<Vec<&TxnSignature>> {
-            idx.iter()
-                .map(|g| g.iter().map(|&i| &sigs[i]).collect())
-                .collect()
-        };
-        let group_refs = as_refs(&group_idx);
+fn parallel_executor_matches_live_probe_serial_reference() {
+    for name in PLANNED_WORKLOADS {
+        let (bundle, sigs, plan) = fixture(name, 1_200, 11);
+        let rounds = schedule(&bundle, &sigs);
         let policy = ExecPolicy::gpu(true);
+        let run = |exec: &dyn Executor, plan: Option<&AccessPlan>| {
+            let mut db = bundle.db.clone();
+            let mut out = Vec::new();
+            for groups in &rounds {
+                out.extend(
+                    exec.run_groups(&mut db, &bundle.registry, &policy, groups, plan)
+                        .unwrap(),
+                );
+            }
+            db.apply_insert_buffers();
+            (db, out)
+        };
 
-        let mut legacy_db = legacy.db.clone();
-        let legacy_out = SerialExecutor
-            .run_groups(&mut legacy_db, &legacy.registry, &policy, &group_refs, None)
-            .unwrap();
-        legacy_db.apply_insert_buffers();
-
-        let plan = AccessPlan::build(&planned.registry, &planned.db, &sigs);
-        let plan = (!plan.is_empty()).then_some(plan);
+        let (ref_db, ref_out) = run(&SerialExecutor, None);
         for threads in THREAD_COUNTS {
             let exec = ParallelExecutor::new(threads).with_min_parallel_txns(2);
-            let mut db = planned.db.clone();
-            let out = exec
-                .run_groups(
-                    &mut db,
-                    &planned.registry,
-                    &policy,
-                    &group_refs,
-                    plan.as_ref(),
-                )
-                .unwrap();
-            db.apply_insert_buffers();
+            let (db, out) = run(&exec, Some(&plan));
             assert!(
-                db == legacy_db,
-                "{name}@{threads} threads: final state must match the legacy serial reference"
+                db == ref_db,
+                "{name}@{threads} threads: final state must match the live-probe reference"
             );
-            assert_eq!(out.len(), legacy_out.len());
-            for (g, (got, want)) in out.iter().zip(&legacy_out).enumerate() {
+            assert_eq!(out.len(), ref_out.len());
+            for (g, (got, want)) in out.iter().zip(&ref_out).enumerate() {
+                assert_eq!(got.len(), want.len(), "{name}@{threads} group {g}: size");
                 for (a, b) in got.iter().zip(want) {
                     assert_eq!(a.id, b.id, "{name}@{threads} group {g}: id order");
                     assert_eq!(a.outcome, b.outcome, "{name}@{threads} txn {}", a.id);
@@ -183,40 +163,46 @@ fn parallel_executor_matches_legacy_serial_reference() {
     }
 }
 
-/// Full strategy path (`execute_bulk`, K-SET + PART) at 1/2/4/8 threads:
-/// the planned bundle must produce the same outcomes and final state as the
-/// legacy bundle.
+/// Full strategy path (K-SET + PART) at 1/2/4/8 threads, across both lookup
+/// paths: the plan-backed bulk must produce the same outcomes, simulated
+/// execution time and final state as the live-probe bulk on the serial
+/// executor.
 #[test]
 fn execute_bulk_matches_across_apis_strategies_and_threads() {
-    for name in ["tm1", "tpcb", "micro", "tpcc"] {
-        let (legacy, planned, sigs) = variants(name, 1_000, 23);
-        let run = |bundle: &WorkloadBundle, choice: ExecutorChoice, strategy: StrategyKind| {
+    for name in PLANNED_WORKLOADS {
+        let (bundle, sigs, plan) = fixture(name, 1_000, 23);
+        let bulk = Bulk::new(sigs);
+        let run = |choice: ExecutorChoice, strategy: StrategyKind, plan: Option<&AccessPlan>| {
             let mut db = bundle.db.clone();
             let mut gpu = Gpu::c1060();
-            let config = EngineConfig {
-                executor: choice,
-                ..EngineConfig::default()
-            };
+            let config = EngineConfig::default();
             let mut ctx = ExecContext {
                 gpu: &mut gpu,
                 db: &mut db,
                 registry: &bundle.registry,
                 config: &config,
             };
-            let out = execute_bulk(&mut ctx, strategy, &Bulk::new(sigs.clone()));
-            (db, out.outcomes, out.committed, out.aborted)
+            let executor = choice.build();
+            let out = try_execute_bulk_planned(&mut ctx, strategy, &bulk, executor.as_ref(), plan)
+                .expect("no procedure panics");
+            (db, out)
         };
         for strategy in [StrategyKind::Kset, StrategyKind::Part] {
-            let (ref_db, ref_outcomes, ref_committed, ref_aborted) =
-                run(&legacy, ExecutorChoice::Serial, strategy);
+            let (ref_db, reference) = run(ExecutorChoice::Serial, strategy, None);
             for threads in THREAD_COUNTS {
-                let (db, outcomes, committed, aborted) =
-                    run(&planned, ExecutorChoice::parallel(threads), strategy);
+                let (db, out) = run(ExecutorChoice::parallel(threads), strategy, Some(&plan));
                 assert_eq!(
-                    outcomes, ref_outcomes,
+                    out.outcomes, reference.outcomes,
                     "{name}/{strategy}@{threads}: outcomes must match"
                 );
-                assert_eq!((committed, aborted), (ref_committed, ref_aborted));
+                assert_eq!(
+                    (out.committed, out.aborted),
+                    (reference.committed, reference.aborted)
+                );
+                assert_eq!(
+                    out.execution, reference.execution,
+                    "{name}/{strategy}@{threads}: traces must cost the same"
+                );
                 assert!(
                     db == ref_db,
                     "{name}/{strategy}@{threads}: final state must match"
@@ -231,14 +217,11 @@ fn execute_bulk_matches_across_apis_strategies_and_threads() {
 /// the streaming pipeline's revalidation path.
 #[test]
 fn stale_plan_revalidates_and_falls_back_correctly() {
-    let (_, planned, sigs) = variants("tm1", 800, 42);
-    // The snapshot the plan is resolved against.
-    let snapshot = planned.db.clone();
-    let mut plan = AccessPlan::build(&planned.registry, &snapshot, &sigs);
+    let (bundle, sigs, mut plan) = fixture("tm1", 800, 42);
 
-    // The live database has advanced: an earlier bulk inserted (and indexed)
-    // new call-forwarding rows.
-    let mut live = planned.db.clone();
+    // The live database has advanced past the snapshot the plan was resolved
+    // against: an earlier bulk inserted (and indexed) new call-forwarding rows.
+    let mut live = bundle.db.clone();
     let cf_t = live.table_id("call_forwarding").expect("table exists");
     for k in 0..20i64 {
         live.insert_indexed(
@@ -259,7 +242,7 @@ fn stale_plan_revalidates_and_falls_back_correctly() {
     let mut ref_db = live.clone();
     let ref_out: Vec<_> = sigs
         .iter()
-        .map(|sig| planned.registry.execute(sig, &mut ref_db))
+        .map(|sig| bundle.registry.execute(sig, &mut ref_db))
         .collect();
     ref_db.apply_insert_buffers();
 
@@ -269,7 +252,7 @@ fn stale_plan_revalidates_and_falls_back_correctly() {
     let out: Vec<_> = sigs
         .iter()
         .map(|sig| {
-            planned
+            bundle
                 .registry
                 .execute_planned(sig, &mut db, Some(&plan), &mut scratch)
         })
@@ -278,42 +261,4 @@ fn stale_plan_revalidates_and_falls_back_correctly() {
 
     assert_eq!(out, ref_out, "stale entries must re-probe, not mis-resolve");
     assert!(db == ref_db, "final state must match unplanned execution");
-}
-
-/// Cross-check helper types stay exported: a registry built for one API must
-/// report the same procedure names in the same order as the other.
-#[test]
-fn both_apis_register_identical_type_tables() {
-    for name in ["tm1", "tpcb", "micro", "tpcc"] {
-        let (legacy, planned, _) = variants(name, 1, 1);
-        assert_eq!(legacy.registry.num_types(), planned.registry.num_types());
-        for ty in 0..legacy.registry.num_types() as u32 {
-            assert_eq!(
-                legacy.registry.get(ty).name,
-                planned.registry.get(ty).name,
-                "{name}: type id {ty} must name the same procedure"
-            );
-            assert_eq!(
-                legacy.registry.get(ty).two_phase,
-                planned.registry.get(ty).two_phase
-            );
-        }
-    }
-}
-
-/// The registries must be interchangeable from the engine's point of view:
-/// declared read/write sets and partition keys agree on every signature.
-#[test]
-fn declared_sets_and_partition_keys_agree() {
-    for name in ["tm1", "tpcb", "micro", "tpcc"] {
-        let (legacy, planned, sigs) = variants(name, 400, 3);
-        let db: &Database = &legacy.db;
-        let check = |a: &ProcedureRegistry, b: &ProcedureRegistry| {
-            for sig in &sigs {
-                assert_eq!(a.read_write_set(sig, db), b.read_write_set(sig, db));
-                assert_eq!(a.partition_key(sig), b.partition_key(sig));
-            }
-        };
-        check(&legacy.registry, &planned.registry);
-    }
 }
