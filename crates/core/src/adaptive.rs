@@ -30,6 +30,7 @@ use crate::strategy::StrategyKind;
 use gputx_cpu::cost::{trace_cpu_seconds, CPU_DISPATCH_OVERHEAD_NS};
 use gputx_sim::cost::CostModel;
 use gputx_sim::{CpuSpec, ThreadTrace};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 /// Tuning knobs of the [`AdaptiveSelector`].
@@ -117,7 +118,7 @@ pub struct DecisionStats {
     pub last_suggested_bulk_size: usize,
     /// Chosen strategies in decision order, capped at
     /// [`AdaptiveConfig::history_cap`] (oldest dropped first).
-    pub history: Vec<StrategyKind>,
+    pub history: VecDeque<StrategyKind>,
 }
 
 impl DecisionStats {
@@ -161,9 +162,9 @@ impl DecisionStats {
         }
         self.last_suggested_bulk_size = decision.suggested_bulk_size;
         if self.history.len() >= cap.max(1) {
-            self.history.remove(0);
+            self.history.pop_front();
         }
-        self.history.push(decision.strategy);
+        self.history.push_back(decision.strategy);
     }
 }
 
@@ -493,7 +494,7 @@ mod tests {
         assert_eq!(stats.switches, 1);
         assert_eq!(
             stats.history,
-            vec![StrategyKind::Kset, StrategyKind::Tpl, StrategyKind::Tpl]
+            [StrategyKind::Kset, StrategyKind::Tpl, StrategyKind::Tpl]
         );
         assert!(stats.non_degenerate());
     }
@@ -507,11 +508,16 @@ mod tests {
                 ..AdaptiveConfig::default()
             },
         );
-        for _ in 0..10 {
-            s.decide(&profile(8192, 0, 8192, 0, 8192));
-        }
+        let decided: Vec<StrategyKind> = (0..10)
+            .map(|i| match i % 3 {
+                0 => s.decide(&profile(4096, 4095, 1, 0, 1)),    // Tpl
+                _ => s.decide(&profile(8192, 0, 8192, 0, 8192)), // Kset
+            })
+            .map(|d| d.strategy)
+            .collect();
         let stats = s.stats_handle().snapshot();
         assert_eq!(stats.history.len(), 4);
+        assert!(stats.history.iter().eq(&decided[6..]), "the newest four");
         assert_eq!(stats.total(), 10);
     }
 

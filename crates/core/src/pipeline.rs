@@ -19,7 +19,7 @@
 use crate::adaptive::{AdaptiveSelector, DecisionStats, DecisionStatsHandle};
 use crate::bulk::Bulk;
 use crate::commit::GroupCommit;
-use crate::config::{EngineConfig, PipelineConfig, StrategyChoice};
+use crate::config::{EngineConfig, PipelineConfig};
 use crate::profiler::profile_bulk;
 use crate::select::{choose_strategy, selector_for};
 use crate::strategy::{execute_bulk, ExecContext, StrategyKind};
@@ -28,7 +28,7 @@ use gputx_exec::{
     PipelineError, PipelineOptions, PipelineStats, PipelinedEngine, SubmitHandle, Ticket,
 };
 use gputx_sim::{Gpu, SimDuration, Throughput};
-use gputx_storage::{Database, Value};
+use gputx_storage::{Database, IndexSet, Value};
 use gputx_txn::plan::{plan_kset_waves, plan_partition_groups, BulkPlan};
 use gputx_txn::{AccessPlan, ProcedureRegistry, TxnId, TxnScratch, TxnSignature, TxnTypeId};
 use serde::{Deserialize, Serialize};
@@ -39,21 +39,21 @@ use std::time::Duration;
 // The streaming pipelined engine (driver over `gputx_exec::PipelinedEngine`).
 // ---------------------------------------------------------------------------
 
-/// Grouping-stage driver: plans bulks from signatures and a frozen snapshot.
+/// Grouping-stage driver: plans bulks from signatures and index contents.
 ///
 /// The planner runs concurrently with execution, so it never sees the live
 /// database: strategy selection and set construction use the declared
 /// read/write sets and partition keys, which must be state-independent
 /// (derivable from the signature alone — Appendix B's static analysis; every
-/// bundled workload satisfies this).
+/// bundled workload satisfies this). It holds no table data at all.
 #[derive(Debug)]
 pub struct GpuTxPlanner {
     registry: ProcedureRegistry,
-    /// Frozen copy of the database for read/write-set evaluation and
-    /// profiling. Only populated when the configured strategy can ask for it
-    /// (K-SET, Auto or Adaptive) — ForcePart/ForceTpl plan from signatures
-    /// alone, so they skip the whole-database clone.
-    snapshot: Option<Database>,
+    /// The live database's indexes as of pipeline start, shared
+    /// copy-on-write: read/write sets, profiling and the gather step resolve
+    /// against them. An index exists twice only after the execution stage
+    /// writes it, and only until the next plan releases this outdated copy.
+    indexes: IndexSet,
     config: EngineConfig,
     /// The cost-model selector, present under `StrategyChoice::Adaptive`.
     /// It lives here because this is the grouping stage: decisions happen
@@ -74,13 +74,12 @@ pub struct GpuTxPlan {
     pub plan: BulkPlan,
     /// The gather step: every planned procedure's index keys resolved to
     /// dense row ids, built off the execution thread against the planner's
-    /// snapshot. The runner revalidates it against the live database's index
-    /// versions before executing: entries through since-mutated indexes
-    /// re-probe transparently (and, because the snapshot is frozen at
-    /// pipeline start, stay degraded for churning indexes — entries through
-    /// static indexes keep the fast path; see `gputx_txn::access`). `None`
-    /// when the planner has no snapshot (ForcePart/ForceTpl) or no procedure
-    /// declares a plan callback.
+    /// index share, under every strategy. The runner revalidates it against
+    /// the live database's index versions before executing: entries through
+    /// since-mutated or released indexes re-probe transparently (so they stay
+    /// degraded for churning indexes — entries through static indexes keep
+    /// the fast path; see `gputx_txn::access`). `None` when no procedure in
+    /// the bulk declares a plan callback.
     pub access: Option<AccessPlan>,
 }
 
@@ -88,20 +87,22 @@ impl BulkPlanner for GpuTxPlanner {
     type Plan = GpuTxPlan;
 
     fn plan(&mut self, bulk: &[TxnSignature]) -> GpuTxPlan {
-        let snapshot =
-            || (self.snapshot.as_ref()).expect("snapshot is populated for strategies that read it");
+        // Indexes the execution stage has since copied and written are
+        // outdated here and held by nobody else: free them. Lookups through
+        // them become stale plan entries.
+        self.indexes.release_unshared();
+        let indexes = &self.indexes;
         let (strategy, size_hint) = choose_strategy(&self.config, self.selector.as_mut(), || {
-            profile_bulk(&self.registry, snapshot(), bulk)
+            profile_bulk(&self.registry, indexes, bulk)
         });
         if let (Some(knob), Some(size)) = (self.size_knob.as_ref(), size_hint) {
             knob.set(size);
         }
         let plan = match strategy {
             StrategyKind::Kset => {
-                let snapshot = snapshot();
                 let ops: Vec<_> = bulk
                     .iter()
-                    .map(|sig| (sig.id, self.registry.read_write_set(sig, snapshot)))
+                    .map(|sig| (sig.id, self.registry.read_write_set(sig, indexes)))
                     .collect();
                 BulkPlan::ConflictFreeWaves(plan_kset_waves(&ops))
             }
@@ -120,13 +121,9 @@ impl BulkPlanner for GpuTxPlanner {
             StrategyKind::Tpl => BulkPlan::Serial,
         };
         // The gather step, overlapped with the previous bulk's execution.
-        // Resolved against the frozen snapshot; the runner revalidates
-        // against the live index versions before use.
-        let access = self
-            .snapshot
-            .as_ref()
-            .map(|snapshot| AccessPlan::build(&self.registry, snapshot, bulk));
-        let access = access.filter(|a| !a.is_empty());
+        // The runner revalidates it against the live index versions.
+        let access = AccessPlan::build(&self.registry, indexes, bulk);
+        let access = (!access.is_empty()).then_some(access);
         GpuTxPlan {
             strategy,
             plan,
@@ -252,11 +249,11 @@ impl BulkRunner for GpuTxRunner {
         // the execution stage) may have left buffered inserts behind;
         // applying them here would leak another bulk's partial effects.
         self.discard_insert_buffers();
-        // The access plan was resolved against the planner's frozen snapshot;
+        // The access plan was resolved against the planner's index share;
         // earlier bulks may have mutated indexes since (applied inserts).
         // Mark entries of since-mutated indexes stale so they re-probe the
         // live database at consume time — correctness never depends on the
-        // snapshot's freshness.
+        // share's freshness.
         if let Some(access) = plan.access.as_mut() {
             access.revalidate(&self.db);
         }
@@ -317,10 +314,6 @@ impl PipelinedGpuTx {
         pipeline: PipelineConfig,
         commit: GroupCommit,
     ) -> Self {
-        let needs_snapshot = matches!(
-            engine_config.strategy,
-            StrategyChoice::ForceKset | StrategyChoice::Auto | StrategyChoice::Adaptive
-        );
         // Under Adaptive the grouping stage holds the selector (decisions
         // happen where bulks become plans) and feeds sizing suggestions back
         // into admission through a shared knob.
@@ -330,7 +323,7 @@ impl PipelinedGpuTx {
         let health = commit.health();
         let planner = GpuTxPlanner {
             registry: registry.clone(),
-            snapshot: needs_snapshot.then(|| db.clone()),
+            indexes: db.indexes().clone(),
             config: engine_config,
             selector,
             size_knob: size_knob.clone(),
@@ -537,9 +530,10 @@ pub fn simulate_pipeline(
 mod tests {
     use super::*;
     use crate::builder::EngineBuilder;
+    use crate::config::StrategyChoice;
     use gputx_exec::ExecutorChoice;
     use gputx_storage::schema::{ColumnDef, TableSchema};
-    use gputx_storage::{DataItemId, DataType};
+    use gputx_storage::{DataItemId, DataType, IndexId};
     use gputx_txn::{BasicOp, ProcedureDef};
 
     fn setup(rows: i64) -> (Database, ProcedureRegistry) {
@@ -732,6 +726,87 @@ mod tests {
             "only the healthy bulk's inserts may be applied"
         );
         assert_eq!(db.table_by_name("log").pending_inserts(), 0);
+    }
+
+    /// The grouping and execution stages [`PipelinedGpuTx::start`] wires
+    /// together, serial and unlogged, to drive by hand.
+    fn stages(
+        db: Database,
+        registry: ProcedureRegistry,
+        strategy: StrategyChoice,
+    ) -> (GpuTxPlanner, GpuTxRunner) {
+        let config = EngineConfig {
+            strategy,
+            ..EngineConfig::default()
+        };
+        let commit = GroupCommit::open(
+            &config.durability,
+            &db,
+            None,
+            None,
+            None,
+            gputx_faults::HealPolicy::default(),
+            gputx_faults::Health::new(),
+        );
+        let planner = GpuTxPlanner {
+            registry: registry.clone(),
+            indexes: db.indexes().clone(),
+            config,
+            selector: None,
+            size_knob: None,
+        };
+        let runner = GpuTxRunner {
+            db,
+            registry,
+            executor: ExecutorChoice::Serial.build(),
+            policy: ExecPolicy::functional(),
+            commit,
+        };
+        (planner, runner)
+    }
+
+    /// TM1 writes only the two call-forwarding indexes. Once the execution
+    /// stage has written them, the planner frees its outdated copies and
+    /// keeps sharing every other index; PART and TPL bulks get the gather
+    /// step too.
+    #[test]
+    fn planner_releases_exactly_the_indexes_the_runner_wrote() {
+        for strategy in [StrategyChoice::ForcePart, StrategyChoice::ForceTpl] {
+            // The stages must be the only holders, as in a started pipeline.
+            let mut bundle = gputx_workloads::Tm1Config { scale_factor: 1 }.build();
+            bundle.reseed(0x1dee);
+            let sigs = bundle.generate_signatures(1_200, 0);
+            let db = &bundle.db;
+            let id = |table: &str, index: &str| -> IndexId {
+                let t = db.table_id(table).expect("TM1 table");
+                db.index_id(t, index).expect("TM1 index")
+            };
+            let written = [id("call_forwarding", "pk"), id("call_forwarding", "by_sf")];
+            let static_ = [
+                id("subscriber", "by_nbr"),
+                id("access_info", "pk"),
+                id("special_facility", "pk"),
+            ];
+            let (mut planner, mut runner) = stages(bundle.db, bundle.registry, strategy);
+            let (first, second) = sigs.split_at(sigs.len() / 2);
+            let plan = planner.plan(first);
+            assert!(plan.access.is_some(), "{strategy:?}: gather step planned");
+            for id in written.iter().chain(&static_) {
+                assert!(planner.indexes.shares(runner.db.indexes(), *id));
+            }
+            runner.run(first.to_vec(), plan).expect("bulk runs");
+            let plan = planner.plan(second);
+            assert!(plan.access.is_some(), "{strategy:?}: gather step planned");
+            for id in written {
+                assert!(planner.indexes.get(id).is_none(), "{strategy:?}: released");
+            }
+            for id in static_ {
+                assert!(
+                    planner.indexes.shares(runner.db.indexes(), id),
+                    "{strategy:?}: static indexes stay shared"
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! utilization profile that tells an operator which stage bounds throughput.
 
 use gputx_exec::PipelineStats;
-use gputx_storage::Database;
+use gputx_storage::IndexSet;
 use gputx_txn::kset::rank_ksets;
 use gputx_txn::{ProcedureRegistry, TxnSignature};
 use serde::{Deserialize, Serialize};
@@ -40,15 +40,16 @@ pub struct BulkProfile {
     pub type_histogram: Vec<usize>,
 }
 
-/// Profile a bulk of transaction signatures.
+/// Profile a bulk of transaction signatures, resolving read/write sets
+/// against `indexes` (a [`gputx_storage::Database`] or an [`IndexSet`]).
 pub fn profile_bulk(
     registry: &ProcedureRegistry,
-    db: &Database,
+    indexes: &impl AsRef<IndexSet>,
     bulk: &[TxnSignature],
 ) -> BulkProfile {
     let ops: Vec<_> = bulk
         .iter()
-        .map(|sig| (sig.id, registry.read_write_set(sig, db)))
+        .map(|sig| (sig.id, registry.read_write_set(sig, indexes)))
         .collect();
     let ranks = rank_ksets(&ops);
     let zero_set_size = ranks.zero_set().len();
@@ -134,7 +135,7 @@ pub fn profile_pipeline(stats: &PipelineStats) -> StageOccupancy {
 mod tests {
     use super::*;
     use gputx_storage::schema::{ColumnDef, TableSchema};
-    use gputx_storage::{DataItemId, DataType, Value};
+    use gputx_storage::{DataItemId, DataType, Database, Value};
     use gputx_txn::{BasicOp, ProcedureDef};
 
     fn setup() -> (Database, ProcedureRegistry) {

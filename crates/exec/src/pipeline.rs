@@ -57,7 +57,8 @@ const STAGE_CHANNEL_DEPTH: usize = 1;
 ///
 /// The planner must not touch the live database — it runs concurrently with
 /// the execution of earlier bulks. Plan against immutable inputs (the
-/// signatures plus, if needed, a frozen snapshot taken at pipeline start).
+/// signatures plus, if needed, index contents shared copy-on-write at
+/// pipeline start).
 pub trait BulkPlanner: Send + 'static {
     /// The plan handed to the matching [`BulkRunner`].
     type Plan: Send + 'static;

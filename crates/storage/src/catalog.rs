@@ -9,6 +9,7 @@ use crate::wire::{WireError, WireReader, WireWriter};
 use gputx_sim::{Gpu, SimDuration};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Identifier of a table within a [`Database`].
 pub type TableId = u32;
@@ -41,17 +42,90 @@ impl IndexId {
     }
 }
 
+/// Panic message of a database-side access to an index slot: only a
+/// grouping stage's [`IndexSet`] ever releases an index.
+const HELD: &str = "a database holds every index it created";
+
+/// The hash indexes of a database, per table, each a copy-on-write [`Arc`].
+///
+/// Cloning a set — or the [`Database`] that owns one — shares every index;
+/// [`Database::insert_indexed`], the only index mutator, copies just the
+/// index it writes, and only while another holder still shares it. A
+/// pipelined grouping stage keeps a clone of the live database's set: it
+/// costs nothing until the execution stage writes an index, and then only
+/// the written index exists twice until [`IndexSet::release_unshared`] lets
+/// the stage drop its outdated copy.
+///
+/// Lookups through a released index answer `None`. A database's own set
+/// never releases an index.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct IndexSet {
+    tables: Vec<Vec<Option<Arc<HashIndex>>>>,
+}
+
+impl IndexSet {
+    fn slot(&self, id: IndexId) -> Option<&Arc<HashIndex>> {
+        self.tables[id.table as usize][id.pos as usize].as_ref()
+    }
+
+    /// The index behind a handle; `None` once this set released it.
+    pub fn get(&self, id: IndexId) -> Option<&HashIndex> {
+        self.slot(id).map(|idx| &**idx)
+    }
+
+    /// True when both sets hold the very same copy of index `id`: neither
+    /// side has written it since they were cloned from one another.
+    pub fn shares(&self, other: &IndexSet, id: IndexId) -> bool {
+        matches!((self.slot(id), other.slot(id)), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
+    }
+
+    /// Drop every index this set is the last holder of — the ones whose
+    /// every other holder has since written (and so copied) its own — and
+    /// return how many were released. A set that is the sole holder of an
+    /// index stays so: nothing else can clone its `Arc`.
+    pub fn release_unshared(&mut self) -> usize {
+        let mut released = 0;
+        for slot in self.tables.iter_mut().flatten() {
+            if slot.as_ref().is_some_and(|idx| Arc::strong_count(idx) == 1) {
+                *slot = None;
+                released += 1;
+            }
+        }
+        released
+    }
+
+    /// Every index of one table, in creation order.
+    fn table(&self, table: TableId) -> impl Iterator<Item = &HashIndex> {
+        self.tables[table as usize]
+            .iter()
+            .map(|slot| slot.as_deref().expect(HELD))
+    }
+}
+
+impl AsRef<IndexSet> for IndexSet {
+    fn as_ref(&self) -> &IndexSet {
+        self
+    }
+}
+
 /// An in-memory database: a set of tables plus their indexes.
 ///
 /// The database is `Clone` so tests can snapshot it, execute a bulk with one
 /// strategy and compare against a sequential replay on the snapshot
-/// (Definition 1 of the paper).
+/// (Definition 1 of the paper). A clone copies the tables and shares the
+/// indexes copy-on-write (see [`IndexSet`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Database {
     layout: StorageLayout,
     tables: Vec<Table>,
     names: HashMap<String, TableId>,
-    indexes: Vec<Vec<HashIndex>>,
+    indexes: IndexSet,
+}
+
+impl AsRef<IndexSet> for Database {
+    fn as_ref(&self) -> &IndexSet {
+        &self.indexes
+    }
 }
 
 impl Database {
@@ -61,7 +135,7 @@ impl Database {
             layout,
             tables: Vec::new(),
             names: HashMap::new(),
-            indexes: Vec::new(),
+            indexes: IndexSet::default(),
         }
     }
 
@@ -85,7 +159,7 @@ impl Database {
         let id = self.tables.len() as TableId;
         self.names.insert(schema.name.clone(), id);
         self.tables.push(Table::new(schema, self.layout));
-        self.indexes.push(Vec::new());
+        self.indexes.tables.push(Vec::new());
         id
     }
 
@@ -126,19 +200,19 @@ impl Database {
         columns: Vec<usize>,
         unique: bool,
     ) -> IndexId {
-        let idx = HashIndex::new(name, columns, unique);
-        self.indexes[table as usize].push(idx);
+        let indexes = &mut self.indexes.tables[table as usize];
+        indexes.push(Some(Arc::new(HashIndex::new(name, columns, unique))));
         IndexId {
             table,
-            pos: (self.indexes[table as usize].len() - 1) as u32,
+            pos: (indexes.len() - 1) as u32,
         }
     }
 
     /// Resolve an index name to its interned [`IndexId`] handle. This is the
     /// one remaining name comparison; do it once at setup, not per lookup.
     pub fn index_id(&self, table: TableId, name: &str) -> Option<IndexId> {
-        self.indexes[table as usize]
-            .iter()
+        self.indexes
+            .table(table)
             .position(|i| i.name == name)
             .map(|pos| IndexId {
                 table,
@@ -148,19 +222,18 @@ impl Database {
 
     /// Access an index by table and name.
     pub fn index(&self, table: TableId, name: &str) -> Option<&HashIndex> {
-        self.indexes[table as usize].iter().find(|i| i.name == name)
-    }
-
-    /// Mutably access an index by table and name.
-    pub fn index_mut(&mut self, table: TableId, name: &str) -> Option<&mut HashIndex> {
-        self.indexes[table as usize]
-            .iter_mut()
-            .find(|i| i.name == name)
+        self.indexes.table(table).find(|i| i.name == name)
     }
 
     /// Access an index by its interned handle (no name comparison).
     pub fn index_by_id(&self, id: IndexId) -> &HashIndex {
-        &self.indexes[id.table as usize][id.pos as usize]
+        self.indexes.get(id).expect(HELD)
+    }
+
+    /// Every index of every table, shared copy-on-write: clone it to plan
+    /// against this database's index contents without copying them.
+    pub fn indexes(&self) -> &IndexSet {
+        &self.indexes
     }
 
     /// Look up a single row through a unique index by handle.
@@ -175,11 +248,15 @@ impl Database {
     }
 
     /// Insert a row and update every index of the table. Returns the row id.
+    ///
+    /// This is the only index mutator. An index still shared with a clone of
+    /// this database is copied first, so the clone never sees the write.
     pub fn insert_indexed(&mut self, table: TableId, row: Vec<Value>) -> RowId {
         // Row ids are dense, so the keys are built from the borrowed row
         // before it moves into the table.
         let row_id = self.tables[table as usize].num_rows() as RowId;
-        for idx in &mut self.indexes[table as usize] {
+        for slot in &mut self.indexes.tables[table as usize] {
+            let idx = Arc::make_mut(slot.as_mut().expect(HELD));
             let key = idx.key_of(&row);
             idx.insert(key, row_id)
                 .unwrap_or_else(|e| panic!("index {} on table {}: {e}", idx.name, table));
@@ -195,15 +272,6 @@ impl Database {
     pub fn lookup_unique(&self, table: TableId, index_name: &str, key: &IndexKey) -> Option<RowId> {
         self.index(table, index_name)
             .and_then(|idx| idx.get_unique(key))
-    }
-
-    /// Look up all rows matching a key through a (possibly non-unique) index,
-    /// resolving the index by name. Prefer [`Database::lookup_id`] on the hot
-    /// path — it also avoids the per-lookup `Vec` allocation.
-    pub fn lookup(&self, table: TableId, index_name: &str, key: &IndexKey) -> Vec<RowId> {
-        self.index(table, index_name)
-            .map(|idx| idx.get(key).to_vec())
-            .unwrap_or_default()
     }
 
     /// The data-item identifier of one field of one row.
@@ -245,10 +313,9 @@ impl Database {
 
     /// Bytes used by all indexes.
     pub fn index_bytes(&self) -> u64 {
-        self.indexes
-            .iter()
-            .flat_map(|v| v.iter())
-            .map(|i| i.bytes())
+        (0..self.tables.len() as TableId)
+            .flat_map(|t| self.indexes.table(t))
+            .map(HashIndex::bytes)
             .sum()
     }
 
@@ -259,7 +326,7 @@ impl Database {
         let mut out = Database::new(layout);
         for (t, table) in self.tables.iter().enumerate() {
             let id = out.create_table(table.schema().clone());
-            for idx in &self.indexes[t] {
+            for idx in self.indexes.table(t as TableId) {
                 out.create_index(id, idx.name.clone(), idx.columns.clone(), idx.unique);
             }
             for row in table.live_rows() {
@@ -285,8 +352,8 @@ impl Database {
         w.put_len(self.tables.len());
         for (t, table) in self.tables.iter().enumerate() {
             table.encode_into(w);
-            w.put_len(self.indexes[t].len());
-            for idx in &self.indexes[t] {
+            w.put_len(self.indexes.tables[t].len());
+            for idx in self.indexes.table(t as TableId) {
                 idx.encode_into(w);
             }
         }
@@ -315,9 +382,9 @@ impl Database {
             let n_indexes = r.get_len()?;
             let mut indexes = Vec::with_capacity(n_indexes);
             for _ in 0..n_indexes {
-                indexes.push(HashIndex::decode(r)?);
+                indexes.push(Some(Arc::new(HashIndex::decode(r)?)));
             }
-            db.indexes.push(indexes);
+            db.indexes.tables.push(indexes);
         }
         Ok(db)
     }
@@ -394,6 +461,68 @@ mod tests {
         assert_eq!(db, snapshot);
         db.table_mut(t).set(0, 1, &Value::Double(-1.0));
         assert_ne!(db, snapshot);
+    }
+
+    /// [`setup`] plus a second indexed table the tests below never write.
+    fn two_tables() -> (Database, IndexId, IndexId) {
+        let (mut db, t) = setup();
+        let other = db.create_table(TableSchema::new(
+            "other",
+            vec![ColumnDef::new("id", DataType::Int)],
+            vec![0],
+        ));
+        let other_pk = db.create_index(other, "pk", vec![0], true);
+        db.insert_indexed(other, vec![Value::Int(1)]);
+        let pk = db.index_id(t, "pk").expect("pk");
+        (db, pk, other_pk)
+    }
+
+    #[test]
+    fn clone_shares_every_index() {
+        let (db, pk, other_pk) = two_tables();
+        let copy = db.clone();
+        for id in [pk, other_pk] {
+            assert!(Arc::ptr_eq(
+                db.indexes.slot(id).unwrap(),
+                copy.indexes.slot(id).unwrap()
+            ));
+            assert!(db.indexes().shares(copy.indexes(), id));
+        }
+    }
+
+    #[test]
+    fn insert_copies_only_the_written_index_and_leaves_the_clone_alone() {
+        let (db, pk, other_pk) = two_tables();
+        let version = db.index_by_id(pk).version();
+        let mut copy = db.clone();
+        copy.insert_indexed(pk.table(), vec![Value::Int(100), Value::Double(5.0)]);
+        assert!(!db.indexes().shares(copy.indexes(), pk), "written: copied");
+        assert!(db.indexes().shares(copy.indexes(), other_pk), "untouched");
+        assert_eq!(copy.index_by_id(pk).version(), version + 1);
+        assert_eq!(
+            copy.lookup_unique_id(pk, &IndexKey::single(100i64)),
+            Some(10)
+        );
+        // The original is exactly its pre-write state, index version included.
+        assert_eq!(db, two_tables().0);
+        assert_eq!(db.index_by_id(pk).version(), version);
+        assert_eq!(db.lookup_unique_id(pk, &IndexKey::single(100i64)), None);
+        // A sole holder writes in place.
+        let before = Arc::as_ptr(copy.indexes.slot(pk).unwrap());
+        copy.insert_indexed(pk.table(), vec![Value::Int(101), Value::Double(5.0)]);
+        assert_eq!(Arc::as_ptr(copy.indexes.slot(pk).unwrap()), before);
+    }
+
+    #[test]
+    fn release_unshared_drops_only_indexes_nobody_else_holds() {
+        let (mut db, pk, other_pk) = two_tables();
+        let mut planner = db.indexes().clone();
+        assert_eq!(planner.release_unshared(), 0, "everything still shared");
+        db.insert_indexed(pk.table(), vec![Value::Int(100), Value::Double(5.0)]);
+        assert_eq!(planner.release_unshared(), 1);
+        assert!(planner.get(pk).is_none(), "the outdated copy is gone");
+        assert!(planner.shares(db.indexes(), other_pk));
+        assert!(!planner.shares(db.indexes(), pk));
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod value;
 pub mod view;
 pub mod wire;
 
-pub use catalog::{Database, IndexId};
+pub use catalog::{Database, IndexId, IndexSet};
 pub use item::DataItemId;
 pub use schema::{ColumnDef, TableSchema};
 pub use shard::{ShardDelta, ShardView};

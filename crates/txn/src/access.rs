@@ -16,9 +16,10 @@
 //! Index lookups are stable *within* a bulk (buffered inserts only reach the
 //! indexes in [`Database::apply_insert_buffers`], after the bulk), so a plan
 //! resolved against the very database the bulk will run on is always exact.
-//! The streaming pipeline, however, plans bulk `N+1` against a snapshot that
-//! may be older than the live database by the inserts of earlier bulks. Every
-//! index therefore carries a mutation version
+//! The streaming pipeline, however, plans bulk `N+1` against its own
+//! [`IndexSet`]: a copy-on-write share of the live database's indexes taken
+//! at pipeline start, which lags the live database by the inserts of earlier
+//! bulks. Every index therefore carries a mutation version
 //! ([`gputx_storage::index::HashIndex::version`]); a plan records the
 //! versions it resolved against, and [`AccessPlan::revalidate`] compares them
 //! with the live database right before execution. Entries resolved through
@@ -31,21 +32,23 @@
 //! Staleness is tracked **per index**, so the degradation is proportional to
 //! index churn, not all-or-nothing: in a TM1 stream, the first applied
 //! call-forwarding insert makes every later bulk's call-forwarding entries
-//! stale relative to the pipeline-start snapshot (the snapshot is never
-//! re-cloned), but lookups through the static indexes — subscriber number,
-//! access-info and special-facility primary keys, the bulk of TM1's lookup
-//! volume — keep the pre-resolved fast path for the lifetime of the
-//! pipeline. Plans built against the execution database itself (the one-shot
-//! engine path) are always fully fresh. For static indexes the revalidation
-//! is a handful of integer compares per bulk.
+//! stale (the execution stage wrote its own copy of those indexes, and the
+//! planner then releases its outdated one — [`IndexSet::release_unshared`] —
+//! so lookups through it are recorded stale without probing), but lookups
+//! through the static indexes — subscriber number, access-info and
+//! special-facility primary keys, the bulk of TM1's lookup volume — keep the
+//! pre-resolved fast path for the lifetime of the pipeline. Plans built
+//! against the execution database itself (the one-shot engine path) are
+//! always fully fresh. For static indexes the revalidation is a handful of
+//! integer compares per bulk.
 //!
 //! [`TxnCtx`]: crate::procedure::TxnCtx
 //! [`Database::apply_insert_buffers`]: gputx_storage::Database::apply_insert_buffers
 
 use crate::signature::{TxnId, TxnSignature};
-use gputx_storage::index::IndexKey;
+use gputx_storage::index::{HashIndex, IndexKey};
 use gputx_storage::shard::FxHashMap;
-use gputx_storage::{Database, IndexId, RowId};
+use gputx_storage::{Database, IndexId, IndexSet, RowId};
 
 /// One pre-resolved index lookup. `idx_ref` points into the plan's interned
 /// index table (used for staleness checks); the payload is either the
@@ -72,7 +75,8 @@ impl PlanEntry {
 ///
 /// Build one per bulk with [`AccessPlan::build`] (off the execution thread
 /// where possible), [`AccessPlan::revalidate`] it against the live database
-/// if it was built from a snapshot, and hand it to the executor; procedures
+/// if it was built from another [`IndexSet`], and hand it to the executor;
+/// procedures
 /// registered with a plan callback
 /// ([`ProcedureDef::with_plan_access`](crate::procedure::ProcedureDef::with_plan_access))
 /// then execute without touching an index hash table.
@@ -83,24 +87,28 @@ pub struct AccessPlan {
     /// Per planned transaction: `(start, len)` into `entries`.
     spans: FxHashMap<TxnId, (u32, u32)>,
     /// Interned indexes used by any entry, with the version each was
-    /// resolved against.
-    indexes: Vec<(IndexId, u64)>,
+    /// resolved against; `None` for an index the build's [`IndexSet`] had
+    /// released, whose entries are stale from the start.
+    indexes: Vec<(IndexId, Option<u64>)>,
     /// Per interned index: does the live database disagree with the build
-    /// version? Populated by [`AccessPlan::revalidate`]; all-fresh until
-    /// then (correct when the plan was built against the execution
-    /// database itself).
+    /// version? Set at build for released indexes and recomputed by
+    /// [`AccessPlan::revalidate`]; otherwise fresh (correct when the plan
+    /// was built against the execution database itself).
     stale: Vec<bool>,
 }
 
 impl AccessPlan {
     /// Resolve the index lookups of every transaction in `txns` whose
-    /// procedure declares a plan callback. Transactions without a callback
-    /// simply get no span and keep probing at execution time.
+    /// procedure declares a plan callback, against `indexes`: the
+    /// [`Database`] the bulk runs on or a grouping stage's [`IndexSet`].
+    /// Transactions without a callback simply get no span and keep probing
+    /// at execution time.
     pub fn build(
         registry: &crate::procedure::ProcedureRegistry,
-        db: &Database,
+        indexes: &impl AsRef<IndexSet>,
         txns: &[TxnSignature],
     ) -> AccessPlan {
+        let indexes = indexes.as_ref();
         let mut plan = AccessPlan::default();
         let mut interned: FxHashMap<IndexId, u16> = FxHashMap::default();
         for sig in txns {
@@ -110,7 +118,7 @@ impl AccessPlan {
             let start = plan.entries.len() as u32;
             {
                 let mut probe = PlanProbe {
-                    db,
+                    indexes,
                     plan: &mut plan,
                     interned: &mut interned,
                 };
@@ -119,7 +127,7 @@ impl AccessPlan {
             let len = plan.entries.len() as u32 - start;
             plan.spans.insert(sig.id, (start, len));
         }
-        plan.stale = vec![false; plan.indexes.len()];
+        plan.stale = plan.indexes.iter().map(|(_, v)| v.is_none()).collect();
         plan
     }
 
@@ -134,14 +142,15 @@ impl AccessPlan {
     }
 
     /// Compare the recorded index versions with the live database and mark
-    /// entries resolved through since-mutated indexes as stale (they will be
-    /// re-probed at consume time). Call this when the plan was built against
-    /// a snapshot — e.g. by the streaming pipeline's grouping stage — right
-    /// before the bulk executes. Returns the number of stale indexes.
+    /// entries resolved through since-mutated or released indexes as stale
+    /// (they will be re-probed at consume time). Call this when the plan was
+    /// built against another [`IndexSet`] — e.g. by the streaming pipeline's
+    /// grouping stage — right before the bulk executes. Returns the number
+    /// of stale indexes.
     pub fn revalidate(&mut self, db: &Database) -> usize {
         let mut stale_count = 0;
         for (i, (idx, version)) in self.indexes.iter().enumerate() {
-            let is_stale = db.index_by_id(*idx).version() != *version;
+            let is_stale = *version != Some(db.index_by_id(*idx).version());
             self.stale[i] = is_stale;
             stale_count += usize::from(is_stale);
         }
@@ -172,40 +181,43 @@ impl AccessPlan {
 ///
 /// Keys may be derived only from the transaction's **parameters** and from
 /// **earlier resolutions of this probe** (the `Option<RowId>` / `Vec<RowId>`
-/// return values). The probe deliberately exposes no general database access:
-/// reading mutable *field* values here would tie the plan to snapshot state
-/// that index-version revalidation cannot detect (field updates never bump an
-/// index version), silently mis-resolving under the streaming engine's frozen
-/// snapshot.
+/// return values). The probe sees index contents only, never a field value:
+/// field updates never bump an index version, so a plan built on them would
+/// silently mis-resolve under the streaming engine's lagging index share.
+///
+/// A lookup through an index the [`IndexSet`] has released is recorded as a
+/// stale entry without probing and answers as a miss; the consumer re-probes
+/// it live.
 pub struct PlanProbe<'a> {
-    db: &'a Database,
+    indexes: &'a IndexSet,
     plan: &'a mut AccessPlan,
     interned: &'a mut FxHashMap<IndexId, u16>,
 }
 
 impl<'a> PlanProbe<'a> {
-    fn intern(&mut self, idx: IndexId) -> u16 {
-        *self.interned.entry(idx).or_insert_with(|| {
-            self.plan
-                .indexes
-                .push((idx, self.db.index_by_id(idx).version()));
+    /// The index behind `idx` (`None` once released) and its interned slot.
+    fn intern(&mut self, idx: IndexId) -> (Option<&'a HashIndex>, u16) {
+        let index = self.indexes.get(idx);
+        let slot = *self.interned.entry(idx).or_insert_with(|| {
+            self.plan.indexes.push((idx, index.map(HashIndex::version)));
             (self.plan.indexes.len() - 1) as u16
-        })
+        });
+        (index, slot)
     }
 
     /// Resolve a unique-index lookup and record it.
     pub fn unique(&mut self, idx: IndexId, key: &IndexKey) -> Option<RowId> {
-        let idx_ref = self.intern(idx);
-        let row = self.db.lookup_unique_id(idx, key);
+        let (index, idx_ref) = self.intern(idx);
+        let row = index.and_then(|index| index.get_unique(key));
         self.plan.entries.push(PlanEntry::Unique { idx_ref, row });
         row
     }
 
     /// Resolve a non-unique lookup and record it; returns the matching rows
-    /// (borrowed from the database — no per-lookup allocation at build time).
+    /// (borrowed from the index — no per-lookup allocation at build time).
     pub fn multi(&mut self, idx: IndexId, key: &IndexKey) -> &'a [RowId] {
-        let idx_ref = self.intern(idx);
-        let rows: &'a [RowId] = self.db.lookup_id(idx, key);
+        let (index, idx_ref) = self.intern(idx);
+        let rows: &'a [RowId] = index.map_or(&[], |index| index.get(key));
         let start = self.plan.rows.len() as u32;
         self.plan.rows.extend_from_slice(rows);
         self.plan.entries.push(PlanEntry::Multi {
@@ -386,6 +398,46 @@ mod tests {
             PlannedUnique::Probe,
             "everything after a stale entry probes too"
         );
+    }
+
+    #[test]
+    fn released_index_yields_probe_and_poisons_the_cursor() {
+        let (mut db, pk, t) = setup();
+        let u = db.create_table(TableSchema::new(
+            "u",
+            vec![ColumnDef::new("id", DataType::Int)],
+            vec![0],
+        ));
+        let u_pk = db.create_index(u, "pk", vec![0], true);
+        db.insert_indexed(u, vec![Value::Int(0)]);
+        let mut reg = ProcedureRegistry::new();
+        reg.register(
+            ProcedureDef::new("two", |_p, _| vec![], |_| None, |_ctx| {}).with_plan_access(
+                move |p, probe| {
+                    probe.unique(pk, &IndexKey::single(p[0].as_int()));
+                    probe.unique(u_pk, &IndexKey::single(0i64));
+                },
+            ),
+        );
+        // A grouping stage's share; the live database then writes `pk`.
+        let mut planner = db.indexes().clone();
+        db.insert_indexed(t, vec![Value::Int(100), Value::Double(0.0)]);
+        assert_eq!(planner.release_unshared(), 1);
+        let txns = vec![TxnSignature::new(0, 0, vec![Value::Int(3)])];
+        let mut plan = AccessPlan::build(&reg, &planner, &txns);
+        assert_eq!(plan.num_entries(), 2, "the released lookup is recorded");
+        for revalidated in [false, true] {
+            if revalidated {
+                assert_eq!(plan.revalidate(&db), 1, "only the released index");
+            }
+            let mut c = plan.cursor(0).unwrap();
+            assert_eq!(c.next_unique(), PlannedUnique::Probe, "released: probe");
+            assert_eq!(
+                c.next_unique(),
+                PlannedUnique::Probe,
+                "a fresh entry after it probes too"
+            );
+        }
     }
 
     #[test]

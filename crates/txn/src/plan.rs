@@ -11,8 +11,9 @@
 //!
 //! The read/write sets themselves must be *state-independent* (derivable from
 //! the signature alone, the paper's Appendix B static analysis); planning
-//! against a frozen snapshot is only correct under that assumption, which all
-//! bundled workloads satisfy.
+//! against the grouping stage's index share, which lags the live database,
+//! is only correct under that assumption, which all bundled workloads
+//! satisfy.
 
 use crate::kset::IncrementalKSet;
 use crate::op::BasicOp;

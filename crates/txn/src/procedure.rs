@@ -23,7 +23,7 @@ use crate::signature::{TxnSignature, TxnTypeId};
 use gputx_sim::ThreadTrace;
 use gputx_storage::catalog::TableId;
 use gputx_storage::index::IndexKey;
-use gputx_storage::{Database, IndexId, RowId, StorageView, Value};
+use gputx_storage::{Database, IndexId, IndexSet, RowId, StorageView, Value};
 use std::fmt;
 use std::sync::Arc;
 
@@ -412,9 +412,9 @@ pub struct TxnScratch {
     undo: Vec<UndoRecord>,
 }
 
-/// Callback computing a procedure's read/write set from its parameters and
-/// the current database state.
-pub type ReadWriteSetFn = Arc<dyn Fn(&[Value], &Database) -> Vec<BasicOp> + Send + Sync>;
+/// Callback computing a procedure's read/write set from its parameters. It
+/// may resolve row ids through the indexes but never reads a field.
+pub type ReadWriteSetFn = Arc<dyn Fn(&[Value], &IndexSet) -> Vec<BasicOp> + Send + Sync>;
 
 /// Callback computing a procedure's partitioning key from its parameters;
 /// `None` marks a cross-partition transaction.
@@ -435,8 +435,10 @@ pub struct ProcedureDef {
     /// and the abort decision happen before any write), which lets the engine
     /// skip undo logging for it (Appendix D, "Logging").
     pub two_phase: bool,
-    /// Declared read/write set for a given parameter list. Evaluated against
-    /// the current database (index lookups resolve row ids).
+    /// Declared read/write set for a given parameter list; index lookups
+    /// may resolve row ids. A pipelined grouping stage evaluates it against
+    /// its own share of the indexes, so it must not depend on what the bulks
+    /// still executing will insert.
     pub read_write_set: ReadWriteSetFn,
     /// Partitioning key for a given parameter list; `None` marks a
     /// cross-partition transaction.
@@ -463,7 +465,7 @@ impl ProcedureDef {
     /// Create a procedure definition.
     pub fn new(
         name: impl Into<String>,
-        read_write_set: impl Fn(&[Value], &Database) -> Vec<BasicOp> + Send + Sync + 'static,
+        read_write_set: impl Fn(&[Value], &IndexSet) -> Vec<BasicOp> + Send + Sync + 'static,
         partition_key: impl Fn(&[Value]) -> Option<u64> + Send + Sync + 'static,
         execute: impl Fn(&mut TxnCtx<'_>) + Send + Sync + 'static,
     ) -> Self {
@@ -525,9 +527,14 @@ impl ProcedureRegistry {
         &self.procedures[ty as usize]
     }
 
-    /// Declared read/write set of a signature against the current database.
-    pub fn read_write_set(&self, sig: &TxnSignature, db: &Database) -> Vec<BasicOp> {
-        (self.get(sig.ty).read_write_set)(&sig.params, db)
+    /// Declared read/write set of a signature, resolved against `indexes`:
+    /// a [`Database`] or a grouping stage's [`IndexSet`].
+    pub fn read_write_set(
+        &self,
+        sig: &TxnSignature,
+        indexes: &impl AsRef<IndexSet>,
+    ) -> Vec<BasicOp> {
+        (self.get(sig.ty).read_write_set)(&sig.params, indexes.as_ref())
     }
 
     /// Partitioning key of a signature.

@@ -12,7 +12,7 @@
 use crate::skew::SkewedPicker;
 use crate::workload::WorkloadBundle;
 use gputx_storage::schema::{ColumnDef, TableSchema};
-use gputx_storage::{DataItemId, DataType, Database, Value};
+use gputx_storage::{DataItemId, DataType, Database, IndexSet, Value};
 use gputx_txn::{BasicOp, ProcedureDef, ProcedureRegistry, TxnTypeId};
 use serde::{Deserialize, Serialize};
 
@@ -97,7 +97,7 @@ impl MicroWorkload {
         let mut registry = ProcedureRegistry::new();
         let calls = 100 * config.compute_x as u64;
         for ty in 0..config.num_types {
-            let read_write_set = move |params: &[Value], _db: &Database| {
+            let read_write_set = move |params: &[Value], _: &IndexSet| {
                 let row = params[0].as_int() as u64;
                 vec![BasicOp::write(DataItemId::new(table, row, 1))]
             };

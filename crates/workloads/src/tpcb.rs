@@ -13,7 +13,7 @@
 
 use crate::workload::WorkloadBundle;
 use gputx_storage::schema::{ColumnDef, TableSchema};
-use gputx_storage::{DataItemId, DataType, Database, Value};
+use gputx_storage::{DataItemId, DataType, Database, IndexSet, Value};
 use gputx_txn::{BasicOp, ProcedureDef, ProcedureRegistry};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -107,7 +107,7 @@ impl TpcbConfig {
         let mut registry = ProcedureRegistry::new();
         // The branch row (root of the tree-shaped schema) is the
         // conflict/locking object (§5.1).
-        let read_write_set = move |params: &[Value], _db: &Database| {
+        let read_write_set = move |params: &[Value], _: &IndexSet| {
             let branch = params[0].as_int() as u64;
             let teller = params[1].as_int() as u64;
             let account = params[2].as_int() as u64;

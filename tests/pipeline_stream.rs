@@ -3,8 +3,10 @@
 //! * **Equivalence** — over the same seeded transaction stream with the same
 //!   bulk boundaries, `PipelinedGpuTx` must commit the exact same final
 //!   database state (and per-transaction outcomes) as the one-shot
-//!   `execute_bulk` path, at 1 and 4 worker threads, for the K-SET and PART
-//!   strategies, on TM1 and the micro benchmark.
+//!   `execute_bulk` path, at 1 and 4 worker threads, for the K-SET, PART and
+//!   TPL strategies, on TM1 and the micro benchmark. Every strategy runs
+//!   with the grouping stage's access plan, and TM1's call-forwarding
+//!   inserts make the grouping stage release its copies of those indexes.
 //! * **Shutdown/drain semantics** — submitting after `shutdown()` errors,
 //!   `flush()` commits a partial bulk, and no ticket is dropped under
 //!   backpressure (seeded stress across 1/2/4/8 worker threads).
@@ -67,7 +69,12 @@ fn pipelined(
     strategy: StrategyChoice,
     threads: usize,
 ) -> (Database, Vec<(TxnId, TxnOutcome)>) {
-    let engine = EngineBuilder::new(db0.clone(), registry.clone())
+    // A copy that shares no index with `db0`: the engine's stages are then
+    // the only holders, as in a served engine, so the grouping stage
+    // releases every index execution writes.
+    let db = db0.rebuilt_with_layout(db0.layout());
+    assert!(db == *db0);
+    let engine = EngineBuilder::new(db, registry.clone())
         .with_strategy(strategy)
         .with_max_bulk_size(BULK)
         .with_max_wait_us(60_000_000)
@@ -103,6 +110,7 @@ fn assert_stream_equivalence(
     for (strategy, choice) in [
         (StrategyKind::Kset, StrategyChoice::ForceKset),
         (StrategyKind::Part, StrategyChoice::ForcePart),
+        (StrategyKind::Tpl, StrategyChoice::ForceTpl),
     ] {
         let (ref_db, ref_outcomes) = one_shot(db0, registry, sigs, strategy);
         for threads in [1usize, 4] {
