@@ -127,88 +127,6 @@ pub fn adhoc_gpu_throughput(bundle: &mut WorkloadBundle, total_txns: usize) -> T
     adhoc_gpu_single_core(&mut db, &bundle.registry, &sigs, &DeviceSpec::tesla_c1060()).throughput()
 }
 
-/// Shared measurement protocol of the WAL-overhead experiments, used by both
-/// `benches/durability.rs` and the `figures -- durability` CI experiment so
-/// the two report the same thing: logged vs. unlogged wall-clock execution
-/// of one transaction stream through the CPU engine, in fixed-size bulks,
-/// under each fsync policy.
-pub mod wal_overhead {
-    use gputx_cpu::engine::CpuEngine;
-    use gputx_durability::{Durability, FsyncPolicy};
-    use gputx_storage::Database;
-    use gputx_txn::TxnSignature;
-    use gputx_workloads::WorkloadBundle;
-    use std::path::{Path, PathBuf};
-    use std::time::Instant;
-
-    /// The fsync policies every WAL-overhead report sweeps, with their
-    /// report labels.
-    pub const POLICIES: [(&str, FsyncPolicy); 3] = [
-        ("perbulk", FsyncPolicy::PerBulk),
-        ("everyn8", FsyncPolicy::EveryN(8)),
-        ("async", FsyncPolicy::Async),
-    ];
-
-    /// A fresh scratch directory under the system temp dir (any previous
-    /// contents are removed).
-    pub fn scratch_dir(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("gputx-wal-bench-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    /// Execute the stream unlogged in bulks of `bulk`; returns
-    /// `(wall seconds, final db)`.
-    pub fn run_unlogged(
-        bundle: &WorkloadBundle,
-        sigs: &[TxnSignature],
-        bulk: usize,
-    ) -> (f64, Database) {
-        let engine = CpuEngine::xeon_quad_core();
-        let mut db = bundle.db.clone();
-        let start = Instant::now();
-        for chunk in sigs.chunks(bulk) {
-            engine
-                .try_execute_bulk(&mut db, &bundle.registry, chunk)
-                .expect("no procedure panics");
-        }
-        (start.elapsed().as_secs_f64(), db)
-    }
-
-    /// Execute the stream with redo logging into `dir`; returns
-    /// `(wall seconds, final db, wal bytes)`. The final sync is inside the
-    /// timed window, so `Async`/`EveryN` pay their deferred flush here
-    /// rather than hiding it.
-    pub fn run_logged(
-        bundle: &WorkloadBundle,
-        sigs: &[TxnSignature],
-        dir: &Path,
-        fsync: FsyncPolicy,
-        bulk: usize,
-    ) -> (f64, Database, u64) {
-        let engine = CpuEngine::xeon_quad_core();
-        let mut db = bundle.db.clone();
-        let mut durability =
-            Durability::create(dir, fsync, &db).expect("durability directory initializes");
-        let start = Instant::now();
-        for chunk in sigs.chunks(bulk) {
-            engine
-                .try_execute_bulk_durable(&mut db, &bundle.registry, chunk, &mut durability)
-                .expect("no procedure panics, log appends succeed");
-        }
-        durability.sync().expect("final sync");
-        let secs = start.elapsed().as_secs_f64();
-        let bytes = durability.stats().wal_bytes;
-        (secs, db, bytes)
-    }
-
-    /// Logging overhead in percent: positive = logged run is slower.
-    pub fn overhead_pct(unlogged_secs: f64, logged_secs: f64) -> f64 {
-        (logged_secs / unlogged_secs.max(f64::EPSILON) - 1.0) * 100.0
-    }
-}
-
 /// Simple aligned text-table printer used by the figures binary.
 #[derive(Debug, Default)]
 pub struct TextTable {

@@ -31,16 +31,9 @@
 //!
 //! Without a reconnect policy the client behaves as before: errors surface
 //! as [`ClientError`] and pending replies fail with `ConnectionClosed`.
-//!
-//! [`bench_run`] builds the benchmark harness on top: N connections in
-//! closed-loop (bounded in-flight window) or rate-paced open-loop mode, with
-//! warmup and timed measurement windows and per-transaction-type latency and
-//! outcome accounting.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-
-pub mod bench_run;
 
 use gputx_server::proto::{
     decode_response, encode_request, read_frame, write_frame, FrameError, Request, Response,

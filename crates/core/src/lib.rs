@@ -57,6 +57,6 @@ pub use config::{EngineConfig, PipelineConfig, StrategyChoice};
 pub use engine::GpuTxEngine;
 pub use error::EngineError;
 pub use pipeline::PipelinedGpuTx;
-pub use profiler::{profile_pipeline, BulkProfile, StageOccupancy};
+pub use profiler::BulkProfile;
 pub use select::choose_strategy;
 pub use strategy::{execute_bulk, try_execute_bulk, ExecContext, StrategyKind, StrategyOutcome};

@@ -7,12 +7,7 @@
 //! * `d` — the depth of the graph (critical path length of the bulk),
 //! * `w0` — the number of transactions in the 0-set (available parallelism),
 //! * `c` — the number of cross-partition transactions.
-//!
-//! For the streaming engine this module additionally condenses the per-stage
-//! wall-clock timings of a pipelined run into a [`StageOccupancy`] — the
-//! utilization profile that tells an operator which stage bounds throughput.
 
-use gputx_exec::PipelineStats;
 use gputx_storage::IndexSet;
 use gputx_txn::kset::rank_ksets;
 use gputx_txn::{ProcedureRegistry, TxnSignature};
@@ -83,51 +78,6 @@ pub fn profile_bulk(
         distinct_partitions,
         distinct_types,
         type_histogram,
-    }
-}
-
-/// Per-stage utilization of a pipelined run: the fraction of wall-clock time
-/// each stage spent busy. The stage closest to 1.0 is the bottleneck; a low
-/// execution occupancy with a high grouping occupancy says the bulk-formation
-/// overlap (not the kernel work) bounds throughput.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct StageOccupancy {
-    /// Admission stage (bulk formation + backpressure hand-off).
-    pub admission: f64,
-    /// Grouping stage (K-SET wave / partition-group construction).
-    pub grouping: f64,
-    /// Execution stage (functional bulk execution).
-    pub execution: f64,
-    /// Commit stage (ticket resolution).
-    pub commit: f64,
-}
-
-impl StageOccupancy {
-    /// Name of the busiest stage — the pipeline's throughput bottleneck.
-    pub fn bottleneck(&self) -> &'static str {
-        let stages = [
-            ("admission", self.admission),
-            ("grouping", self.grouping),
-            ("execution", self.execution),
-            ("commit", self.commit),
-        ];
-        stages
-            .iter()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("occupancies are finite"))
-            .expect("four stages")
-            .0
-    }
-}
-
-/// Condense the per-stage timings of a pipelined run into its utilization
-/// profile.
-pub fn profile_pipeline(stats: &PipelineStats) -> StageOccupancy {
-    let [admission, grouping, execution, commit] = stats.occupancy();
-    StageOccupancy {
-        admission,
-        grouping,
-        execution,
-        commit,
     }
 }
 
@@ -229,19 +179,5 @@ mod tests {
         assert_eq!(p.size, 0);
         assert_eq!(p.depth, 0);
         assert_eq!(p.zero_set_size, 0);
-    }
-
-    #[test]
-    fn pipeline_profile_reports_occupancy_and_bottleneck() {
-        let stats = PipelineStats::default();
-        let idle = profile_pipeline(&stats);
-        assert_eq!(idle.admission, 0.0);
-        let occ = StageOccupancy {
-            admission: 0.1,
-            grouping: 0.4,
-            execution: 0.9,
-            commit: 0.05,
-        };
-        assert_eq!(occ.bottleneck(), "execution");
     }
 }

@@ -76,8 +76,8 @@ impl DurabilityConfig {
     }
 }
 
-/// Cumulative cost accounting of the durability path, for the WAL-OVERHEAD
-/// benchmark and operator dashboards.
+/// Cumulative cost accounting of the durability path, for the benchmark's
+/// `durability.*` metrics and operator dashboards.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DurabilityStats {
     /// Bulk records appended.

@@ -19,8 +19,9 @@
 //! to whole-bulk serial execution and is never competitive. A cost-driven
 //! selector therefore *must* alternate between K-SET and TPL as the phases
 //! alternate; a fixed strategy loses one phase or the other. This is the
-//! workload behind the `figures -- tpcc` decision histogram and the
-//! adaptive equivalence matrix.
+//! workload behind the non-degenerate decision histogram asserted by
+//! `adaptive_selector_switches_strategies_across_phases` below, and part of
+//! the adaptive equivalence matrix.
 //!
 //! Both procedures declare access-plan callbacks: every account probe derives
 //! from the parameters, so it is resolved at bulk-formation time.

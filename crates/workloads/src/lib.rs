@@ -20,9 +20,6 @@
 //!   between uniform and skewed phases, forcing a cost-driven selector to
 //!   switch strategies mid-run (the adaptive-execution stress workload).
 //! * [`skew`] — skewed key generators shared by the workloads.
-//! * [`stream`] — open-loop (arrival-rate-controlled, optionally bursty) and
-//!   closed-loop (submit-after-complete) stream drivers for the streaming
-//!   pipelined engine.
 //! * [`workload`] — the [`workload::WorkloadBundle`] abstraction consumed by
 //!   the engines, examples and the figures harness.
 //!
@@ -36,7 +33,6 @@
 pub mod ledger;
 pub mod micro;
 pub mod skew;
-pub mod stream;
 pub mod tm1;
 pub mod tpcb;
 pub mod tpcc;
@@ -44,10 +40,6 @@ pub mod workload;
 
 pub use ledger::LedgerConfig;
 pub use micro::{MicroConfig, MicroWorkload};
-pub use stream::{
-    run_closed_loop, run_open_loop, ClosedLoopConfig, ClosedLoopReport, OpenLoopConfig,
-    OpenLoopReport,
-};
 pub use tm1::Tm1Config;
 pub use tpcb::TpcbConfig;
 pub use tpcc::TpccConfig;

@@ -21,8 +21,11 @@
 //! * **Batching** — the responder never holds a resolved response back for
 //!   an unresolved one (flush before block), and a peer that dies under a
 //!   burst still has every ticket drained.
+//! * **Lossless under concurrency** — two connections submitting from their
+//!   own threads, each with a bounded window in flight, resolve every
+//!   transaction exactly once.
 
-use gputx_client::{bench_run, Client, ClientConfig, TxnResult};
+use gputx_client::{Client, ClientConfig, Reply, TxnResult};
 use gputx_core::config::StrategyChoice;
 use gputx_core::{EngineBuilder, PipelineConfig, PipelinedGpuTx};
 use gputx_server::proto::{
@@ -33,6 +36,7 @@ use gputx_storage::wire::crc32;
 use gputx_storage::{Database, Value};
 use gputx_txn::{TxnSignature, TxnTypeId};
 use gputx_workloads::{MicroConfig, MicroWorkload, Tm1Config, WorkloadBundle};
+use std::collections::{HashSet, VecDeque};
 use std::io::Write;
 use std::time::Duration;
 
@@ -425,15 +429,16 @@ fn stop_racing_attach_never_orphans_the_client() {
     }
 }
 
-/// Closed-loop harness over socket pairs: the bench path itself must be
-/// lossless (every submit resolves exactly once) and observe commits.
+/// Two plain clients over socket pairs, each submitting its own TM1 stream
+/// from its own thread with a bounded number of requests in flight: every
+/// reply resolves exactly once (to a distinct transaction id), no response
+/// goes unmatched, and the engine resolves exactly what was submitted.
 #[test]
-fn bench_harness_socket_pair_run_is_lossless() {
+fn two_clients_over_socket_pairs_are_lossless() {
+    const IN_FLIGHT: usize = 32;
     let mut bundle = tm1();
-    let type_names: Vec<String> = (0..bundle.registry.num_types())
-        .map(|t| bundle.registry.get(t as TxnTypeId).name.clone())
-        .collect();
     let streams: Vec<_> = (0..2).map(|_| bundle.generate(512)).collect();
+    let submitted: usize = streams.iter().map(Vec::len).sum();
     let engine = engine_for(
         &bundle,
         PipelineConfig::default()
@@ -441,27 +446,48 @@ fn bench_harness_socket_pair_run_is_lossless() {
             .with_max_wait_us(2_000),
     );
     let server = Server::new(engine.handle());
-    let report = bench_run::run_bench(
-        &bench_run::BenchConfig {
-            connections: 2,
-            mode: bench_run::BenchMode::Closed,
-            warmup: Duration::from_millis(50),
-            measure: Duration::from_millis(400),
-            max_in_flight: 32,
-        },
-        &type_names,
-        &streams,
-        &|_| {
-            let (server_end, client_end) = socket_pair()?;
-            server.attach(server_end)?;
-            Client::from_duplex(client_end)
-        },
-    )
-    .expect("harness runs");
+    let outcomes: Vec<(u64, bool)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = streams
+            .iter()
+            .map(|stream| {
+                let (server_end, client_end) = socket_pair().expect("socketpair");
+                server.attach(server_end).expect("attach");
+                let client = Client::from_duplex(client_end).expect("client");
+                scope.spawn(move || {
+                    let settle = |reply: Reply| match reply.wait().expect("reply resolves") {
+                        TxnResult::Committed(id) => (id, true),
+                        TxnResult::Aborted(id) => (id, false),
+                        other => panic!("unexpected wire resolution {other:?}"),
+                    };
+                    let mut window = VecDeque::with_capacity(IN_FLIGHT);
+                    let mut outcomes = Vec::with_capacity(stream.len());
+                    for (ty, params) in stream {
+                        if window.len() == IN_FLIGHT {
+                            outcomes.push(settle(window.pop_front().expect("full window")));
+                        }
+                        window.push_back(client.submit(*ty, params.clone()).expect("wire submit"));
+                    }
+                    outcomes.extend(window.into_iter().map(settle));
+                    assert_eq!(client.unmatched_responses(), 0);
+                    outcomes
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("client thread"))
+            .collect()
+    });
     server.stop();
-    engine.finish().expect("clean finish");
-    assert!(report.is_lossless(), "harness lost a resolution");
-    assert!(report.committed() > 0, "harness must commit transactions");
+    let (_db, stats) = engine.finish().expect("clean finish");
+
+    let ids: HashSet<u64> = outcomes.iter().map(|(id, _)| *id).collect();
+    assert_eq!(outcomes.len(), submitted, "every submit resolves");
+    assert_eq!(ids.len(), submitted, "no transaction resolves twice");
+    let committed = outcomes.iter().filter(|(_, c)| *c).count() as u64;
+    assert!(committed > 0, "the run must commit transactions");
+    assert_eq!(committed, stats.committed, "client and engine agree");
+    assert_eq!(stats.committed + stats.aborted, submitted as u64);
 }
 
 /// A transport whose `shutdown_both` is a no-op: models peers/transports
