@@ -37,8 +37,8 @@ pub fn run_gpu_bulk(
 
 /// Group a bulk into the shape PART hands the executor: one group per
 /// partition key, each in ascending timestamp (id) order. Shared by the
-/// executor-level benchmarks and figures experiments so they all measure the
-/// exact schedule the equivalence tests verify. Panics on cross-partition
+/// executor-level figures experiments so they measure the exact schedule the
+/// equivalence tests verify. Panics on cross-partition
 /// transactions (`partition_key == None`).
 pub fn partition_groups<'a>(
     registry: &gputx_txn::ProcedureRegistry,

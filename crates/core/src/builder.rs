@@ -2,7 +2,7 @@
 //!
 //! [`EngineBuilder`] is the only way to construct an engine: database and
 //! registry in, one fluent chain for
-//! executor/durability/pipeline/replication/analytics/robustness, then
+//! durability/pipeline/replication/analytics/robustness, then
 //! [`build`](EngineBuilder::build) (one-shot),
 //! [`build_pipelined`](EngineBuilder::build_pipelined) (streaming) or
 //! [`build_cpu`](EngineBuilder::build_cpu) (the CPU reference engine). The
@@ -27,7 +27,6 @@ use crate::pipeline::PipelinedGpuTx;
 use gputx_analytics::{AnalyticsConfig, AnalyticsSession};
 use gputx_cpu::CpuEngine;
 use gputx_durability::DurabilityConfig;
-use gputx_exec::ExecutorChoice;
 use gputx_replication::{PrimaryHub, Promotion, ReplicationOptions};
 use gputx_sim::CpuSpec;
 use gputx_storage::Database;
@@ -93,9 +92,9 @@ impl EngineBuilder {
     // -- engine configuration -------------------------------------------------
 
     /// Replace the whole engine configuration (strategy, thresholds, device,
-    /// …). Fields the builder also exposes directly (executor, durability)
-    /// are taken from `config` as given and can still be overridden by later
-    /// builder calls.
+    /// …). Fields the builder also exposes directly (durability) are taken
+    /// from `config` as given and can still be overridden by later builder
+    /// calls.
     pub fn with_config(mut self, config: EngineConfig) -> Self {
         self.config = config;
         self
@@ -153,15 +152,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Host executor for functional work — applies to both the one-shot
-    /// engine and the pipeline's execution stage (and the CPU engine's
-    /// partition groups).
-    pub fn with_executor(mut self, executor: ExecutorChoice) -> Self {
-        self.config.executor = executor;
-        self.pipeline.executor = executor;
-        self
-    }
-
     /// Enable bulk-granular redo logging into `dir` with the default
     /// per-bulk fsync policy.
     pub fn with_durability(self, dir: impl Into<PathBuf>) -> Self {
@@ -176,8 +166,8 @@ impl EngineBuilder {
 
     // -- pipeline configuration ----------------------------------------------
 
-    /// Replace the whole pipeline configuration (admission knobs + stage
-    /// executor) for [`build_pipelined`](EngineBuilder::build_pipelined).
+    /// Replace the whole pipeline configuration (admission knobs) for
+    /// [`build_pipelined`](EngineBuilder::build_pipelined).
     pub fn with_pipeline(mut self, pipeline: PipelineConfig) -> Self {
         self.pipeline = pipeline;
         self
@@ -332,13 +322,13 @@ impl EngineBuilder {
         PipelinedGpuTx::start(self.db, self.registry, self.config, self.pipeline, commit)
     }
 
-    /// Build the CPU reference engine for `spec`, carrying over the
-    /// builder's executor choice. The CPU engine executes bulks against a
-    /// caller-held database and keeps its own partition-size default, so the
-    /// builder's database/registry/durability/replication settings do not
-    /// apply to it — tune those with [`CpuEngine::with_partition_size`].
+    /// Build the CPU reference engine for `spec`. The CPU engine executes
+    /// bulks against a caller-held database and keeps its own partition-size
+    /// default, so the builder's database/registry/durability/replication
+    /// settings do not apply to it — tune those with
+    /// [`CpuEngine::with_partition_size`].
     pub fn build_cpu(&self, spec: CpuSpec) -> CpuEngine {
-        CpuEngine::new(spec).with_executor(self.config.executor)
+        CpuEngine::new(spec)
     }
 }
 
@@ -382,11 +372,9 @@ mod tests {
         let mut engine = EngineBuilder::new(db, reg)
             .with_strategy(StrategyChoice::ForceKset)
             .with_bulk_size(8)
-            .with_executor(ExecutorChoice::parallel(2))
             .build();
         assert_eq!(engine.config().strategy, StrategyChoice::ForceKset);
         assert_eq!(engine.config().bulk_size, 8);
-        assert!(engine.config().executor.is_parallel());
         for i in 0..16 {
             engine.submit(0, vec![Value::Int(i % 16)]);
         }
@@ -437,35 +425,6 @@ mod tests {
         assert!(engine.decision_stats().is_none());
         let engine = EngineBuilder::new(db, reg).build_pipelined();
         assert!(engine.decision_stats().is_none());
-    }
-
-    #[test]
-    fn builder_executor_applies_to_pipeline_stage_too() {
-        let (db, reg) = setup(8);
-        let engine = EngineBuilder::new(db, reg)
-            .with_executor(ExecutorChoice::parallel(2))
-            .with_max_bulk_size(4)
-            .with_max_wait_us(10_000_000)
-            .build_pipelined();
-        for i in 0..8 {
-            engine.submit(0, vec![Value::Int(i % 8)]).unwrap();
-        }
-        let (db, stats) = engine.finish().unwrap();
-        assert_eq!(stats.committed, 8);
-        assert_eq!(db.table_by_name("items").get(3, 1), Value::Int(1));
-    }
-
-    #[test]
-    fn builder_cpu_engine_carries_executor() {
-        let (mut db, reg) = setup(32);
-        let sigs: Vec<_> = (0..32)
-            .map(|i| gputx_txn::TxnSignature::new(i, 0, vec![Value::Int(i as i64 % 32)]))
-            .collect();
-        let cpu = EngineBuilder::new(db.clone(), reg.clone())
-            .with_executor(ExecutorChoice::parallel(2))
-            .build_cpu(CpuSpec::xeon_e5520());
-        let report = cpu.execute_bulk(&mut db, &reg, &sigs);
-        assert_eq!(report.committed, 32);
     }
 
     #[test]

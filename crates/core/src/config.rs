@@ -1,7 +1,6 @@
 //! Engine configuration.
 
 use gputx_durability::DurabilityConfig;
-use gputx_exec::ExecutorChoice;
 use gputx_sim::DeviceSpec;
 use serde::{Deserialize, Serialize};
 
@@ -71,11 +70,6 @@ pub struct EngineConfig {
     /// Relax the timestamp constraint (Appendix G): bulk generation skips the
     /// rank computation and locks only enforce mutual exclusion.
     pub relax_timestamps: bool,
-    /// How the host executes a bulk's functional work: the serial reference
-    /// loop, or the sharded multi-threaded executor running conflict-free
-    /// sets / partition groups on worker threads. The simulated GPU timings
-    /// are identical either way; only wall-clock time changes.
-    pub executor: ExecutorChoice,
     /// Crash durability: when a directory is configured, every committed
     /// bulk appends one redo record (its net typed write-set) to a
     /// write-ahead log there, fsynced per the configured policy, and
@@ -96,7 +90,6 @@ impl Default for EngineConfig {
             partition_size: 128,
             undo_logging: true,
             relax_timestamps: false,
-            executor: ExecutorChoice::Serial,
             durability: DurabilityConfig::disabled(),
         }
     }
@@ -158,9 +151,6 @@ pub struct PipelineConfig {
     /// Capacity of the bounded admission queue; a full queue blocks `submit`
     /// (backpressure) and fails `try_submit`.
     pub queue_depth: usize,
-    /// Host executor for the execution stage (serial or `parallel(n)`),
-    /// independent of the one-shot engine's `EngineConfig::executor`.
-    pub executor: ExecutorChoice,
 }
 
 impl Default for PipelineConfig {
@@ -169,7 +159,6 @@ impl Default for PipelineConfig {
             max_bulk_size: 8_192,
             max_wait_us: 2_000,
             queue_depth: 16_384,
-            executor: ExecutorChoice::Serial,
         }
     }
 }
@@ -192,12 +181,6 @@ impl PipelineConfig {
     pub fn with_queue_depth(mut self, queue_depth: usize) -> Self {
         assert!(queue_depth > 0, "queue_depth must be positive");
         self.queue_depth = queue_depth;
-        self
-    }
-
-    /// Builder-style: pick the execution-stage host executor.
-    pub fn with_executor(mut self, executor: ExecutorChoice) -> Self {
-        self.executor = executor;
         self
     }
 }
@@ -231,11 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn default_executor_is_serial() {
-        assert_eq!(EngineConfig::default().executor, ExecutorChoice::Serial);
-    }
-
-    #[test]
     fn durability_disabled_by_default() {
         assert!(!EngineConfig::default().durability.enabled());
     }
@@ -251,12 +229,10 @@ mod tests {
         let c = PipelineConfig::default()
             .with_max_bulk_size(1024)
             .with_max_wait_us(500)
-            .with_queue_depth(32)
-            .with_executor(ExecutorChoice::parallel(2));
+            .with_queue_depth(32);
         assert_eq!(c.max_bulk_size, 1024);
         assert_eq!(c.max_wait_us, 500);
         assert_eq!(c.queue_depth, 32);
-        assert!(c.executor.is_parallel());
     }
 
     #[test]

@@ -354,34 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_executor_runs_through_the_engine() {
-        use gputx_exec::ExecutorChoice;
-        let (db, reg) = setup(500);
-        let mut results = Vec::new();
-        for executor in [ExecutorChoice::Serial, ExecutorChoice::parallel(4)] {
-            let (db, reg) = (db.clone(), reg.clone());
-            let mut engine = EngineBuilder::new(db, reg)
-                .with_bulk_size(1024)
-                .with_executor(executor)
-                .build();
-            for i in 0..2500u64 {
-                engine.submit(0, vec![Value::Int((i % 500) as i64), Value::Double(1.0)]);
-            }
-            let reports = engine.run_until_empty();
-            assert_eq!(engine.total_committed(), 2500);
-            results.push((
-                engine.db().clone(),
-                engine.results().to_vec(),
-                reports.iter().map(|r| r.total()).sum::<SimDuration>(),
-            ));
-        }
-        // Same final state, same result pool, same simulated time.
-        assert!(results[0].0 == results[1].0);
-        assert_eq!(results[0].1, results[1].1);
-        assert_eq!(results[0].2, results[1].2);
-    }
-
-    #[test]
     fn profile_reflects_conflicts() {
         let (db, reg) = setup(10);
         let mut engine = EngineBuilder::new(db, reg).build();

@@ -4,10 +4,12 @@ use gputx_exec::ExecError;
 
 /// Typed failure of a bulk execution at the engine level.
 ///
-/// The fallible entry point is [`try_execute_bulk`](crate::try_execute_bulk);
-/// the original [`execute_bulk`](crate::execute_bulk) keeps its infallible
-/// signature and panics on these (they only arise from panicking stored
-/// procedures, which would have unwound through the old API anyway).
+/// The fallible entry point is
+/// [`try_execute_bulk_planned`](crate::strategy::try_execute_bulk_planned),
+/// which takes the executor as an argument; only the parallel executor
+/// reports these (a panicking stored procedure). The engines'
+/// [`execute_bulk`](crate::execute_bulk) runs the serial executor, which
+/// never fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// The host executor failed (a panicking procedure surfaced by the

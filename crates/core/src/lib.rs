@@ -59,4 +59,4 @@ pub use error::EngineError;
 pub use pipeline::PipelinedGpuTx;
 pub use profiler::BulkProfile;
 pub use select::choose_strategy;
-pub use strategy::{execute_bulk, try_execute_bulk, ExecContext, StrategyKind, StrategyOutcome};
+pub use strategy::{execute_bulk, ExecContext, StrategyKind, StrategyOutcome};

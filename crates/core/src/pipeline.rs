@@ -24,13 +24,13 @@ use crate::profiler::profile_bulk;
 use crate::select::{choose_strategy, selector_for};
 use crate::strategy::{execute_bulk, ExecContext, StrategyKind};
 use gputx_exec::{
-    run_txn_planned, BulkPlanner, BulkRunner, BulkSizeKnob, ExecError, ExecPolicy, Executor,
-    PipelineError, PipelineOptions, PipelineStats, PipelinedEngine, SubmitHandle, Ticket,
+    BulkPlanner, BulkRunner, BulkSizeKnob, ExecError, ExecPolicy, Executor, PipelineError,
+    PipelineOptions, PipelineStats, PipelinedEngine, SerialExecutor, SubmitHandle, Ticket,
 };
 use gputx_sim::{Gpu, SimDuration, Throughput};
 use gputx_storage::{Database, IndexSet, Value};
 use gputx_txn::plan::{plan_kset_waves, plan_partition_groups, BulkPlan};
-use gputx_txn::{AccessPlan, ProcedureRegistry, TxnId, TxnScratch, TxnSignature, TxnTypeId};
+use gputx_txn::{AccessPlan, ProcedureRegistry, TxnId, TxnSignature, TxnTypeId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -133,7 +133,7 @@ impl BulkPlanner for GpuTxPlanner {
 }
 
 /// Execution-stage driver: owns the live database and applies each bulk with
-/// the precomputed schedule on the configured host [`Executor`].
+/// the precomputed schedule on the [`SerialExecutor`].
 ///
 /// Execution is purely functional (no simulated-GPU cost model): the
 /// pipelined engine measures *wall-clock* stage timings instead. The replay
@@ -145,25 +145,22 @@ impl BulkPlanner for GpuTxPlanner {
 /// # Failure semantics
 ///
 /// A panicking stored procedure fails its bulk (every ticket resolves with
-/// `BulkFailed`) and the pipeline keeps serving. How much of the failed bulk
-/// reached the database depends on where it failed: on the parallel executor
-/// a failing wave/group-set makes no state change (no shard delta is
-/// merged), but *earlier* K-SET waves of the same bulk were already merged,
-/// and serial execution mutates in place up to the panic. The failed bulk's
-/// *buffered inserts* are always discarded — they never leak into a later
-/// bulk's batched-insert application.
+/// `BulkFailed`) and the pipeline keeps serving. Execution mutates the
+/// database in place, so the transactions of the failed bulk that ran before
+/// the panic remain applied. The failed bulk's *buffered inserts* are always
+/// discarded — they never leak into a later bulk's batched-insert
+/// application. A commit error (WAL append) fails the bulk's tickets too,
+/// with its functional effects applied.
 #[derive(Debug)]
 pub struct GpuTxRunner {
     db: Database,
     registry: ProcedureRegistry,
-    executor: Box<dyn Executor>,
     policy: ExecPolicy,
     /// Where committed bulks go. The execution stage is the pipeline's
     /// group-commit point: a bulk's record is appended (and fsynced per
     /// policy) and published before the bulk reaches the commit stage, so
     /// tickets resolve only after their bulk is durable per policy — the
-    /// fsync wait is naturally folded into the ticket latencies
-    /// `PipelineStats` reports as p50/p99.
+    /// fsync wait is naturally folded into every ticket's latency.
     commit: GroupCommit,
 }
 
@@ -180,59 +177,33 @@ impl GpuTxRunner {
         }
     }
 
+    /// Replay the bulk in its plan's order — waves in extraction order,
+    /// partition groups in partition order, serial in timestamp order — as
+    /// one serial group.
     fn run_plan(
         &mut self,
         bulk: &[TxnSignature],
         plan: &GpuTxPlan,
         outcomes: &mut Vec<(TxnId, gputx_txn::TxnOutcome)>,
-    ) -> Result<(), ExecError> {
-        let access = plan.access.as_ref();
+    ) {
         let by_id: HashMap<TxnId, &TxnSignature> = bulk.iter().map(|s| (s.id, s)).collect();
-        match &plan.plan {
-            BulkPlan::ConflictFreeWaves(waves) => {
-                for wave in waves {
-                    let sigs: Vec<&TxnSignature> = wave.iter().map(|id| by_id[id]).collect();
-                    let executed = self.executor.run_conflict_free(
-                        &mut self.db,
-                        &self.registry,
-                        &self.policy,
-                        &sigs,
-                        access,
-                    )?;
-                    outcomes.extend(executed.into_iter().map(|t| (t.id, t.outcome)));
-                }
+        let order: Vec<&TxnSignature> = match &plan.plan {
+            BulkPlan::ConflictFreeWaves(sets) | BulkPlan::DisjointGroups(sets) => {
+                sets.iter().flatten().map(|id| by_id[id]).collect()
             }
-            BulkPlan::DisjointGroups(groups) => {
-                let group_refs: Vec<Vec<&TxnSignature>> = groups
-                    .iter()
-                    .map(|g| g.iter().map(|id| by_id[id]).collect())
-                    .collect();
-                let executed = self.executor.run_groups(
-                    &mut self.db,
-                    &self.registry,
-                    &self.policy,
-                    &group_refs,
-                    access,
-                )?;
-                outcomes.extend(executed.into_iter().flatten().map(|t| (t.id, t.outcome)));
-            }
-            BulkPlan::Serial => {
-                // `bulk` arrives in ascending id order from admission.
-                let mut scratch = TxnScratch::default();
-                for sig in bulk {
-                    let t = run_txn_planned(
-                        &mut self.db,
-                        &self.registry,
-                        &self.policy,
-                        sig,
-                        access,
-                        &mut scratch,
-                    );
-                    outcomes.push((t.id, t.outcome));
-                }
-            }
-        }
-        Ok(())
+            // `bulk` arrives in ascending id order from admission.
+            BulkPlan::Serial => bulk.iter().collect(),
+        };
+        let executed = SerialExecutor
+            .run_groups(
+                &mut self.db,
+                &self.registry,
+                &self.policy,
+                &[order],
+                plan.access.as_ref(),
+            )
+            .expect("the serial executor never fails");
+        outcomes.extend(executed.into_iter().flatten().map(|t| (t.id, t.outcome)));
     }
 }
 
@@ -259,10 +230,7 @@ impl BulkRunner for GpuTxRunner {
         }
         let capture = self.commit.arm(&mut self.db);
         let mut outcomes = Vec::with_capacity(bulk.len());
-        if let Err(e) = self.run_plan(&bulk, &plan, &mut outcomes) {
-            self.discard_insert_buffers();
-            return Err(e);
-        }
+        self.run_plan(&bulk, &plan, &mut outcomes);
         self.db.apply_insert_buffers();
         outcomes.sort_by_key(|(id, _)| *id);
         if let Some(capture) = capture {
@@ -305,8 +273,8 @@ pub struct PipelinedGpuTx {
 
 impl PipelinedGpuTx {
     /// Start the stage threads. `engine_config` supplies strategy selection,
-    /// thresholds and partition size; `pipeline` supplies the admission knobs
-    /// and the execution-stage host executor.
+    /// thresholds and partition size; `pipeline` supplies the admission
+    /// knobs.
     pub(crate) fn start(
         db: Database,
         registry: ProcedureRegistry,
@@ -331,7 +299,6 @@ impl PipelinedGpuTx {
         let runner = GpuTxRunner {
             db,
             registry,
-            executor: pipeline.executor.build(),
             policy: ExecPolicy::functional(),
             commit,
         };
@@ -531,7 +498,6 @@ mod tests {
     use super::*;
     use crate::builder::EngineBuilder;
     use crate::config::StrategyChoice;
-    use gputx_exec::ExecutorChoice;
     use gputx_storage::schema::{ColumnDef, TableSchema};
     use gputx_storage::{DataItemId, DataType, IndexId};
     use gputx_txn::{BasicOp, ProcedureDef};
@@ -616,7 +582,7 @@ mod tests {
     // ---- streaming engine ---------------------------------------------------
 
     /// The pipelined engine must reach the same final state as replaying the
-    /// stream sequentially, for every strategy and executor.
+    /// stream sequentially, for every strategy.
     #[test]
     fn pipelined_engine_matches_sequential_replay() {
         let n = 600usize;
@@ -635,32 +601,29 @@ mod tests {
             StrategyChoice::ForceTpl,
             StrategyChoice::Auto,
         ] {
-            for executor in [ExecutorChoice::Serial, ExecutorChoice::parallel(2)] {
-                let engine = EngineBuilder::new(db0.clone(), reg.clone())
-                    .with_strategy(strategy)
-                    .with_max_bulk_size(128)
-                    .with_max_wait_us(10_000_000)
-                    .with_executor(executor)
-                    .build_pipelined();
-                let tickets: Vec<Ticket> = (0..n)
-                    .map(|i| {
-                        engine
-                            .submit(0, vec![Value::Int((i % 7) as i64)])
-                            .expect("engine accepts submissions")
-                    })
-                    .collect();
-                let (db, stats) = engine.finish().expect("stages stay healthy");
-                assert!(
-                    db == seq_db,
-                    "{strategy:?}/{executor}: final state must equal sequential replay"
-                );
-                assert_eq!(stats.committed, n as u64);
-                assert_eq!(stats.bulks(), (n as u64).div_ceil(128));
-                for (i, t) in tickets.iter().enumerate() {
-                    let (id, outcome) = t.wait().expect("ticket resolves");
-                    assert_eq!(id, i as u64);
-                    assert!(outcome.is_committed());
-                }
+            let engine = EngineBuilder::new(db0.clone(), reg.clone())
+                .with_strategy(strategy)
+                .with_max_bulk_size(128)
+                .with_max_wait_us(10_000_000)
+                .build_pipelined();
+            let tickets: Vec<Ticket> = (0..n)
+                .map(|i| {
+                    engine
+                        .submit(0, vec![Value::Int((i % 7) as i64)])
+                        .expect("engine accepts submissions")
+                })
+                .collect();
+            let (db, stats) = engine.finish().expect("stages stay healthy");
+            assert!(
+                db == seq_db,
+                "{strategy:?}: final state must equal sequential replay"
+            );
+            assert_eq!(stats.committed, n as u64);
+            assert_eq!(stats.bulks(), (n as u64).div_ceil(128));
+            for (i, t) in tickets.iter().enumerate() {
+                let (id, outcome) = t.wait().expect("ticket resolves");
+                assert_eq!(id, i as u64);
+                assert!(outcome.is_committed());
             }
         }
     }
@@ -758,7 +721,6 @@ mod tests {
         let runner = GpuTxRunner {
             db,
             registry,
-            executor: ExecutorChoice::Serial.build(),
             policy: ExecPolicy::functional(),
             commit,
         };

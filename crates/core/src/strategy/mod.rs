@@ -13,10 +13,10 @@ pub mod tpl;
 use crate::bulk::{Bulk, BulkReport};
 use crate::config::EngineConfig;
 use crate::error::EngineError;
-use gputx_exec::ExecPolicy;
+use gputx_exec::{ExecPolicy, Executor, SerialExecutor};
 use gputx_sim::{Gpu, SimDuration};
 use gputx_storage::Database;
-use gputx_txn::{ProcedureRegistry, TxnId, TxnOutcome};
+use gputx_txn::{AccessPlan, ProcedureRegistry, TxnId, TxnOutcome};
 use serde::{Deserialize, Serialize};
 
 /// Which execution strategy ran a bulk.
@@ -132,48 +132,27 @@ pub(crate) fn tally(outcomes: &[(TxnId, TxnOutcome)]) -> (usize, usize) {
     (committed, outcomes.len() - committed)
 }
 
-/// Execute a bulk with the given strategy, applying insert buffers afterwards
-/// (the batched update of §3.2). Fallible variant: a panicking procedure
-/// under the parallel executor surfaces as [`EngineError`] instead of
-/// unwinding. On the executor's worker path the failing wave/group-set makes
-/// no state change (no shard delta is merged); earlier K-SET waves of the
-/// same bulk, and the inline serial fallback, execute in place, so their
-/// effects remain (insert buffers are not applied on failure either way).
+/// Execute a bulk with the given strategy on a caller-supplied executor and
+/// pre-built access plan, applying insert buffers afterwards (the batched
+/// update of §3.2). The engines pass [`SerialExecutor`]; the equivalence
+/// suites also pass `gputx_exec::ParallelExecutor` here, which runs K-SET
+/// waves and PART partition groups on worker threads with bit-identical
+/// results. TPL executes its host loop serially regardless (its
+/// counter-based locks enforce a total timestamp order, leaving no host-side
+/// parallelism to exploit).
 ///
-/// The functional work runs on the host executor selected by
-/// `config.executor`: the serial reference loop, or the sharded
-/// multi-threaded executor of `gputx-exec`, which runs K-SET waves and PART
-/// partition groups on worker threads with bit-identical results. TPL
-/// executes its host loop serially regardless (its counter-based locks
-/// enforce a total timestamp order, leaving no host-side parallelism to
-/// exploit).
-pub fn try_execute_bulk(
-    ctx: &mut ExecContext<'_>,
-    strategy: StrategyKind,
-    bulk: &Bulk,
-) -> Result<StrategyOutcome, EngineError> {
-    let executor = ctx.config.executor.build();
-    // The gather step: resolve every planned procedure's index keys to dense
-    // row ids once, against the database the bulk is about to run on (index
-    // state is frozen for the duration of a bulk — buffered inserts only
-    // reach the indexes in `apply_insert_buffers` below — so the plan is
-    // exact). Execution then performs zero index hash lookups for planned
-    // transactions. The streaming pipeline builds this plan on its grouping
-    // stage instead, overlapped with the previous bulk's execution.
-    let access = gputx_txn::AccessPlan::build(ctx.registry, ctx.db, &bulk.txns);
-    let access = (!access.is_empty()).then_some(access);
-    try_execute_bulk_planned(ctx, strategy, bulk, executor.as_ref(), access.as_ref())
-}
-
-/// [`try_execute_bulk`] with a caller-supplied executor and pre-built access
-/// plan — the entry point for engines that keep one executor (and its pooled
-/// allocations) alive across bulks and build plans off-thread.
+/// A panicking procedure under the parallel executor surfaces as
+/// [`EngineError`] instead of unwinding. On the executor's worker path the
+/// failing wave/group-set makes no state change (no shard delta is merged);
+/// earlier K-SET waves of the same bulk, and the inline serial fallback,
+/// execute in place, so their effects remain (insert buffers are not applied
+/// on failure either way). [`SerialExecutor`] never fails.
 pub fn try_execute_bulk_planned(
     ctx: &mut ExecContext<'_>,
     strategy: StrategyKind,
     bulk: &Bulk,
-    executor: &dyn gputx_exec::Executor,
-    access: Option<&gputx_txn::AccessPlan>,
+    executor: &dyn Executor,
+    access: Option<&AccessPlan>,
 ) -> Result<StrategyOutcome, EngineError> {
     let mut outcome = match strategy {
         StrategyKind::Tpl => tpl::run(ctx, bulk, access),
@@ -185,15 +164,24 @@ pub fn try_execute_bulk_planned(
     Ok(outcome)
 }
 
-/// Infallible [`try_execute_bulk`]: panics if the executor reports a worker
-/// panic (the pre-existing behaviour of this entry point). Every non-failing
-/// path is byte-identical to the fallible variant.
+/// Execute a bulk with the given strategy on the [`SerialExecutor`].
+///
+/// The gather step comes first: every planned procedure's index keys are
+/// resolved to dense row ids once, against the database the bulk is about
+/// to run on (index state is frozen for the duration of a bulk — buffered
+/// inserts only reach the indexes when the insert buffers are applied — so
+/// the plan is exact). Execution then performs zero index hash lookups for
+/// planned transactions. The streaming pipeline builds this plan on its
+/// grouping stage instead, overlapped with the previous bulk's execution.
 pub fn execute_bulk(
     ctx: &mut ExecContext<'_>,
     strategy: StrategyKind,
     bulk: &Bulk,
 ) -> StrategyOutcome {
-    try_execute_bulk(ctx, strategy, bulk).unwrap_or_else(|e| panic!("{e}"))
+    let access = AccessPlan::build(ctx.registry, ctx.db, &bulk.txns);
+    let access = (!access.is_empty()).then_some(access);
+    try_execute_bulk_planned(ctx, strategy, bulk, &SerialExecutor, access.as_ref())
+        .expect("the serial executor never fails")
 }
 
 #[cfg(test)]

@@ -14,12 +14,11 @@
 
 use crate::cost::{trace_cpu_seconds, CPU_DISPATCH_OVERHEAD_NS};
 use gputx_durability::Durability;
-use gputx_exec::{ExecError, ExecPolicy, Executor, ExecutorChoice};
+use gputx_exec::ExecError;
 use gputx_sim::{CpuSpec, SimDuration, Throughput};
 use gputx_storage::Database;
 use gputx_txn::{ProcedureRegistry, TxnId, TxnOutcome, TxnSignature};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Timing/outcome report of one bulk executed by the CPU engine.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -97,10 +96,6 @@ pub struct CpuEngine {
     spec: CpuSpec,
     /// Number of partitioning-key values per partition.
     partition_size: u64,
-    /// How the functional work is executed on the host: the serial reference
-    /// loop, or real worker threads running disjoint partition groups (the
-    /// per-core ownership the engine has always *modeled* made physical).
-    executor: ExecutorChoice,
 }
 
 impl CpuEngine {
@@ -109,7 +104,6 @@ impl CpuEngine {
         CpuEngine {
             spec,
             partition_size: 1,
-            executor: ExecutorChoice::Serial,
         }
     }
 
@@ -124,7 +118,6 @@ impl CpuEngine {
         CpuEngine {
             spec: self.spec.single_core(),
             partition_size: self.partition_size,
-            executor: self.executor,
         }
     }
 
@@ -135,56 +128,22 @@ impl CpuEngine {
         self
     }
 
-    /// Builder-style: pick the host executor. `Parallel` runs disjoint
-    /// partition groups on worker threads; cross-partition transactions stay
-    /// serial barriers, exactly like H-Store's serial global phase.
-    /// (`gputx_core::EngineBuilder::build_cpu` carries the builder's choice
-    /// through this setter.)
-    pub fn with_executor(mut self, executor: ExecutorChoice) -> Self {
-        self.executor = executor;
-        self
-    }
-
     /// The CPU specification.
     pub fn spec(&self) -> &CpuSpec {
         &self.spec
     }
 
     /// Execute a bulk of transactions against the database and return the
-    /// report. Transactions are executed functionally in timestamp order
-    /// within each partition (and globally for cross-partition transactions),
-    /// so the final database state equals the sequential execution.
-    ///
-    /// With a `Parallel` executor, maximal runs of single-partition
-    /// transactions are executed as disjoint partition groups on worker
-    /// threads (each group serially in timestamp order); every
-    /// cross-partition transaction is a serial barrier between runs. Under
-    /// the H-Store single-partition assumption — a transaction with a
-    /// partition key only touches that partition's data — the final database
-    /// state is identical to the serial path.
-    ///
-    /// Panics if a worker reports a typed [`ExecError`] (a panicking stored
-    /// procedure); use [`CpuEngine::try_execute_bulk`] to handle that as a
-    /// value.
+    /// report. Transactions are executed functionally in timestamp order on
+    /// the calling thread, so the final database state equals the sequential
+    /// execution; each one is charged to its partition's core, or to the
+    /// serial cross-partition phase when it has no partition key.
     pub fn execute_bulk(
         &self,
         db: &mut Database,
         registry: &ProcedureRegistry,
         bulk: &[TxnSignature],
     ) -> CpuBulkReport {
-        self.try_execute_bulk(db, registry, bulk)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`CpuEngine::execute_bulk`]: a worker panic inside the
-    /// parallel executor surfaces as [`ExecError`] (the partition run that
-    /// failed made no state change).
-    pub fn try_execute_bulk(
-        &self,
-        db: &mut Database,
-        registry: &ProcedureRegistry,
-        bulk: &[TxnSignature],
-    ) -> Result<CpuBulkReport, ExecError> {
         let cores = self.spec.cores as usize;
         let mut core_busy = vec![0.0f64; cores];
         let mut cross_time = 0.0f64;
@@ -193,67 +152,29 @@ impl CpuEngine {
         let mut sorted: Vec<&TxnSignature> = bulk.iter().collect();
         sorted.sort_by_key(|s| s.id);
 
-        match self.executor {
-            ExecutorChoice::Serial => {
-                for sig in sorted {
-                    let (trace, outcome, _) = registry.execute(sig, db);
-                    let seconds =
-                        trace_cpu_seconds(&trace, &self.spec) + CPU_DISPATCH_OVERHEAD_NS * 1e-9;
-                    match registry.partition_key(sig) {
-                        Some(key) => {
-                            let partition = key / self.partition_size;
-                            let core = (partition % cores as u64) as usize;
-                            core_busy[core] += seconds;
-                        }
-                        None => {
-                            // Cross-partition transactions run in a serial phase
-                            // that stalls every worker (the simple H-Store
-                            // approach).
-                            cross_time += seconds;
-                        }
-                    }
-                    outcomes.push((sig.id, outcome));
+        for sig in sorted {
+            let (trace, outcome, _) = registry.execute(sig, db);
+            let seconds = trace_cpu_seconds(&trace, &self.spec) + CPU_DISPATCH_OVERHEAD_NS * 1e-9;
+            match registry.partition_key(sig) {
+                Some(key) => {
+                    let partition = key / self.partition_size;
+                    let core = (partition % cores as u64) as usize;
+                    core_busy[core] += seconds;
+                }
+                None => {
+                    // Cross-partition transactions run in a serial phase
+                    // that stalls every worker (the simple H-Store
+                    // approach).
+                    cross_time += seconds;
                 }
             }
-            choice @ ExecutorChoice::Parallel { .. } => {
-                let executor = choice.build();
-                let mut run: Vec<&TxnSignature> = Vec::new();
-                for sig in sorted {
-                    if registry.partition_key(sig).is_some() {
-                        run.push(sig);
-                    } else {
-                        self.run_partitioned(
-                            executor.as_ref(),
-                            db,
-                            registry,
-                            &run,
-                            &mut core_busy,
-                            &mut outcomes,
-                        )?;
-                        run.clear();
-                        // Serial global phase: the barrier stalls every worker.
-                        let (trace, outcome, _) = registry.execute(sig, db);
-                        cross_time +=
-                            trace_cpu_seconds(&trace, &self.spec) + CPU_DISPATCH_OVERHEAD_NS * 1e-9;
-                        outcomes.push((sig.id, outcome));
-                    }
-                }
-                self.run_partitioned(
-                    executor.as_ref(),
-                    db,
-                    registry,
-                    &run,
-                    &mut core_busy,
-                    &mut outcomes,
-                )?;
-            }
+            outcomes.push((sig.id, outcome));
         }
         db.apply_insert_buffers();
 
         let slowest = core_busy.iter().copied().fold(0.0f64, f64::max);
         let committed = outcomes.iter().filter(|(_, o)| o.is_committed()).count();
-        outcomes.sort_by_key(|(id, _)| *id);
-        Ok(CpuBulkReport {
+        CpuBulkReport {
             transactions: bulk.len(),
             elapsed: SimDuration::from_secs(slowest + cross_time),
             core_busy: core_busy.into_iter().map(SimDuration::from_secs).collect(),
@@ -261,15 +182,16 @@ impl CpuEngine {
             committed,
             aborted: bulk.len() - committed,
             outcomes,
-        })
+        }
     }
 
-    /// [`CpuEngine::try_execute_bulk`] with redo logging: the bulk's write
+    /// [`CpuEngine::execute_bulk`] with redo logging: the bulk's write
     /// capture brackets the execution and the record is appended (fsynced per
     /// the durability handle's policy) before this returns — the same
     /// bulk-boundary group commit the GPU engines use. On an append failure
-    /// the bulk's functional effects are applied but the error tells the
-    /// caller durability was not achieved.
+    /// ([`ExecError::LogAppendFailed`], the only error) the bulk's functional
+    /// effects are applied but the error tells the caller durability was not
+    /// achieved.
     pub fn try_execute_bulk_durable(
         &self,
         db: &mut Database,
@@ -278,53 +200,13 @@ impl CpuEngine {
         durability: &mut Durability,
     ) -> Result<CpuBulkReport, ExecError> {
         let capture = durability.begin_bulk(db);
-        let report = self.try_execute_bulk(db, registry, bulk)?;
+        let report = self.execute_bulk(db, registry, bulk);
         durability
             .commit_bulk(capture, db)
             .map_err(|e| ExecError::LogAppendFailed {
                 message: e.to_string(),
             })?;
         Ok(report)
-    }
-
-    /// Execute one maximal run of single-partition transactions as disjoint
-    /// partition groups on the executor, charging each transaction to its
-    /// partition's core.
-    fn run_partitioned(
-        &self,
-        executor: &dyn Executor,
-        db: &mut Database,
-        registry: &ProcedureRegistry,
-        run: &[&TxnSignature],
-        core_busy: &mut [f64],
-        outcomes: &mut Vec<(TxnId, TxnOutcome)>,
-    ) -> Result<(), ExecError> {
-        if run.is_empty() {
-            return Ok(());
-        }
-        let mut by_partition: BTreeMap<u64, Vec<&TxnSignature>> = BTreeMap::new();
-        for sig in run {
-            let key = registry
-                .partition_key(sig)
-                .expect("run contains only single-partition transactions");
-            by_partition
-                .entry(key / self.partition_size)
-                .or_default()
-                .push(sig);
-        }
-        let partitions: Vec<u64> = by_partition.keys().copied().collect();
-        let groups: Vec<Vec<&TxnSignature>> = by_partition.into_values().collect();
-        let executed =
-            executor.run_groups(db, registry, &ExecPolicy::functional(), &groups, None)?;
-        for (partition, group) in partitions.into_iter().zip(executed) {
-            let core = (partition % core_busy.len() as u64) as usize;
-            for txn in group {
-                core_busy[core] +=
-                    trace_cpu_seconds(&txn.trace, &self.spec) + CPU_DISPATCH_OVERHEAD_NS * 1e-9;
-                outcomes.push((txn.id, txn.outcome));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -423,32 +305,6 @@ mod tests {
         let with = quad.execute_bulk(&mut db2, &reg, &single_partition);
         assert!(with.cross_partition_time.as_secs() > 0.0);
         assert!(with.elapsed > without.elapsed);
-    }
-
-    #[test]
-    fn parallel_executor_matches_serial_engine() {
-        let (db0, reg) = setup(64);
-        let mut work = bulk(2000, 64);
-        // Interleave cross-partition audits so the barrier path is exercised.
-        for i in 0..20 {
-            work.insert(100 * i as usize, TxnSignature::new(50_000 + i, 1, vec![]));
-        }
-        let serial_engine = CpuEngine::xeon_quad_core();
-        let mut serial_db = db0.clone();
-        let serial = serial_engine.execute_bulk(&mut serial_db, &reg, &work);
-        for threads in [1usize, 2, 4, 8] {
-            let mut db = db0.clone();
-            let report = CpuEngine::xeon_quad_core()
-                .with_executor(ExecutorChoice::parallel(threads))
-                .execute_bulk(&mut db, &reg, &work);
-            assert!(
-                db == serial_db,
-                "{threads} threads: state must match serial"
-            );
-            assert_eq!(report.committed, serial.committed);
-            assert_eq!(report.aborted, serial.aborted);
-            assert!(report.cross_partition_time.as_secs() > 0.0);
-        }
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! The [`Executor`] trait, the serial reference implementation and the
 //! per-transaction runner shared by every execution path.
 
-use crate::parallel::ParallelExecutor;
 use gputx_sim::ThreadTrace;
 use gputx_storage::{Database, StorageView};
 use gputx_txn::{AccessPlan, ProcedureRegistry, TxnId, TxnOutcome, TxnScratch, TxnSignature};
-use serde::{Deserialize, Serialize};
 
 /// Trace-accounting policy applied on top of the functional execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -240,52 +238,6 @@ impl Executor for SerialExecutor {
     }
 }
 
-/// Which executor an engine should run bulks with. Carried by the engine
-/// configurations; [`ExecutorChoice::build`] instantiates the implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum ExecutorChoice {
-    /// The serial host loop (the default; zero overhead, reference
-    /// semantics).
-    #[default]
-    Serial,
-    /// The sharded multi-threaded executor with the given number of worker
-    /// threads. `0` means one worker per available CPU core.
-    Parallel {
-        /// Worker thread count (`0` = available parallelism).
-        threads: usize,
-    },
-}
-
-impl ExecutorChoice {
-    /// Shorthand for `Parallel { threads }`.
-    pub fn parallel(threads: usize) -> Self {
-        ExecutorChoice::Parallel { threads }
-    }
-
-    /// Instantiate the chosen executor.
-    pub fn build(&self) -> Box<dyn Executor> {
-        match *self {
-            ExecutorChoice::Serial => Box::new(SerialExecutor),
-            ExecutorChoice::Parallel { threads } => Box::new(ParallelExecutor::new(threads)),
-        }
-    }
-
-    /// True when this choice runs on worker threads.
-    pub fn is_parallel(&self) -> bool {
-        matches!(self, ExecutorChoice::Parallel { .. })
-    }
-}
-
-impl std::fmt::Display for ExecutorChoice {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecutorChoice::Serial => write!(f, "serial"),
-            ExecutorChoice::Parallel { threads: 0 } => write!(f, "parallel(auto)"),
-            ExecutorChoice::Parallel { threads } => write!(f, "parallel({threads})"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,29 +293,6 @@ mod tests {
         for row in 0..4 {
             assert_eq!(db.table_by_name("counters").get(row, 1), Value::Int(2));
         }
-    }
-
-    #[test]
-    fn choice_builds_and_displays() {
-        assert_eq!(ExecutorChoice::default(), ExecutorChoice::Serial);
-        assert!(!ExecutorChoice::Serial.is_parallel());
-        assert!(ExecutorChoice::parallel(4).is_parallel());
-        assert_eq!(ExecutorChoice::Serial.to_string(), "serial");
-        assert_eq!(ExecutorChoice::parallel(4).to_string(), "parallel(4)");
-        assert_eq!(ExecutorChoice::parallel(0).to_string(), "parallel(auto)");
-        let built = ExecutorChoice::parallel(2).build();
-        let (mut db, reg) = counter_db(2);
-        let sigs = [
-            TxnSignature::new(0, 0, vec![Value::Int(0)]),
-            TxnSignature::new(1, 0, vec![Value::Int(1)]),
-        ];
-        let refs: Vec<&TxnSignature> = sigs.iter().collect();
-        let out = built
-            .run_conflict_free(&mut db, &reg, &ExecPolicy::functional(), &refs, None)
-            .expect("no procedure panics");
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].id, 0);
-        assert_eq!(out[1].id, 1);
     }
 
     #[test]

@@ -1,20 +1,19 @@
-//! # gputx-exec — multi-threaded bulk execution
+//! # gputx-exec — host bulk execution
 //!
 //! GPUTx's bulk model exposes massive intra-bulk parallelism: the K-SET
 //! strategy extracts waves of pairwise conflict-free transactions (§5.3) and
 //! the PART strategy groups transactions into disjoint partitions (§5.2).
-//! This crate turns that *logical* parallelism into *physical* parallelism:
-//! an [`Executor`] runs conflict-free sets and partition groups on real OS
-//! worker threads against sharded storage, while staying bit-identical to the
-//! serial reference execution.
+//! The simulated device (`gputx-sim`) models that parallelism; on the host,
+//! an [`Executor`] runs the conflict-free sets and partition groups
+//! functionally.
 //!
 //! Two implementations are provided:
 //!
-//! * [`SerialExecutor`] — the host loop the engines always used: one
-//!   transaction after another, mutating the [`Database`](gputx_storage::Database)
-//!   in place.
-//! * [`ParallelExecutor`] — splits the work across `std::thread::scope`
-//!   workers. Each worker owns one shard (a
+//! * [`SerialExecutor`] — the host loop every engine runs: one transaction
+//!   after another, mutating the [`Database`](gputx_storage::Database) in
+//!   place.
+//! * [`ParallelExecutor`] — a measured alternative no engine selects. It
+//!   splits the work across `std::thread::scope` workers. Each worker owns one shard (a
 //!   [`ShardDelta`](gputx_storage::ShardDelta) overlay over the shared base
 //!   database, behind its own mutex — interior mutability per shard, no
 //!   cross-shard aliasing) and the deltas are merged back in ascending shard
@@ -31,9 +30,10 @@
 //! paper proves conflict-free; the property tests in the workspace verify the
 //! equivalence end-to-end on random TM1 and micro bulks.
 //!
-//! Engines pick an implementation through [`ExecutorChoice`], carried by
-//! their configuration (`EngineConfig::executor` for the GPU engine,
-//! `CpuEngine::with_executor` for the H-Store-style CPU engine).
+//! On a two-core host the parallel executor loses to the serial one on
+//! every workload (it opens a thread scope per wave), so the engines run
+//! [`SerialExecutor`]. The parallel executor stays as a standalone
+//! [`Executor`] for the equivalence suites and the per-layer benchmark.
 //!
 //! ## Failure containment
 //!
@@ -58,8 +58,7 @@ pub mod parallel;
 pub mod pipeline;
 
 pub use executor::{
-    run_txn, run_txn_planned, ExecError, ExecPolicy, ExecutedTxn, Executor, ExecutorChoice,
-    SerialExecutor,
+    run_txn, run_txn_planned, ExecError, ExecPolicy, ExecutedTxn, Executor, SerialExecutor,
 };
 pub use parallel::{partition_ranges, ParallelExecutor};
 pub use pipeline::{

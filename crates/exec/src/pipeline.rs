@@ -23,8 +23,7 @@
 //!   with the previous one. This is the paper's formation/execution overlap.
 //! * **execution** — runs the [`BulkRunner`] (the owner of the database and
 //!   the [`Executor`](crate::Executor)).
-//! * **commit** — resolves [`Ticket`]s in submission order and records
-//!   per-ticket latency.
+//! * **commit** — resolves [`Ticket`]s in submission order.
 //!
 //! Every channel is bounded, so a slow stage backpressures its upstream all
 //! the way to `submit`, which blocks the client. No ticket is ever dropped:
@@ -162,7 +161,6 @@ impl Ticket {
 #[derive(Debug)]
 struct TicketSlot {
     state: Arc<TicketState>,
-    submitted_at: Instant,
     resolved: bool,
 }
 
@@ -178,16 +176,13 @@ impl TicketSlot {
             },
             TicketSlot {
                 state,
-                submitted_at: Instant::now(),
                 resolved: false,
             },
         )
     }
 
-    /// Resolve the ticket and return the submit→resolve latency in seconds.
-    fn resolve(mut self, result: TicketResult) -> f64 {
+    fn resolve(mut self, result: TicketResult) {
         self.fill(result);
-        self.submitted_at.elapsed().as_secs_f64()
     }
 
     fn fill(&mut self, result: TicketResult) {
@@ -436,7 +431,6 @@ struct CommitStats {
     failed: u64,
     bulks_failed: u64,
     busy_secs: f64,
-    latencies_secs: Vec<f64>,
 }
 
 /// Busy time per pipeline stage, in seconds. "Busy" excludes waiting on an
@@ -473,8 +467,6 @@ pub struct PipelineStats {
     pub failed: u64,
     /// Per-stage busy time.
     pub stage_busy: StageBusy,
-    /// Sorted submit→commit latencies in seconds, one per resolved ticket.
-    latencies_secs: Vec<f64>,
 }
 
 impl PipelineStats {
@@ -495,40 +487,6 @@ impl PipelineStats {
         } else {
             self.transactions() as f64 / self.wall_secs
         }
-    }
-
-    /// Latency percentile (`pct` in `0..=100`) of the submit→commit ticket
-    /// latency, in milliseconds; `0` when no ticket resolved.
-    pub fn latency_percentile_ms(&self, pct: f64) -> f64 {
-        if self.latencies_secs.is_empty() {
-            return 0.0;
-        }
-        let rank = (pct / 100.0 * (self.latencies_secs.len() - 1) as f64).round() as usize;
-        self.latencies_secs[rank.min(self.latencies_secs.len() - 1)] * 1e3
-    }
-
-    /// Median ticket latency in milliseconds.
-    pub fn p50_ms(&self) -> f64 {
-        self.latency_percentile_ms(50.0)
-    }
-
-    /// 99th-percentile ticket latency in milliseconds.
-    pub fn p99_ms(&self) -> f64 {
-        self.latency_percentile_ms(99.0)
-    }
-
-    /// Fraction of wall-clock time each stage was busy (0 when no wall time
-    /// elapsed). Order: admission, grouping, execution, commit.
-    pub fn occupancy(&self) -> [f64; 4] {
-        if self.wall_secs <= 0.0 {
-            return [0.0; 4];
-        }
-        [
-            self.stage_busy.admission_secs / self.wall_secs,
-            self.stage_busy.grouping_secs / self.wall_secs,
-            self.stage_busy.execution_secs / self.wall_secs,
-            self.stage_busy.commit_secs / self.wall_secs,
-        ]
     }
 }
 
@@ -723,15 +681,12 @@ where
             _ => output = Err(PipelineError::Disconnected),
         }
         match self.commit.take().map(JoinHandle::join) {
-            Some(Ok(mut c)) => {
+            Some(Ok(c)) => {
                 stats.committed = c.committed;
                 stats.aborted = c.aborted;
                 stats.failed = c.failed;
                 stats.bulks_failed = c.bulks_failed;
                 stats.stage_busy.commit_secs = c.busy_secs;
-                c.latencies_secs
-                    .sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-                stats.latencies_secs = c.latencies_secs;
             }
             _ => output = Err(PipelineError::Disconnected),
         }
@@ -949,7 +904,7 @@ fn commit_loop(rx: Receiver<ExecutedBulk>) -> CommitStats {
                     } else {
                         stats.aborted += 1;
                     }
-                    stats.latencies_secs.push(slot.resolve(Ok((id, outcome))));
+                    slot.resolve(Ok((id, outcome)));
                 }
                 if let Some(barrier) = barrier {
                     barrier.resolve(Ok((0, TxnOutcome::Committed)));
@@ -1062,7 +1017,6 @@ mod tests {
         assert_eq!(stats.closes.by_size, 3);
         assert_eq!(stats.closes.by_flush, 1);
         assert!(stats.throughput_tps() > 0.0);
-        assert!(stats.p99_ms() >= stats.p50_ms());
         let (counts, _) = eng.finish().unwrap();
         assert_eq!(counts.values().sum::<i64>(), 100);
     }

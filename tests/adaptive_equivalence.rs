@@ -3,8 +3,7 @@
 //!
 //! For TM1, TPC-B, TPC-C and the hot-key ledger, the same transaction
 //! stream is executed under every strategy choice (ForceTpl / ForcePart /
-//! ForceKset / Adaptive) crossed with every executor (serial and 1/2/4/8
-//! worker threads), all with the same fixed bulk boundaries. Every
+//! ForceKset / Adaptive), all with the same fixed bulk boundaries. Every
 //! configuration must produce exactly the reference's per-transaction
 //! outcomes and a bit-identical final database; the reference itself is
 //! cross-checked against an independent chunked serial TPL replay.
@@ -19,7 +18,6 @@ use gputx_core::{
     execute_bulk, AdaptiveConfig, AdaptiveSelector, Bulk, BulkProfile, EngineBuilder, EngineConfig,
     ExecContext, StrategyChoice, StrategyKind,
 };
-use gputx_exec::ExecutorChoice;
 use gputx_sim::Gpu;
 use gputx_storage::{Database, Value};
 use gputx_txn::{ProcedureRegistry, TxnId, TxnOutcome, TxnSignature, TxnTypeId};
@@ -59,7 +57,6 @@ fn run_config(
     registry: &ProcedureRegistry,
     txns: &[(TxnTypeId, Vec<Value>)],
     strategy: StrategyChoice,
-    executor: ExecutorChoice,
 ) -> (
     Database,
     Vec<(TxnId, TxnOutcome)>,
@@ -67,7 +64,6 @@ fn run_config(
 ) {
     let mut engine = EngineBuilder::new(db0.clone(), registry.clone())
         .with_strategy(strategy)
-        .with_executor(executor)
         .with_bulk_size(BULK)
         .build();
     for (ty, params) in txns {
@@ -117,13 +113,7 @@ fn assert_matrix_equivalent(name: &str, seed: u64) {
     let sigs = bundle2.generate_signatures(N, 0);
     let (db0, registry) = (bundle.db.clone(), bundle.registry.clone());
 
-    let (ref_db, ref_outcomes, _) = run_config(
-        &db0,
-        &registry,
-        &txns,
-        StrategyChoice::ForceTpl,
-        ExecutorChoice::Serial,
-    );
+    let (ref_db, ref_outcomes, _) = run_config(&db0, &registry, &txns, StrategyChoice::ForceTpl);
     assert!(
         ref_outcomes
             .iter()
@@ -142,34 +132,25 @@ fn assert_matrix_equivalent(name: &str, seed: u64) {
         StrategyChoice::ForceKset,
         StrategyChoice::Adaptive,
     ];
-    let executors = [
-        ExecutorChoice::Serial,
-        ExecutorChoice::parallel(1),
-        ExecutorChoice::parallel(2),
-        ExecutorChoice::parallel(4),
-        ExecutorChoice::parallel(8),
-    ];
     for strategy in strategies {
-        for executor in executors {
-            let (db, outcomes, stats) = run_config(&db0, &registry, &txns, strategy, executor);
+        let (db, outcomes, stats) = run_config(&db0, &registry, &txns, strategy);
+        assert_eq!(
+            outcomes, ref_outcomes,
+            "{name}: {strategy:?} outcomes must match the serial TPL reference"
+        );
+        assert!(
+            db == ref_db,
+            "{name}: {strategy:?} final state must match the serial TPL reference"
+        );
+        if strategy == StrategyChoice::Adaptive {
+            let stats = stats.expect("adaptive engines expose decision stats");
             assert_eq!(
-                outcomes, ref_outcomes,
-                "{name}: {strategy:?}/{executor:?} outcomes must match the serial TPL reference"
+                stats.total(),
+                (N / BULK) as u64,
+                "{name}: one decision per bulk"
             );
-            assert!(
-                db == ref_db,
-                "{name}: {strategy:?}/{executor:?} final state must match the serial TPL reference"
-            );
-            if strategy == StrategyChoice::Adaptive {
-                let stats = stats.expect("adaptive engines expose decision stats");
-                assert_eq!(
-                    stats.total(),
-                    (N / BULK) as u64,
-                    "{name}: one decision per bulk"
-                );
-            } else {
-                assert!(stats.is_none(), "fixed strategies record no decisions");
-            }
+        } else {
+            assert!(stats.is_none(), "fixed strategies record no decisions");
         }
     }
 }
@@ -293,7 +274,6 @@ fn prop_seeded_adaptive_runs_replay_identically() {
                 &bundle.registry,
                 &txns,
                 StrategyChoice::Adaptive,
-                ExecutorChoice::Serial,
             )
         };
         let (db_a, out_a, stats_a) = run();

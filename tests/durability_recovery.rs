@@ -3,8 +3,8 @@
 //!
 //! Three angles:
 //!
-//! * **Equivalence** — run logged bulks on TM1 and micro through the serial
-//!   and parallel(4) executors; `recover()` must equal the live final
+//! * **Equivalence** — run logged bulks on TM1 and micro; `recover()` must
+//!   equal the live final
 //!   database exactly (`Database` equality compares every table cell, delete
 //!   flag and index entry).
 //! * **Pipeline** — the streaming engine's execution stage is the group
@@ -17,7 +17,6 @@
 use gputx_core::config::StrategyChoice;
 use gputx_core::EngineBuilder;
 use gputx_durability::{recover, DurabilityConfig, FsyncPolicy};
-use gputx_exec::ExecutorChoice;
 use gputx_storage::Database;
 use gputx_workloads::{MicroConfig, MicroWorkload, Tm1Config, WorkloadBundle};
 use proptest::prelude::*;
@@ -36,7 +35,6 @@ fn scratch_dir(name: &str) -> PathBuf {
 /// plus the state snapshot after every bulk (index 0 = initial state).
 fn run_logged_bulks(
     bundle: &mut WorkloadBundle,
-    executor: ExecutorChoice,
     dir: &Path,
     fsync: FsyncPolicy,
     n_txns: usize,
@@ -45,7 +43,6 @@ fn run_logged_bulks(
     let mut engine = EngineBuilder::new(bundle.db.clone(), bundle.registry.clone())
         .with_strategy(StrategyChoice::ForceKset)
         .with_bulk_size(bulk_size)
-        .with_executor(executor)
         .with_durability_config(DurabilityConfig::at(dir).with_fsync(fsync))
         .build();
     for (ty, params) in bundle.generate(n_txns) {
@@ -59,7 +56,7 @@ fn run_logged_bulks(
 }
 
 #[test]
-fn recovery_equals_live_state_on_tm1_and_micro_serial_and_parallel() {
+fn recovery_equals_live_state_on_tm1_and_micro() {
     let cases: Vec<(&str, WorkloadBundle)> = vec![
         ("tm1", Tm1Config { scale_factor: 1 }.build()),
         (
@@ -68,22 +65,16 @@ fn recovery_equals_live_state_on_tm1_and_micro_serial_and_parallel() {
         ),
     ];
     for (name, mut bundle) in cases {
-        for executor in [ExecutorChoice::Serial, ExecutorChoice::parallel(4)] {
-            bundle.reseed(7);
-            let dir = scratch_dir(&format!("equiv-{name}-{executor}"));
-            let (live, _) =
-                run_logged_bulks(&mut bundle, executor, &dir, FsyncPolicy::PerBulk, 2048, 512);
-            let recovery = recover(&dir).expect("recover");
-            assert_eq!(
-                recovery.replayed, 4,
-                "{name}/{executor}: one record per bulk"
-            );
-            assert!(!recovery.torn_tail, "{name}/{executor}: clean shutdown");
-            assert!(
-                recovery.db == live,
-                "{name}/{executor}: recovered state must equal the live state"
-            );
-        }
+        bundle.reseed(7);
+        let dir = scratch_dir(&format!("equiv-{name}"));
+        let (live, _) = run_logged_bulks(&mut bundle, &dir, FsyncPolicy::PerBulk, 2048, 512);
+        let recovery = recover(&dir).expect("recover");
+        assert_eq!(recovery.replayed, 4, "{name}: one record per bulk");
+        assert!(!recovery.torn_tail, "{name}: clean shutdown");
+        assert!(
+            recovery.db == live,
+            "{name}: recovered state must equal the live state"
+        );
     }
 }
 
@@ -124,7 +115,6 @@ fn pipelined_engine_recovers_bit_identical_after_clean_shutdown() {
     let engine = EngineBuilder::new(bundle.db.clone(), bundle.registry.clone())
         .with_strategy(StrategyChoice::ForceKset)
         .with_durability_config(DurabilityConfig::at(&dir).with_fsync(FsyncPolicy::EveryN(2)))
-        .with_executor(ExecutorChoice::parallel(2))
         .with_max_bulk_size(256)
         .with_max_wait_us(10_000_000)
         .build_pipelined();
@@ -164,14 +154,7 @@ fn torn_fixture() -> &'static TornFixture {
         let mut bundle =
             MicroWorkload::build(&MicroConfig::default().with_tuples(512).with_skew(0.3));
         let dir = scratch_dir("torn-fixture");
-        let (_, states) = run_logged_bulks(
-            &mut bundle,
-            ExecutorChoice::Serial,
-            &dir,
-            FsyncPolicy::PerBulk,
-            1536,
-            256,
-        );
+        let (_, states) = run_logged_bulks(&mut bundle, &dir, FsyncPolicy::PerBulk, 1536, 256);
         assert_eq!(states.len(), 7, "6 bulks + the initial state");
         let wal = std::fs::read(dir.join("gputx.wal")).expect("wal exists");
         // Walk the frames to find each record's end offset. The file header

@@ -18,7 +18,7 @@
 
 use gputx_core::strategy::try_execute_bulk_planned;
 use gputx_core::{Bulk, EngineConfig, ExecContext, StrategyKind};
-use gputx_exec::{ExecPolicy, Executor, ExecutorChoice, ParallelExecutor, SerialExecutor};
+use gputx_exec::{ExecPolicy, Executor, ParallelExecutor, SerialExecutor};
 use gputx_sim::Gpu;
 use gputx_storage::Value;
 use gputx_txn::{plan_kset_waves, plan_partition_groups, AccessPlan, TxnScratch, TxnSignature};
@@ -172,7 +172,7 @@ fn execute_bulk_matches_across_apis_strategies_and_threads() {
     for name in PLANNED_WORKLOADS {
         let (bundle, sigs, plan) = fixture(name, 1_000, 23);
         let bulk = Bulk::new(sigs);
-        let run = |choice: ExecutorChoice, strategy: StrategyKind, plan: Option<&AccessPlan>| {
+        let run = |executor: &dyn Executor, strategy: StrategyKind, plan: Option<&AccessPlan>| {
             let mut db = bundle.db.clone();
             let mut gpu = Gpu::c1060();
             let config = EngineConfig::default();
@@ -182,15 +182,14 @@ fn execute_bulk_matches_across_apis_strategies_and_threads() {
                 registry: &bundle.registry,
                 config: &config,
             };
-            let executor = choice.build();
-            let out = try_execute_bulk_planned(&mut ctx, strategy, &bulk, executor.as_ref(), plan)
+            let out = try_execute_bulk_planned(&mut ctx, strategy, &bulk, executor, plan)
                 .expect("no procedure panics");
             (db, out)
         };
         for strategy in [StrategyKind::Kset, StrategyKind::Part] {
-            let (ref_db, reference) = run(ExecutorChoice::Serial, strategy, None);
+            let (ref_db, reference) = run(&SerialExecutor, strategy, None);
             for threads in THREAD_COUNTS {
-                let (db, out) = run(ExecutorChoice::parallel(threads), strategy, Some(&plan));
+                let (db, out) = run(&ParallelExecutor::new(threads), strategy, Some(&plan));
                 assert_eq!(
                     out.outcomes, reference.outcomes,
                     "{name}/{strategy}@{threads}: outcomes must match"

@@ -1,19 +1,19 @@
 //! Property tests: the multi-threaded executor (`gputx-exec`) is
 //! bit-identical to the serial reference.
 //!
-//! For random TM1 and micro bulks, executing through `ExecutorChoice::
-//! Parallel` at 1/2/4/8 worker threads must produce exactly the same
-//! per-transaction outcomes and the same final database state as
-//! `ExecutorChoice::Serial`, for both strategies whose host work the
-//! executor parallelizes (K-SET waves and PART partition groups), and for
-//! the H-Store-style CPU engine's partition groups.
+//! For random TM1 and micro bulks, executing through `ParallelExecutor` at
+//! 1/2/4/8 worker threads must produce exactly the same per-transaction
+//! outcomes and the same final database state as `SerialExecutor`, for both
+//! strategies whose host work the executor parallelizes (K-SET waves and
+//! PART partition groups). No engine selects the parallel executor; these
+//! properties keep it a correct standalone `Executor`.
 
-use gputx_core::{execute_bulk, Bulk, EngineConfig, ExecContext, StrategyKind};
-use gputx_cpu::engine::CpuEngine;
-use gputx_exec::ExecutorChoice;
+use gputx_core::strategy::try_execute_bulk_planned;
+use gputx_core::{Bulk, EngineConfig, ExecContext, StrategyKind};
+use gputx_exec::{Executor, ParallelExecutor, SerialExecutor};
 use gputx_sim::Gpu;
 use gputx_storage::Database;
-use gputx_txn::{ProcedureRegistry, TxnId, TxnOutcome, TxnSignature};
+use gputx_txn::{AccessPlan, ProcedureRegistry, TxnId, TxnOutcome, TxnSignature};
 use gputx_workloads::{MicroConfig, MicroWorkload, Tm1Config, WorkloadBundle};
 use proptest::prelude::*;
 use std::sync::{Mutex, OnceLock};
@@ -47,28 +47,35 @@ fn draw_bulk(
     (bundle.db.clone(), bundle.registry.clone(), sigs)
 }
 
-/// Execute one bulk with one strategy on the chosen executor; returns the
-/// final database and the per-transaction outcomes.
+/// Execute one bulk with one strategy on `executor`, with the gather step's
+/// access plan the engines build; returns the final database and the
+/// per-transaction outcomes.
 fn run_gpu(
     db0: &Database,
     registry: &ProcedureRegistry,
     sigs: &[TxnSignature],
     strategy: StrategyKind,
-    choice: ExecutorChoice,
+    executor: &dyn Executor,
 ) -> (Database, Vec<(TxnId, TxnOutcome)>) {
     let mut db = db0.clone();
     let mut gpu = Gpu::c1060();
-    let config = EngineConfig {
-        executor: choice,
-        ..EngineConfig::default()
-    };
+    let config = EngineConfig::default();
+    let access = AccessPlan::build(registry, &db, sigs);
+    let access = (!access.is_empty()).then_some(access);
     let mut ctx = ExecContext {
         gpu: &mut gpu,
         db: &mut db,
         registry,
         config: &config,
     };
-    let out = execute_bulk(&mut ctx, strategy, &Bulk::new(sigs.to_vec()));
+    let out = try_execute_bulk_planned(
+        &mut ctx,
+        strategy,
+        &Bulk::new(sigs.to_vec()),
+        executor,
+        access.as_ref(),
+    )
+    .expect("no procedure panics");
     (db, out.outcomes)
 }
 
@@ -78,18 +85,17 @@ fn assert_equivalent_for(
     n: usize,
     threads: usize,
     strategies: &[StrategyKind],
-    check_cpu_engine: bool,
 ) {
     let (db0, registry, sigs) = draw_bulk(bundle, seed, n);
     for &strategy in strategies {
         let (serial_db, serial_outcomes) =
-            run_gpu(&db0, &registry, &sigs, strategy, ExecutorChoice::Serial);
+            run_gpu(&db0, &registry, &sigs, strategy, &SerialExecutor);
         let (parallel_db, parallel_outcomes) = run_gpu(
             &db0,
             &registry,
             &sigs,
             strategy,
-            ExecutorChoice::parallel(threads),
+            &ParallelExecutor::new(threads),
         );
         assert_eq!(
             parallel_outcomes, serial_outcomes,
@@ -100,29 +106,11 @@ fn assert_equivalent_for(
             "{strategy} final state must match at {threads} threads"
         );
     }
-    if !check_cpu_engine {
-        return;
-    }
-    // The CPU engine's partition groups must agree with its serial loop too.
-    let serial_engine = CpuEngine::xeon_quad_core();
-    let mut serial_db = db0.clone();
-    let serial_report = serial_engine.execute_bulk(&mut serial_db, &registry, &sigs);
-    let mut parallel_db = db0.clone();
-    let parallel_report = gputx_core::EngineBuilder::new(db0.clone(), registry.clone())
-        .with_executor(ExecutorChoice::parallel(threads))
-        .build_cpu(gputx_sim::CpuSpec::xeon_e5520())
-        .execute_bulk(&mut parallel_db, &registry, &sigs);
-    assert_eq!(parallel_report.committed, serial_report.committed);
-    assert_eq!(parallel_report.aborted, serial_report.aborted);
-    assert!(
-        parallel_db == serial_db,
-        "CPU engine state must match at {threads} threads"
-    );
 }
 
 proptest! {
     /// Random micro bulks: parallel == serial at 1/2/4/8 threads, for both
-    /// parallelized strategies and the CPU engine.
+    /// parallelized strategies.
     #[test]
     fn prop_micro_parallel_equals_serial(
         seed in 0u64..u64::MAX / 2,
@@ -135,7 +123,6 @@ proptest! {
             n,
             1usize << threads_log2,
             &[StrategyKind::Kset, StrategyKind::Part],
-            true,
         );
     }
 }
@@ -160,6 +147,6 @@ fn prop_tm1_parallel_equals_serial() {
         };
         let seed = rng.next_u64();
         let n = rng.below(16, 220);
-        assert_equivalent_for(tm1(), seed, n, threads, &[strategy], case % 4 == 3);
+        assert_equivalent_for(tm1(), seed, n, threads, &[strategy]);
     }
 }

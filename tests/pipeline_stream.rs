@@ -3,17 +3,17 @@
 //! * **Equivalence** — over the same seeded transaction stream with the same
 //!   bulk boundaries, `PipelinedGpuTx` must commit the exact same final
 //!   database state (and per-transaction outcomes) as the one-shot
-//!   `execute_bulk` path, at 1 and 4 worker threads, for the K-SET, PART and
+//!   `execute_bulk` path, for the K-SET, PART and
 //!   TPL strategies, on TM1 and the micro benchmark. Every strategy runs
 //!   with the grouping stage's access plan, and TM1's call-forwarding
 //!   inserts make the grouping stage release its copies of those indexes.
 //! * **Shutdown/drain semantics** — submitting after `shutdown()` errors,
 //!   `flush()` commits a partial bulk, and no ticket is dropped under
-//!   backpressure (seeded stress across 1/2/4/8 worker threads).
+//!   backpressure (seeded stress).
 
 use gputx_core::config::StrategyChoice;
 use gputx_core::{execute_bulk, Bulk, EngineBuilder, EngineConfig, ExecContext, StrategyKind};
-use gputx_exec::{ExecutorChoice, PipelineError, Ticket};
+use gputx_exec::{PipelineError, Ticket};
 use gputx_sim::Gpu;
 use gputx_storage::{Database, Value};
 use gputx_txn::{ProcedureRegistry, TxnId, TxnOutcome, TxnSignature};
@@ -67,7 +67,6 @@ fn pipelined(
     registry: &ProcedureRegistry,
     sigs: &[TxnSignature],
     strategy: StrategyChoice,
-    threads: usize,
 ) -> (Database, Vec<(TxnId, TxnOutcome)>) {
     // A copy that shares no index with `db0`: the engine's stages are then
     // the only holders, as in a served engine, so the grouping stage
@@ -78,11 +77,6 @@ fn pipelined(
         .with_strategy(strategy)
         .with_max_bulk_size(BULK)
         .with_max_wait_us(60_000_000)
-        .with_executor(if threads == 1 {
-            ExecutorChoice::Serial
-        } else {
-            ExecutorChoice::parallel(threads)
-        })
         .build_pipelined();
     let tickets: Vec<Ticket> = sigs
         .iter()
@@ -113,17 +107,15 @@ fn assert_stream_equivalence(
         (StrategyKind::Tpl, StrategyChoice::ForceTpl),
     ] {
         let (ref_db, ref_outcomes) = one_shot(db0, registry, sigs, strategy);
-        for threads in [1usize, 4] {
-            let (db, outcomes) = pipelined(db0, registry, sigs, choice, threads);
-            assert_eq!(
-                outcomes, ref_outcomes,
-                "{name}/{strategy}: outcomes must match at {threads} thread(s)"
-            );
-            assert!(
-                db == ref_db,
-                "{name}/{strategy}: final state must match one-shot at {threads} thread(s)"
-            );
-        }
+        let (db, outcomes) = pipelined(db0, registry, sigs, choice);
+        assert_eq!(
+            outcomes, ref_outcomes,
+            "{name}/{strategy}: outcomes must match"
+        );
+        assert!(
+            db == ref_db,
+            "{name}/{strategy}: final state must match one-shot"
+        );
     }
 }
 
@@ -249,11 +241,11 @@ fn snapshot_held_across_pipeline_shutdown() {
 }
 
 /// Seeded soak: a conflict-heavy micro stream pushed through tiny bulks and a
-/// tiny admission queue (constant backpressure) at 1/2/4/8 worker threads.
-/// Every ticket must resolve, the commit counts must add up, and the final
-/// state must equal the sequential replay at every thread count.
+/// tiny admission queue (constant backpressure), with a flush every 97
+/// submissions. Every ticket must resolve, the commit counts must add up,
+/// and the final state must equal the sequential replay.
 #[test]
-fn soak_backpressure_drops_no_tickets_across_thread_counts() {
+fn soak_backpressure_drops_no_tickets() {
     let n = 800usize;
     let (db0, registry, sigs) = micro_stream(n, 0x50a4);
 
@@ -264,39 +256,32 @@ fn soak_backpressure_drops_no_tickets_across_thread_counts() {
     }
     seq_db.apply_insert_buffers();
 
-    for threads in [1usize, 2, 4, 8] {
-        let engine = EngineBuilder::new(db0.clone(), registry.clone())
-            .with_strategy(StrategyChoice::ForceKset)
-            .with_max_bulk_size(32)
-            .with_max_wait_us(200)
-            .with_queue_depth(8)
-            .with_executor(if threads == 1 {
-                ExecutorChoice::Serial
-            } else {
-                ExecutorChoice::parallel(threads)
-            })
-            .build_pipelined();
-        let tickets: Vec<Ticket> = sigs
-            .iter()
-            .enumerate()
-            .map(|(i, sig)| {
-                if i % 97 == 0 {
-                    engine.flush().expect("mid-stream flush");
-                }
-                engine.submit(sig.ty, sig.params.clone()).expect("accepted")
-            })
-            .collect();
-        let (db, stats) = engine.finish().expect("pipeline healthy");
-        assert_eq!(tickets.len(), n);
-        for t in &tickets {
-            t.wait().expect("no ticket may be dropped or failed");
-        }
-        assert_eq!(stats.transactions(), n as u64, "{threads} threads");
-        assert_eq!(stats.committed + stats.aborted, n as u64);
-        assert_eq!(stats.failed, 0);
-        assert!(
-            db == seq_db,
-            "soak at {threads} thread(s): final state must equal sequential replay"
-        );
+    let engine = EngineBuilder::new(db0, registry)
+        .with_strategy(StrategyChoice::ForceKset)
+        .with_max_bulk_size(32)
+        .with_max_wait_us(200)
+        .with_queue_depth(8)
+        .build_pipelined();
+    let tickets: Vec<Ticket> = sigs
+        .iter()
+        .enumerate()
+        .map(|(i, sig)| {
+            if i % 97 == 0 {
+                engine.flush().expect("mid-stream flush");
+            }
+            engine.submit(sig.ty, sig.params.clone()).expect("accepted")
+        })
+        .collect();
+    let (db, stats) = engine.finish().expect("pipeline healthy");
+    assert_eq!(tickets.len(), n);
+    for t in &tickets {
+        t.wait().expect("no ticket may be dropped or failed");
     }
+    assert_eq!(stats.transactions(), n as u64);
+    assert_eq!(stats.committed + stats.aborted, n as u64);
+    assert_eq!(stats.failed, 0);
+    assert!(
+        db == seq_db,
+        "soak: final state must equal sequential replay"
+    );
 }
