@@ -6,9 +6,10 @@
 //! * [`PipelinedGpuTx`] — the *real* streaming mode: an always-on,
 //!   multi-threaded front-end where clients `submit` transactions into a
 //!   bounded admission queue and receive [`Ticket`] handles; bulks are formed
-//!   adaptively (size or deadline), grouped (K-SET wave / PART partition-group
-//!   construction) on a dedicated stage thread *while the previous bulk
-//!   executes*, and committed in submission order. This is the paper's
+//!   adaptively (size or deadline), planned (strategy decision for bulk
+//!   sizing, plus the gather step's access plan) on a dedicated stage thread
+//!   *while the previous bulk executes*, executed in timestamp order, and
+//!   committed in submission order. This is the paper's
 //!   formation/execution pipelining (§3.2) turned into an actual
 //!   multi-threaded engine, configured by
 //!   [`PipelineConfig`].
@@ -29,10 +30,8 @@ use gputx_exec::{
 };
 use gputx_sim::{Gpu, SimDuration, Throughput};
 use gputx_storage::{Database, IndexSet, Value};
-use gputx_txn::plan::{plan_kset_waves, plan_partition_groups, BulkPlan};
 use gputx_txn::{AccessPlan, ProcedureRegistry, TxnId, TxnSignature, TxnTypeId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::time::Duration;
 
 // ---------------------------------------------------------------------------
@@ -42,17 +41,17 @@ use std::time::Duration;
 /// Grouping-stage driver: plans bulks from signatures and index contents.
 ///
 /// The planner runs concurrently with execution, so it never sees the live
-/// database: strategy selection and set construction use the declared
-/// read/write sets and partition keys, which must be state-independent
-/// (derivable from the signature alone — Appendix B's static analysis; every
-/// bundled workload satisfies this). It holds no table data at all.
+/// database: strategy selection profiles the declared read/write sets and
+/// partition keys, which must be state-independent (derivable from the
+/// signature alone — Appendix B's static analysis; every bundled workload
+/// satisfies this). It holds no table data at all.
 #[derive(Debug)]
 pub struct GpuTxPlanner {
     registry: ProcedureRegistry,
     /// The live database's indexes as of pipeline start, shared
-    /// copy-on-write: read/write sets, profiling and the gather step resolve
-    /// against them. An index exists twice only after the execution stage
-    /// writes it, and only until the next plan releases this outdated copy.
+    /// copy-on-write: profiling and the gather step resolve against them.
+    /// An index exists twice only after the execution stage writes it, and
+    /// only until the next plan releases this outdated copy.
     indexes: IndexSet,
     config: EngineConfig,
     /// The cost-model selector, present under `StrategyChoice::Adaptive`.
@@ -64,83 +63,47 @@ pub struct GpuTxPlanner {
     size_knob: Option<BulkSizeKnob>,
 }
 
-/// The plan the grouping stage hands to the execution stage: the chosen
-/// strategy, its precomputed schedule, and the pre-resolved access plan.
-#[derive(Debug, Clone)]
-pub struct GpuTxPlan {
-    /// Strategy selected for this bulk (forced or rule-based).
-    pub strategy: StrategyKind,
-    /// The precomputed schedule (waves / groups / serial order).
-    pub plan: BulkPlan,
+impl BulkPlanner for GpuTxPlanner {
     /// The gather step: every planned procedure's index keys resolved to
     /// dense row ids, built off the execution thread against the planner's
-    /// index share, under every strategy. The runner revalidates it against
-    /// the live database's index versions before executing: entries through
-    /// since-mutated or released indexes re-probe transparently (so they stay
-    /// degraded for churning indexes — entries through static indexes keep
-    /// the fast path; see `gputx_txn::access`). `None` when no procedure in
-    /// the bulk declares a plan callback.
-    pub access: Option<AccessPlan>,
-}
+    /// index share. The runner revalidates it against the live database's
+    /// index versions before executing: entries through since-mutated or
+    /// released indexes re-probe transparently (so they stay degraded for
+    /// churning indexes — entries through static indexes keep the fast path;
+    /// see `gputx_txn::access`). `None` when no procedure in the bulk
+    /// declares a plan callback.
+    type Plan = Option<AccessPlan>;
 
-impl BulkPlanner for GpuTxPlanner {
-    type Plan = GpuTxPlan;
-
-    fn plan(&mut self, bulk: &[TxnSignature]) -> GpuTxPlan {
+    fn plan(&mut self, bulk: &[TxnSignature]) -> Option<AccessPlan> {
         // Indexes the execution stage has since copied and written are
         // outdated here and held by nobody else: free them. Lookups through
         // them become stale plan entries.
         self.indexes.release_unshared();
         let indexes = &self.indexes;
-        let (strategy, size_hint) = choose_strategy(&self.config, self.selector.as_mut(), || {
+        // The decision only sizes bulks: every bulk executes in timestamp
+        // order, which Definition 1 makes equal to each strategy's schedule.
+        let (_, size_hint) = choose_strategy(&self.config, self.selector.as_mut(), || {
             profile_bulk(&self.registry, indexes, bulk)
         });
         if let (Some(knob), Some(size)) = (self.size_knob.as_ref(), size_hint) {
             knob.set(size);
         }
-        let plan = match strategy {
-            StrategyKind::Kset => {
-                let ops: Vec<_> = bulk
-                    .iter()
-                    .map(|sig| (sig.id, self.registry.read_write_set(sig, indexes)))
-                    .collect();
-                BulkPlan::ConflictFreeWaves(plan_kset_waves(&ops))
-            }
-            StrategyKind::Part => {
-                let keys: Vec<(TxnId, Option<u64>)> = bulk
-                    .iter()
-                    .map(|sig| (sig.id, self.registry.partition_key(sig)))
-                    .collect();
-                match plan_partition_groups(&keys, self.config.partition_size) {
-                    Some(groups) => BulkPlan::DisjointGroups(groups),
-                    // Cross-partition transactions: the strategy-level TPL
-                    // fallback of §5.2, i.e. serial timestamp order.
-                    None => BulkPlan::Serial,
-                }
-            }
-            StrategyKind::Tpl => BulkPlan::Serial,
-        };
         // The gather step, overlapped with the previous bulk's execution.
-        // The runner revalidates it against the live index versions.
         let access = AccessPlan::build(&self.registry, indexes, bulk);
-        let access = (!access.is_empty()).then_some(access);
-        GpuTxPlan {
-            strategy,
-            plan,
-            access,
-        }
+        (!access.is_empty()).then_some(access)
     }
 }
 
-/// Execution-stage driver: owns the live database and applies each bulk with
-/// the precomputed schedule on the [`SerialExecutor`].
+/// Execution-stage driver: owns the live database and applies each bulk in
+/// timestamp order on the [`SerialExecutor`].
 ///
 /// Execution is purely functional (no simulated-GPU cost model): the
-/// pipelined engine measures *wall-clock* stage timings instead. The replay
-/// order per strategy is identical to the one-shot strategies' — waves in
-/// extraction order, partition groups in partition order, serial in timestamp
-/// order — so the final database state is bit-identical to
-/// [`execute_bulk`] over the same bulks.
+/// pipelined engine measures *wall-clock* stage timings instead. A bulk's
+/// result is its serial execution in timestamp order (Definition 1), which
+/// every one-shot strategy's schedule reproduces, so the final database
+/// state is bit-identical to [`execute_bulk`] over the same bulks. The
+/// K-SET waves and PART groups that expose intra-bulk parallelism belong to
+/// the one-shot engine and the simulated GPU.
 ///
 /// # Failure semantics
 ///
@@ -176,45 +139,16 @@ impl GpuTxRunner {
                 .clear_insert_buffer();
         }
     }
-
-    /// Replay the bulk in its plan's order — waves in extraction order,
-    /// partition groups in partition order, serial in timestamp order — as
-    /// one serial group.
-    fn run_plan(
-        &mut self,
-        bulk: &[TxnSignature],
-        plan: &GpuTxPlan,
-        outcomes: &mut Vec<(TxnId, gputx_txn::TxnOutcome)>,
-    ) {
-        let by_id: HashMap<TxnId, &TxnSignature> = bulk.iter().map(|s| (s.id, s)).collect();
-        let order: Vec<&TxnSignature> = match &plan.plan {
-            BulkPlan::ConflictFreeWaves(sets) | BulkPlan::DisjointGroups(sets) => {
-                sets.iter().flatten().map(|id| by_id[id]).collect()
-            }
-            // `bulk` arrives in ascending id order from admission.
-            BulkPlan::Serial => bulk.iter().collect(),
-        };
-        let executed = SerialExecutor
-            .run_groups(
-                &mut self.db,
-                &self.registry,
-                &self.policy,
-                &[order],
-                plan.access.as_ref(),
-            )
-            .expect("the serial executor never fails");
-        outcomes.extend(executed.into_iter().flatten().map(|t| (t.id, t.outcome)));
-    }
 }
 
 impl BulkRunner for GpuTxRunner {
-    type Plan = GpuTxPlan;
+    type Plan = Option<AccessPlan>;
     type Output = Database;
 
     fn run(
         &mut self,
         bulk: Vec<TxnSignature>,
-        mut plan: GpuTxPlan,
+        mut access: Option<AccessPlan>,
     ) -> Result<Vec<(TxnId, gputx_txn::TxnOutcome)>, ExecError> {
         // A predecessor bulk that failed (typed error) or unwound (caught by
         // the execution stage) may have left buffered inserts behind;
@@ -225,14 +159,28 @@ impl BulkRunner for GpuTxRunner {
         // Mark entries of since-mutated indexes stale so they re-probe the
         // live database at consume time — correctness never depends on the
         // share's freshness.
-        if let Some(access) = plan.access.as_mut() {
+        if let Some(access) = access.as_mut() {
             access.revalidate(&self.db);
         }
         let capture = self.commit.arm(&mut self.db);
-        let mut outcomes = Vec::with_capacity(bulk.len());
-        self.run_plan(&bulk, &plan, &mut outcomes);
+        // `bulk` arrives in ascending id (timestamp) order from admission:
+        // run it as one serial group in that order.
+        let executed = SerialExecutor
+            .run_groups(
+                &mut self.db,
+                &self.registry,
+                &self.policy,
+                &[bulk.iter().collect()],
+                access.as_ref(),
+            )
+            .expect("the serial executor never fails");
         self.db.apply_insert_buffers();
-        outcomes.sort_by_key(|(id, _)| *id);
+        let outcomes: Vec<(TxnId, gputx_txn::TxnOutcome)> = executed
+            .into_iter()
+            .flatten()
+            .map(|t| (t.id, t.outcome))
+            .collect();
+        debug_assert!(outcomes.windows(2).all(|w| w[0].0 < w[1].0));
         if let Some(capture) = capture {
             // A commit error fails this bulk's tickets: its functional
             // effects are applied, but nobody is told "durable" for work the
@@ -693,15 +641,8 @@ mod tests {
 
     /// The grouping and execution stages [`PipelinedGpuTx::start`] wires
     /// together, serial and unlogged, to drive by hand.
-    fn stages(
-        db: Database,
-        registry: ProcedureRegistry,
-        strategy: StrategyChoice,
-    ) -> (GpuTxPlanner, GpuTxRunner) {
-        let config = EngineConfig {
-            strategy,
-            ..EngineConfig::default()
-        };
+    fn stages(db: Database, registry: ProcedureRegistry) -> (GpuTxPlanner, GpuTxRunner) {
+        let config = EngineConfig::default();
         let commit = GroupCommit::open(
             &config.durability,
             &db,
@@ -729,45 +670,42 @@ mod tests {
 
     /// TM1 writes only the two call-forwarding indexes. Once the execution
     /// stage has written them, the planner frees its outdated copies and
-    /// keeps sharing every other index; PART and TPL bulks get the gather
-    /// step too.
+    /// keeps sharing every other index.
     #[test]
     fn planner_releases_exactly_the_indexes_the_runner_wrote() {
-        for strategy in [StrategyChoice::ForcePart, StrategyChoice::ForceTpl] {
-            // The stages must be the only holders, as in a started pipeline.
-            let mut bundle = gputx_workloads::Tm1Config { scale_factor: 1 }.build();
-            bundle.reseed(0x1dee);
-            let sigs = bundle.generate_signatures(1_200, 0);
-            let db = &bundle.db;
-            let id = |table: &str, index: &str| -> IndexId {
-                let t = db.table_id(table).expect("TM1 table");
-                db.index_id(t, index).expect("TM1 index")
-            };
-            let written = [id("call_forwarding", "pk"), id("call_forwarding", "by_sf")];
-            let static_ = [
-                id("subscriber", "by_nbr"),
-                id("access_info", "pk"),
-                id("special_facility", "pk"),
-            ];
-            let (mut planner, mut runner) = stages(bundle.db, bundle.registry, strategy);
-            let (first, second) = sigs.split_at(sigs.len() / 2);
-            let plan = planner.plan(first);
-            assert!(plan.access.is_some(), "{strategy:?}: gather step planned");
-            for id in written.iter().chain(&static_) {
-                assert!(planner.indexes.shares(runner.db.indexes(), *id));
-            }
-            runner.run(first.to_vec(), plan).expect("bulk runs");
-            let plan = planner.plan(second);
-            assert!(plan.access.is_some(), "{strategy:?}: gather step planned");
-            for id in written {
-                assert!(planner.indexes.get(id).is_none(), "{strategy:?}: released");
-            }
-            for id in static_ {
-                assert!(
-                    planner.indexes.shares(runner.db.indexes(), id),
-                    "{strategy:?}: static indexes stay shared"
-                );
-            }
+        // The stages must be the only holders, as in a started pipeline.
+        let mut bundle = gputx_workloads::Tm1Config { scale_factor: 1 }.build();
+        bundle.reseed(0x1dee);
+        let sigs = bundle.generate_signatures(1_200, 0);
+        let db = &bundle.db;
+        let id = |table: &str, index: &str| -> IndexId {
+            let t = db.table_id(table).expect("TM1 table");
+            db.index_id(t, index).expect("TM1 index")
+        };
+        let written = [id("call_forwarding", "pk"), id("call_forwarding", "by_sf")];
+        let static_ = [
+            id("subscriber", "by_nbr"),
+            id("access_info", "pk"),
+            id("special_facility", "pk"),
+        ];
+        let (mut planner, mut runner) = stages(bundle.db, bundle.registry);
+        let (first, second) = sigs.split_at(sigs.len() / 2);
+        let plan = planner.plan(first);
+        assert!(plan.is_some(), "gather step planned");
+        for id in written.iter().chain(&static_) {
+            assert!(planner.indexes.shares(runner.db.indexes(), *id));
+        }
+        runner.run(first.to_vec(), plan).expect("bulk runs");
+        let plan = planner.plan(second);
+        assert!(plan.is_some(), "gather step planned");
+        for id in written {
+            assert!(planner.indexes.get(id).is_none(), "released");
+        }
+        for id in static_ {
+            assert!(
+                planner.indexes.shares(runner.db.indexes(), id),
+                "static indexes stay shared"
+            );
         }
     }
 

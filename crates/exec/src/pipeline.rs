@@ -18,9 +18,11 @@
 //! * **admission** — assigns monotone transaction ids (submission timestamps)
 //!   and closes a bulk when it reaches `max_bulk_size` *or* when the oldest
 //!   queued transaction has waited `max_wait`, whichever comes first.
-//! * **grouping** — runs the [`BulkPlanner`] (k-set wave / partition-group
-//!   construction) for the next bulk while the execution stage is still busy
-//!   with the previous one. This is the paper's formation/execution overlap.
+//! * **grouping** — runs the [`BulkPlanner`] for the next bulk while the
+//!   execution stage is still busy with the previous one. This is the
+//!   paper's formation/execution overlap. In `gputx-core` the planner makes
+//!   the strategy decision that sizes bulks and builds the gather step's
+//!   access plan; the bulk itself runs in timestamp order.
 //! * **execution** — runs the [`BulkRunner`] (the owner of the database and
 //!   the [`Executor`](crate::Executor)).
 //! * **commit** — resolves [`Ticket`]s in submission order.
@@ -50,9 +52,9 @@ use std::time::{Duration, Instant};
 /// execution); a deeper pipeline would only add latency.
 const STAGE_CHANNEL_DEPTH: usize = 1;
 
-/// Grouping stage of the pipeline: builds the execution plan of a bulk
-/// (conflict-free waves, partition groups, …) from transaction signatures
-/// alone, *off* the execution thread.
+/// Grouping stage of the pipeline: prepares what the [`BulkRunner`] needs
+/// for a bulk (in `gputx-core`, the pre-resolved access plan) from
+/// transaction signatures alone, *off* the execution thread.
 ///
 /// The planner must not touch the live database — it runs concurrently with
 /// the execution of earlier bulks. Plan against immutable inputs (the
@@ -418,10 +420,29 @@ impl BulkCloseCounts {
     }
 }
 
+/// One stage's clock, in seconds: time spent working, and time spent
+/// blocked handing work to a full downstream channel.
+#[derive(Debug, Clone, Copy, Default)]
+struct StageClock {
+    busy: f64,
+    blocked: f64,
+}
+
+impl StageClock {
+    /// Hand `item` downstream, counting the time blocked on a full channel;
+    /// false when the downstream stage is gone.
+    fn send<T>(&mut self, tx: &SyncSender<T>, item: T) -> bool {
+        let t0 = Instant::now();
+        let sent = tx.send(item).is_ok();
+        self.blocked += t0.elapsed().as_secs_f64();
+        sent
+    }
+}
+
 #[derive(Debug, Default)]
 struct AdmissionStats {
     closes: BulkCloseCounts,
-    busy_secs: f64,
+    clock: StageClock,
 }
 
 #[derive(Debug, Default)]
@@ -433,10 +454,12 @@ struct CommitStats {
     busy_secs: f64,
 }
 
-/// Busy time per pipeline stage, in seconds. "Busy" excludes waiting on an
-/// empty input channel; the admission figure includes time spent blocked
-/// handing a closed bulk downstream (backpressure), which is exactly the
-/// signal an operator wants when sizing `queue_depth`.
+/// Time per pipeline stage, in seconds. [`PipelineStats::stage_busy`] is
+/// the time each stage spends working: it excludes waiting on an empty input
+/// channel and waiting on a full output channel.
+/// [`PipelineStats::stage_blocked`] is that second wait — a stage blocked
+/// handing work downstream is backpressured by a slower successor. Commit
+/// has no downstream, so its blocked time is always 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageBusy {
     /// Admission stage (bulk formation).
@@ -467,6 +490,8 @@ pub struct PipelineStats {
     pub failed: u64,
     /// Per-stage busy time.
     pub stage_busy: StageBusy,
+    /// Per-stage time blocked handing work to the next stage.
+    pub stage_blocked: StageBusy,
 }
 
 impl PipelineStats {
@@ -501,8 +526,8 @@ where
 {
     gate: Arc<SubmitGate>,
     admission: Option<JoinHandle<AdmissionStats>>,
-    grouping: Option<JoinHandle<(P, f64)>>,
-    execution: Option<JoinHandle<(R, f64)>>,
+    grouping: Option<JoinHandle<(P, StageClock)>>,
+    execution: Option<JoinHandle<(R, StageClock)>>,
     commit: Option<JoinHandle<CommitStats>>,
     started: Instant,
     finished: Option<(Result<R::Output, PipelineError>, PipelineStats)>,
@@ -663,17 +688,22 @@ where
         match self.admission.take().map(JoinHandle::join) {
             Some(Ok(a)) => {
                 stats.closes = a.closes;
-                stats.stage_busy.admission_secs = a.busy_secs;
+                stats.stage_busy.admission_secs = a.clock.busy;
+                stats.stage_blocked.admission_secs = a.clock.blocked;
             }
             _ => output = Err(PipelineError::Disconnected),
         }
         match self.grouping.take().map(JoinHandle::join) {
-            Some(Ok((_planner, busy))) => stats.stage_busy.grouping_secs = busy,
+            Some(Ok((_planner, clock))) => {
+                stats.stage_busy.grouping_secs = clock.busy;
+                stats.stage_blocked.grouping_secs = clock.blocked;
+            }
             _ => output = Err(PipelineError::Disconnected),
         }
         match self.execution.take().map(JoinHandle::join) {
-            Some(Ok((runner, busy))) => {
-                stats.stage_busy.execution_secs = busy;
+            Some(Ok((runner, clock))) => {
+                stats.stage_busy.execution_secs = clock.busy;
+                stats.stage_blocked.execution_secs = clock.blocked;
                 if let Ok(slot) = &mut output {
                     *slot = Some(runner.finish());
                 }
@@ -735,20 +765,19 @@ fn admission_loop(
     let mut slots: Vec<TicketSlot> = Vec::new();
     let mut deadline: Option<Instant> = None;
 
-    // Close the open bulk; returns false when the downstream stage is gone.
+    // Close the open bulk: `None` when there is nothing to hand downstream.
     macro_rules! close {
         ($counter:ident, $barrier:expr) => {{
             let barrier: Option<TicketSlot> = $barrier;
             if sigs.is_empty() && barrier.is_none() {
-                true
+                None
             } else {
                 stats.closes.$counter += 1;
-                tx.send(FormedBulk {
+                Some(FormedBulk {
                     sigs: std::mem::take(&mut sigs),
                     slots: std::mem::take(&mut slots),
                     barrier,
                 })
-                .is_ok()
             }
         }};
     }
@@ -760,8 +789,10 @@ fn admission_loop(
                 Ok(msg) => Some(msg),
                 Err(RecvTimeoutError::Timeout) => {
                     deadline = None;
-                    if !close!(by_timer, None) {
-                        return stats;
+                    if let Some(bulk) = close!(by_timer, None) {
+                        if !stats.clock.send(&tx, bulk) {
+                            return stats;
+                        }
                     }
                     continue;
                 }
@@ -770,11 +801,13 @@ fn admission_loop(
         };
         let Some(msg) = msg else {
             // Engine shut down: drain the final partial bulk.
-            close!(by_flush, None);
+            if let Some(bulk) = close!(by_flush, None) {
+                stats.clock.send(&tx, bulk);
+            }
             return stats;
         };
         let handled_at = Instant::now();
-        let ok = match msg {
+        let closed = match msg {
             Input::Submit { ty, params, slot } => {
                 sigs.push(TxnSignature::new(next_id, ty, params));
                 slots.push(slot);
@@ -789,7 +822,7 @@ fn admission_loop(
                     deadline = None;
                     close!(by_size, None)
                 } else {
-                    true
+                    None
                 }
             }
             Input::Flush { barrier } => {
@@ -797,11 +830,13 @@ fn admission_loop(
                 close!(by_flush, Some(barrier))
             }
         };
-        stats.busy_secs += handled_at.elapsed().as_secs_f64();
-        if !ok {
-            // Downstream died; unprocessed tickets resolve Disconnected when
-            // their slots drop.
-            return stats;
+        stats.clock.busy += handled_at.elapsed().as_secs_f64();
+        if let Some(bulk) = closed {
+            if !stats.clock.send(&tx, bulk) {
+                // Downstream died; unprocessed tickets resolve Disconnected
+                // when their slots drop.
+                return stats;
+            }
         }
     }
 }
@@ -810,8 +845,8 @@ fn grouping_loop<P: BulkPlanner>(
     mut planner: P,
     rx: Receiver<FormedBulk>,
     tx: SyncSender<PlannedBulk<P::Plan>>,
-) -> (P, f64) {
-    let mut busy = 0.0f64;
+) -> (P, StageClock) {
+    let mut clock = StageClock::default();
     while let Ok(FormedBulk {
         sigs,
         slots,
@@ -826,26 +861,26 @@ fn grouping_loop<P: BulkPlanner>(
                 .map(Some)
                 .map_err(crate::parallel::panic_message)
         };
-        busy += t0.elapsed().as_secs_f64();
-        let sent = tx.send(PlannedBulk {
+        clock.busy += t0.elapsed().as_secs_f64();
+        let planned = PlannedBulk {
             sigs,
             slots,
             barrier,
             plan,
-        });
-        if sent.is_err() {
+        };
+        if !clock.send(&tx, planned) {
             break;
         }
     }
-    (planner, busy)
+    (planner, clock)
 }
 
 fn execution_loop<R: BulkRunner>(
     mut runner: R,
     rx: Receiver<PlannedBulk<R::Plan>>,
     tx: SyncSender<ExecutedBulk>,
-) -> (R, f64) {
-    let mut busy = 0.0f64;
+) -> (R, StageClock) {
+    let mut clock = StageClock::default();
     while let Ok(PlannedBulk {
         sigs,
         slots,
@@ -863,17 +898,17 @@ fn execution_loop<R: BulkRunner>(
                 Err(payload) => Err(crate::parallel::panic_message(payload)),
             },
         };
-        busy += t0.elapsed().as_secs_f64();
-        let sent = tx.send(ExecutedBulk {
+        clock.busy += t0.elapsed().as_secs_f64();
+        let executed = ExecutedBulk {
             slots,
             barrier,
             outcomes,
-        });
-        if sent.is_err() {
+        };
+        if !clock.send(&tx, executed) {
             break;
         }
     }
-    (runner, busy)
+    (runner, clock)
 }
 
 fn commit_loop(rx: Receiver<ExecutedBulk>) -> CommitStats {
@@ -1227,6 +1262,49 @@ mod tests {
         for t in tickets {
             assert!(t.wait().expect("resolves").1.is_committed());
         }
+    }
+
+    #[test]
+    fn backpressure_counts_as_blocked_not_busy() {
+        let (open_gate, gate) = std::sync::mpsc::channel();
+        let eng = PipelinedEngine::new(
+            CountPlanner,
+            CountRunner {
+                counts: HashMap::new(),
+                gate: Some(gate),
+            },
+            PipelineOptions {
+                max_bulk_size: 1,
+                max_wait: Duration::from_secs(10),
+                queue_depth: 1,
+            },
+        );
+        // The first transaction holds the runner at the gate. Each of the
+        // next five one-transaction bulks fills one slot behind it: the
+        // planned channel, the grouping thread (blocked handing its bulk
+        // on), the formed channel, the admission thread (blocked likewise)
+        // and the admission queue. The last submit returns once admission
+        // has taken the bulk it then blocks on.
+        let tickets: Vec<Ticket> = (0..6)
+            .map(|i| eng.submit(if i == 0 { 6 } else { 0 }, vec![Value::Int(1)]))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        let held = Duration::from_millis(200);
+        std::thread::sleep(held);
+        open_gate.send(()).expect("runner waits at the gate");
+        for t in &tickets {
+            assert!(t.wait().expect("resolves").1.is_committed());
+        }
+        let (_, stats) = eng.finish().unwrap();
+        // Grouping and admission reach their blocking send microseconds
+        // after the last submit returns; half the hold absorbs scheduling
+        // delay.
+        let floor = held.as_secs_f64() / 2.0;
+        assert!(stats.stage_blocked.grouping_secs >= floor, "{stats:?}");
+        assert!(stats.stage_blocked.admission_secs >= floor, "{stats:?}");
+        // The runner waiting at its own gate is work, not backpressure.
+        assert!(stats.stage_busy.execution_secs >= floor, "{stats:?}");
+        assert_eq!(stats.stage_blocked.commit_secs, 0.0);
     }
 
     #[test]

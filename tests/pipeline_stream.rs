@@ -7,6 +7,12 @@
 //!   TPL strategies, on TM1 and the micro benchmark. Every strategy runs
 //!   with the grouping stage's access plan, and TM1's call-forwarding
 //!   inserts make the grouping stage release its copies of those indexes.
+//!   The pipeline runs every bulk in timestamp order, so these tests also
+//!   show that order equals each one-shot strategy's schedule.
+//! * **Admission order** — a procedure that touches a row its declared
+//!   write set leaves out pins the pipeline's execution order to timestamp
+//!   order under every forced strategy, where K-SET waves and PART groups
+//!   would order the bulk differently.
 //! * **Shutdown/drain semantics** — submitting after `shutdown()` errors,
 //!   `flush()` commits a partial bulk, and no ticket is dropped under
 //!   backpressure (seeded stress).
@@ -15,8 +21,9 @@ use gputx_core::config::StrategyChoice;
 use gputx_core::{execute_bulk, Bulk, EngineBuilder, EngineConfig, ExecContext, StrategyKind};
 use gputx_exec::{PipelineError, Ticket};
 use gputx_sim::Gpu;
-use gputx_storage::{Database, Value};
-use gputx_txn::{ProcedureRegistry, TxnId, TxnOutcome, TxnSignature};
+use gputx_storage::schema::{ColumnDef, TableSchema};
+use gputx_storage::{DataItemId, DataType, Database, Value};
+use gputx_txn::{BasicOp, ProcedureDef, ProcedureRegistry, TxnId, TxnOutcome, TxnSignature};
 use gputx_workloads::{MicroConfig, MicroWorkload, Tm1Config};
 
 const BULK: usize = 256;
@@ -129,6 +136,82 @@ fn pipelined_equals_one_shot_on_tm1() {
 fn pipelined_equals_one_shot_on_micro() {
     let (db0, registry, sigs) = micro_stream(1_500, 0xbeef);
     assert_stream_equivalence("micro", &db0, &registry, &sigs);
+}
+
+/// A `stamp(slot)` procedure: it takes the next value of a shared counter
+/// and writes it into `slot`. Its declared write set names only the slot,
+/// never the counter row, so every slot's final value records the order the
+/// engine ran the bulk in. The partition key puts slot `k` in partition `k`.
+fn stamp_stream() -> (Database, ProcedureRegistry, Vec<TxnSignature>) {
+    let mut db = Database::column_store();
+    let int_table = |name: &str| {
+        TableSchema::new(
+            name,
+            vec![
+                ColumnDef::new("id", DataType::Int),
+                ColumnDef::new("value", DataType::Int),
+            ],
+            vec![0],
+        )
+    };
+    let counter = db.create_table(int_table("counter"));
+    let slots = db.create_table(int_table("slots"));
+    db.table_mut(counter)
+        .insert(vec![Value::Int(0), Value::Int(0)]);
+    for k in 0..8 {
+        db.table_mut(slots)
+            .insert(vec![Value::Int(k), Value::Int(-1)]);
+    }
+    let partition_size = EngineConfig::default().partition_size;
+    let mut registry = ProcedureRegistry::new();
+    let stamp = registry.register(ProcedureDef::new(
+        "stamp",
+        move |params, _| {
+            let slot = params[0].as_int() as u64;
+            vec![BasicOp::write(DataItemId::new(slots, slot, 1))]
+        },
+        move |params| Some(params[0].as_int() as u64 * partition_size),
+        move |ctx| {
+            let slot = ctx.param_int(0) as u64;
+            let next = ctx.read(counter, 0, 1).as_int();
+            ctx.write(counter, 0, 1, Value::Int(next + 1));
+            ctx.write(slots, slot, 1, Value::Int(next));
+        },
+    ));
+    // K-SET waves would run t0, t2, t1 (t0 and t1 share slot 5); PART
+    // groups would run t2, t0, t1 (partition 2 before partition 5).
+    let sigs = [5, 5, 2]
+        .into_iter()
+        .enumerate()
+        .map(|(id, slot)| TxnSignature::new(id as TxnId, stamp, vec![Value::Int(slot)]))
+        .collect();
+    (db, registry, sigs)
+}
+
+#[test]
+fn pipelined_runs_each_bulk_in_timestamp_order() {
+    let (db0, registry, sigs) = stamp_stream();
+    let mut ref_db = db0.clone();
+    let ref_outcomes: Vec<(TxnId, TxnOutcome)> = sigs
+        .iter()
+        .map(|sig| (sig.id, registry.execute(sig, &mut ref_db).1))
+        .collect();
+    ref_db.apply_insert_buffers();
+    let slots = ref_db.table_by_name("slots");
+    assert_eq!(slots.get(5, 1), Value::Int(1), "t1 ran second");
+    assert_eq!(slots.get(2, 1), Value::Int(2), "t2 ran last");
+    for choice in [
+        StrategyChoice::ForceKset,
+        StrategyChoice::ForcePart,
+        StrategyChoice::ForceTpl,
+    ] {
+        let (db, outcomes) = pipelined(&db0, &registry, &sigs, choice);
+        assert_eq!(outcomes, ref_outcomes, "{choice:?}: outcomes must match");
+        assert!(
+            db == ref_db,
+            "{choice:?}: final state must equal the replay in id order"
+        );
+    }
 }
 
 #[test]
