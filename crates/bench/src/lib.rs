@@ -85,7 +85,7 @@ pub fn gpu_workload_throughput(
     let mut time = gputx_sim::SimDuration::ZERO;
     for chunk in sigs.chunks(config.bulk_size) {
         let bulk = Bulk::new(chunk.to_vec());
-        let (strategy, _) = gputx_core::choose_strategy(config, None, || {
+        let strategy = gputx_core::choose_strategy(config, None, || {
             gputx_core::profiler::profile_bulk(&bundle.registry, &db, &bulk.txns)
         });
         let mut ctx = ExecContext {

@@ -20,9 +20,10 @@
 //! never executed with TPL, because a single K-SET wave dominates serial
 //! execution for every bulk wide enough to matter.
 //!
-//! Every decision is recorded into a shared [`DecisionStats`], observable
-//! through `PipelinedGpuTx::decision_stats()` / `GpuTxEngine::
-//! decision_stats()` while the engine runs.
+//! Only the one-shot engine runs the selector: the pipelined engine executes
+//! every bulk in timestamp order and makes no strategy decision. Every
+//! decision is recorded into a shared [`DecisionStats`], observable through
+//! `GpuTxEngine::decision_stats()`.
 
 use crate::config::EngineConfig;
 use crate::profiler::BulkProfile;
@@ -40,9 +41,8 @@ pub struct AdaptiveConfig {
     /// before the selector switches (0.15 = 15 % cheaper). Zero disables
     /// hysteresis.
     pub hysteresis: f64,
-    /// Upper bound for the suggested bulk size; the pipelined engine feeds
-    /// its `max_bulk_size` here so suggestions never exceed the configured
-    /// admission limit.
+    /// Upper bound for the suggested bulk size; the one-shot engine feeds
+    /// its `bulk_size` here.
     pub bulk_ceiling: usize,
     /// Cap on the per-decision history kept in [`DecisionStats`].
     pub history_cap: usize,
@@ -85,15 +85,15 @@ impl StrategyScores {
     }
 }
 
-/// One selector decision: the chosen strategy, the bulk sizing hint for the
-/// admission stage, and the scores it was based on.
+/// One selector decision: the chosen strategy, a bulk sizing hint, and the
+/// scores it was based on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Decision {
     /// The strategy the bulk should execute with.
     pub strategy: StrategyKind,
-    /// Bulk size the admission stage should aim for next: large bulks for
-    /// K-SET (parallelism amortizes launch overhead), smaller bulks for the
-    /// serialized strategies (bounding latency costs no throughput there).
+    /// A bulk size for the next bulk: the ceiling for K-SET, half for PART,
+    /// an eighth for TPL. Recorded in [`DecisionStats`] only; no engine
+    /// applies it (the one-shot engine keeps its fixed `bulk_size`).
     pub suggested_bulk_size: usize,
     /// The per-strategy cost estimates behind the choice.
     pub scores: StrategyScores,
@@ -102,8 +102,8 @@ pub struct Decision {
     pub switched: bool,
 }
 
-/// Running tally of adaptive decisions, shared between the selector (on the
-/// grouping stage) and observers.
+/// Running tally of adaptive decisions, shared between the selector and
+/// observers.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DecisionStats {
     /// Bulks executed with K-SET.
@@ -192,8 +192,7 @@ pub struct AdaptiveSelector {
 
 impl AdaptiveSelector {
     /// Build a selector for an engine configuration. `bulk_ceiling` bounds
-    /// the sizing suggestions (the pipelined engine passes its
-    /// `max_bulk_size`, the one-shot engine its `bulk_size`).
+    /// the sizing suggestions (the one-shot engine passes its `bulk_size`).
     pub fn new(engine: &EngineConfig, adaptive: AdaptiveConfig) -> Self {
         AdaptiveSelector {
             model: CostModel::new(engine.device.clone()),
@@ -205,8 +204,7 @@ impl AdaptiveSelector {
         }
     }
 
-    /// The shared stats handle (clone it out before moving the selector onto
-    /// the grouping stage).
+    /// The shared stats handle.
     pub fn stats_handle(&self) -> DecisionStatsHandle {
         self.stats.clone()
     }

@@ -107,16 +107,16 @@ impl EngineBuilder {
     }
 
     /// Select execution strategies adaptively
-    /// ([`StrategyChoice::Adaptive`]): every formed bulk is profiled and
-    /// K-SET/PART/TPL are scored through the SIMT and CPU cost models; the
-    /// cheapest wins, with hysteresis against thrashing (see
-    /// [`crate::adaptive`]). In the pipelined engine the selector also feeds
-    /// bulk-size suggestions back into the admission stage. Decisions are
-    /// observable through `decision_stats()` on either engine flavor.
+    /// ([`StrategyChoice::Adaptive`]): the one-shot engine profiles every
+    /// bulk and scores K-SET/PART/TPL through the SIMT and CPU cost models;
+    /// the cheapest wins, with hysteresis against thrashing (see
+    /// [`crate::adaptive`]). Decisions are observable through
+    /// [`GpuTxEngine::decision_stats`]. The pipelined engine runs every
+    /// bulk in timestamp order and ignores the strategy choice.
     ///
     /// # Examples
     ///
-    /// A pipelined TPC-C run reporting the strategy decision histogram:
+    /// A one-shot TPC-C run reporting the strategy decision histogram:
     ///
     /// ```
     /// use gputx_core::EngineBuilder;
@@ -127,17 +127,16 @@ impl EngineBuilder {
     ///     ..TpccConfig::default()
     /// }
     /// .build();
-    /// let engine = EngineBuilder::new(bundle.db.clone(), bundle.registry.clone())
+    /// let mut engine = EngineBuilder::new(bundle.db.clone(), bundle.registry.clone())
     ///     .adaptive()
-    ///     .with_max_bulk_size(256)
-    ///     .with_max_wait_us(10_000_000)
-    ///     .build_pipelined();
+    ///     .with_bulk_size(256)
+    ///     .build();
     /// for (ty, params) in bundle.generate(512) {
-    ///     engine.submit(ty, params).unwrap();
+    ///     engine.submit(ty, params);
     /// }
-    /// engine.flush().unwrap();
+    /// engine.run_until_empty();
     /// let stats = engine.decision_stats().expect("adaptive engines record decisions");
-    /// assert!(stats.total() >= 2, "512 transactions at a 256 close threshold");
+    /// assert_eq!(stats.total(), 2, "512 transactions in bulks of 256");
     /// for (strategy, bulks) in stats.histogram() {
     ///     println!("{strategy:?}: {bulks} bulks");
     /// }
@@ -319,7 +318,7 @@ impl EngineBuilder {
     /// grouping overlapped with execution.
     pub fn build_pipelined(mut self) -> PipelinedGpuTx {
         let commit = self.open_commit();
-        PipelinedGpuTx::start(self.db, self.registry, self.config, self.pipeline, commit)
+        PipelinedGpuTx::start(self.db, self.registry, self.pipeline, commit)
     }
 
     /// Build the CPU reference engine for `spec`. The CPU engine executes
@@ -384,7 +383,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_builder_records_decisions_on_both_flavors() {
+    fn adaptive_builder_records_decisions_in_the_one_shot_engine_only() {
         let (db, reg) = setup(64);
         let mut engine = EngineBuilder::new(db.clone(), reg.clone())
             .adaptive()
@@ -409,13 +408,12 @@ mod tests {
             engine.submit(0, vec![Value::Int(i % 64)]).unwrap();
         }
         engine.flush().unwrap();
-        let stats = engine
-            .decision_stats()
-            .expect("adaptive pipelined engine, observable while running");
-        assert!(stats.total() >= 2);
-        assert_eq!(stats.tpl, 0);
+        // The pipeline makes no strategy decision and closes every bulk at
+        // `max_bulk_size`.
+        assert!(engine.decision_stats().is_none());
         let (_, pipe_stats) = engine.finish().unwrap();
         assert_eq!(pipe_stats.committed, 64);
+        assert_eq!(pipe_stats.closes.by_size, 2, "64 transactions at 32 each");
     }
 
     #[test]

@@ -4,7 +4,8 @@ use gputx_durability::DurabilityConfig;
 use gputx_sim::DeviceSpec;
 use serde::{Deserialize, Serialize};
 
-/// How the engine picks the execution strategy for a bulk.
+/// How the one-shot engine picks the execution strategy for a bulk. The
+/// pipelined engine ignores it: it runs every bulk in timestamp order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum StrategyChoice {
     /// Always use two-phase locking.

@@ -44,9 +44,8 @@ pub struct GpuTxEngine {
     commit: GroupCommit,
     /// Cost-model strategy selector, present under
     /// `StrategyChoice::Adaptive`. The one-shot engine applies its strategy
-    /// decisions but keeps `config.bulk_size` bulk boundaries — sizing
-    /// feedback is a streaming-engine feature (see
-    /// [`PipelinedGpuTx::decision_stats`](crate::PipelinedGpuTx::decision_stats)).
+    /// decisions but keeps `config.bulk_size` bulk boundaries: nothing reads
+    /// the selector's bulk-size suggestion beyond [`DecisionStats`].
     selector: Option<AdaptiveSelector>,
 }
 
@@ -61,7 +60,7 @@ impl GpuTxEngine {
     ) -> Self {
         let mut gpu = Gpu::new(config.device.clone());
         let load_time = db.load_to_device(&mut gpu);
-        let selector = selector_for(&config, config.bulk_size);
+        let selector = selector_for(&config);
         GpuTxEngine {
             gpu,
             db,
@@ -116,7 +115,7 @@ impl GpuTxEngine {
             selector,
             ..
         } = self;
-        let (strategy, _) = choose_strategy(config, selector.as_mut(), || {
+        let strategy = choose_strategy(config, selector.as_mut(), || {
             profile_head(pool, registry, db, config.bulk_size)
         });
         self.execute_pending_with(strategy)

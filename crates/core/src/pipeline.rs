@@ -5,28 +5,24 @@
 //!
 //! * [`PipelinedGpuTx`] — the *real* streaming mode: an always-on,
 //!   multi-threaded front-end where clients `submit` transactions into a
-//!   bounded admission queue and receive [`Ticket`] handles; bulks are formed
-//!   adaptively (size or deadline), planned (strategy decision for bulk
-//!   sizing, plus the gather step's access plan) on a dedicated stage thread
-//!   *while the previous bulk executes*, executed in timestamp order, and
-//!   committed in submission order. This is the paper's
-//!   formation/execution pipelining (§3.2) turned into an actual
-//!   multi-threaded engine, configured by
-//!   [`PipelineConfig`].
+//!   bounded admission queue and receive [`Ticket`] handles; bulks close at
+//!   `max_bulk_size` or `max_wait`, are planned (the gather step's access
+//!   plan) on a dedicated stage thread *while the previous bulk executes*,
+//!   executed in timestamp order, and committed in submission order. This
+//!   is the paper's formation/execution pipelining (§3.2) turned into an
+//!   actual multi-threaded engine, configured by [`PipelineConfig`].
 //! * [`simulate_pipeline`] — the original arrival/response-time *simulation*
 //!   behind the paper's Figures 9 and 15 (periodic bulk cuts under a uniform
 //!   arrival process, simulated time only).
 
-use crate::adaptive::{AdaptiveSelector, DecisionStats, DecisionStatsHandle};
+use crate::adaptive::DecisionStats;
 use crate::bulk::Bulk;
 use crate::commit::GroupCommit;
 use crate::config::{EngineConfig, PipelineConfig};
-use crate::profiler::profile_bulk;
-use crate::select::{choose_strategy, selector_for};
 use crate::strategy::{execute_bulk, ExecContext, StrategyKind};
 use gputx_exec::{
-    BulkPlanner, BulkRunner, BulkSizeKnob, ExecError, ExecPolicy, Executor, PipelineError,
-    PipelineOptions, PipelineStats, PipelinedEngine, SerialExecutor, SubmitHandle, Ticket,
+    BulkPlanner, BulkRunner, ExecError, ExecPolicy, Executor, PipelineError, PipelineOptions,
+    PipelineStats, PipelinedEngine, SerialExecutor, SubmitHandle, Ticket,
 };
 use gputx_sim::{Gpu, SimDuration, Throughput};
 use gputx_storage::{Database, IndexSet, Value};
@@ -38,29 +34,20 @@ use std::time::Duration;
 // The streaming pipelined engine (driver over `gputx_exec::PipelinedEngine`).
 // ---------------------------------------------------------------------------
 
-/// Grouping-stage driver: plans bulks from signatures and index contents.
+/// Grouping-stage driver: builds each bulk's access plan from signatures and
+/// index contents.
 ///
 /// The planner runs concurrently with execution, so it never sees the live
-/// database: strategy selection profiles the declared read/write sets and
-/// partition keys, which must be state-independent (derivable from the
-/// signature alone — Appendix B's static analysis; every bundled workload
-/// satisfies this). It holds no table data at all.
+/// database and holds no table data at all. It makes no strategy decision:
+/// every bulk executes in timestamp order.
 #[derive(Debug)]
 pub struct GpuTxPlanner {
     registry: ProcedureRegistry,
     /// The live database's indexes as of pipeline start, shared
-    /// copy-on-write: profiling and the gather step resolve against them.
-    /// An index exists twice only after the execution stage writes it, and
-    /// only until the next plan releases this outdated copy.
+    /// copy-on-write: the gather step resolves against them. An index
+    /// exists twice only after the execution stage writes it, and only
+    /// until the next plan releases this outdated copy.
     indexes: IndexSet,
-    config: EngineConfig,
-    /// The cost-model selector, present under `StrategyChoice::Adaptive`.
-    /// It lives here because this is the grouping stage: decisions happen
-    /// where bulks are formed into plans, overlapped with execution.
-    selector: Option<AdaptiveSelector>,
-    /// Feedback channel to the admission stage: each adaptive decision
-    /// publishes its bulk-size suggestion here.
-    size_knob: Option<BulkSizeKnob>,
 }
 
 impl BulkPlanner for GpuTxPlanner {
@@ -79,17 +66,8 @@ impl BulkPlanner for GpuTxPlanner {
         // outdated here and held by nobody else: free them. Lookups through
         // them become stale plan entries.
         self.indexes.release_unshared();
-        let indexes = &self.indexes;
-        // The decision only sizes bulks: every bulk executes in timestamp
-        // order, which Definition 1 makes equal to each strategy's schedule.
-        let (_, size_hint) = choose_strategy(&self.config, self.selector.as_mut(), || {
-            profile_bulk(&self.registry, indexes, bulk)
-        });
-        if let (Some(knob), Some(size)) = (self.size_knob.as_ref(), size_hint) {
-            knob.set(size);
-        }
         // The gather step, overlapped with the previous bulk's execution.
-        let access = AccessPlan::build(&self.registry, indexes, bulk);
+        let access = AccessPlan::build(&self.registry, &self.indexes, bulk);
         (!access.is_empty()).then_some(access)
     }
 }
@@ -208,41 +186,28 @@ impl BulkRunner for GpuTxRunner {
 ///
 /// Prefer this over the one-shot [`GpuTxEngine`](crate::GpuTxEngine) when
 /// transactions arrive continuously and per-transaction latency matters;
-/// prefer one-shot bulks for offline/batch runs and for the simulated-GPU
-/// cost model (the pipeline measures wall-clock only).
+/// prefer one-shot bulks for offline/batch runs, for the simulated-GPU
+/// cost model (the pipeline measures wall-clock only) and for per-bulk
+/// strategy selection: the pipeline ignores `StrategyChoice`.
 #[derive(Debug)]
 pub struct PipelinedGpuTx {
     engine: PipelinedEngine<GpuTxPlanner, GpuTxRunner>,
     health: gputx_faults::Health,
-    /// Observer handle onto the adaptive selector's decision stats; present
-    /// only under `StrategyChoice::Adaptive`.
-    decisions: Option<DecisionStatsHandle>,
 }
 
 impl PipelinedGpuTx {
-    /// Start the stage threads. `engine_config` supplies strategy selection,
-    /// thresholds and partition size; `pipeline` supplies the admission
-    /// knobs.
+    /// Start the stage threads. `pipeline` supplies the admission knobs;
+    /// `commit` the group-commit point.
     pub(crate) fn start(
         db: Database,
         registry: ProcedureRegistry,
-        engine_config: EngineConfig,
         pipeline: PipelineConfig,
         commit: GroupCommit,
     ) -> Self {
-        // Under Adaptive the grouping stage holds the selector (decisions
-        // happen where bulks become plans) and feeds sizing suggestions back
-        // into admission through a shared knob.
-        let selector = selector_for(&engine_config, pipeline.max_bulk_size);
-        let decisions = selector.as_ref().map(AdaptiveSelector::stats_handle);
-        let size_knob = selector.as_ref().map(|_| BulkSizeKnob::new());
         let health = commit.health();
         let planner = GpuTxPlanner {
             registry: registry.clone(),
             indexes: db.indexes().clone(),
-            config: engine_config,
-            selector,
-            size_knob: size_knob.clone(),
         };
         let runner = GpuTxRunner {
             db,
@@ -256,18 +221,19 @@ impl PipelinedGpuTx {
             queue_depth: pipeline.queue_depth,
         };
         PipelinedGpuTx {
-            engine: PipelinedEngine::new_with_knob(planner, runner, opts, size_knob),
+            engine: PipelinedEngine::new(planner, runner, opts),
             health,
-            decisions,
         }
     }
 
-    /// Snapshot of the adaptive selector's per-bulk decision stats (strategy
-    /// histogram, switches, sizing); `None` unless the engine was built with
-    /// `StrategyChoice::Adaptive` (`EngineBuilder::adaptive()`). Available
-    /// live, while the engine is still running.
+    /// Always `None`: the pipeline makes no strategy decision, so there is
+    /// nothing to report. Adaptive decisions exist only in the one-shot
+    /// engine ([`GpuTxEngine::decision_stats`](crate::GpuTxEngine::decision_stats)).
+    /// Kept only for the benchmark, which still reads it; the benchmark
+    /// change that drops its `core.*_share` and `core.switches` rows
+    /// deletes this method.
     pub fn decision_stats(&self) -> Option<DecisionStats> {
-        self.decisions.as_ref().map(|d| d.snapshot())
+        None
     }
 
     /// The engine's shared health surface: WAL state (including automatic
@@ -655,9 +621,6 @@ mod tests {
         let planner = GpuTxPlanner {
             registry: registry.clone(),
             indexes: db.indexes().clone(),
-            config,
-            selector: None,
-            size_knob: None,
         };
         let runner = GpuTxRunner {
             db,

@@ -32,38 +32,34 @@ pub fn choose_by_rule(profile: &BulkProfile, thresholds: &SelectionThresholds) -
 /// the one place a [`StrategyChoice`] becomes a [`StrategyKind`].
 ///
 /// `profile` is only invoked when the choice reads it (`Auto`, `Adaptive`);
-/// forced choices never pay for profiling. Engines that execute a *stream*
-/// of bulks pass their [`AdaptiveSelector`], which adds hysteresis
-/// and decision stats on top of the cost-model scores and whose bulk-size
-/// suggestion is returned beside the strategy; one-off call sites pass `None`
-/// and get the stateless [`cost_based_choice`].
+/// forced choices never pay for profiling. The one-shot engine, which
+/// executes a *stream* of bulks, passes its [`AdaptiveSelector`], which adds
+/// hysteresis and decision stats on top of the cost-model scores; one-off
+/// call sites pass `None` and get the stateless [`cost_based_choice`].
 pub fn choose_strategy(
     config: &EngineConfig,
     selector: Option<&mut AdaptiveSelector>,
     profile: impl FnOnce() -> BulkProfile,
-) -> (StrategyKind, Option<usize>) {
+) -> StrategyKind {
     match (config.strategy, selector) {
-        (StrategyChoice::ForceTpl, _) => (StrategyKind::Tpl, None),
-        (StrategyChoice::ForcePart, _) => (StrategyKind::Part, None),
-        (StrategyChoice::ForceKset, _) => (StrategyKind::Kset, None),
-        (StrategyChoice::Auto, _) => (choose_by_rule(&profile(), &config.thresholds), None),
-        (StrategyChoice::Adaptive, Some(selector)) => {
-            let decision = selector.decide(&profile());
-            (decision.strategy, Some(decision.suggested_bulk_size))
-        }
-        (StrategyChoice::Adaptive, None) => (cost_based_choice(config, &profile()), None),
+        (StrategyChoice::ForceTpl, _) => StrategyKind::Tpl,
+        (StrategyChoice::ForcePart, _) => StrategyKind::Part,
+        (StrategyChoice::ForceKset, _) => StrategyKind::Kset,
+        (StrategyChoice::Auto, _) => choose_by_rule(&profile(), &config.thresholds),
+        (StrategyChoice::Adaptive, Some(selector)) => selector.decide(&profile()).strategy,
+        (StrategyChoice::Adaptive, None) => cost_based_choice(config, &profile()),
     }
 }
 
-/// The selector an engine threads through [`choose_strategy`]: present under
-/// `StrategyChoice::Adaptive`, with sizing suggestions bounded by the
-/// engine's own bulk limit.
-pub(crate) fn selector_for(config: &EngineConfig, bulk_ceiling: usize) -> Option<AdaptiveSelector> {
+/// The selector the one-shot engine threads through [`choose_strategy`]:
+/// present under `StrategyChoice::Adaptive`, with the sizing suggestions it
+/// records bounded by the engine's `bulk_size`.
+pub(crate) fn selector_for(config: &EngineConfig) -> Option<AdaptiveSelector> {
     matches!(config.strategy, StrategyChoice::Adaptive).then(|| {
         AdaptiveSelector::new(
             config,
             AdaptiveConfig {
-                bulk_ceiling,
+                bulk_ceiling: config.bulk_size,
                 ..AdaptiveConfig::default()
             },
         )
@@ -123,7 +119,7 @@ mod tests {
     }
 
     fn choose(config: &EngineConfig, p: &BulkProfile) -> StrategyKind {
-        choose_strategy(config, None, || p.clone()).0
+        choose_strategy(config, None, || p.clone())
     }
 
     #[test]
@@ -136,7 +132,7 @@ mod tests {
         ] {
             let config = base.clone().with_strategy(choice);
             let resolved = choose_strategy(&config, None, || unreachable!("forced: no profile"));
-            assert_eq!(resolved, (kind, None));
+            assert_eq!(resolved, kind);
         }
         assert_eq!(choose(&base, &profile(1_000_000, 0, 0)), StrategyKind::Kset);
     }
@@ -146,12 +142,17 @@ mod tests {
         // A wide conflict-free bulk: the cost model, like the rule, lands on
         // K-SET (and the conflict-free invariant forbids TPL outright).
         let p = profile(10_000, 0, 0);
-        let c = EngineConfig::default().with_strategy(StrategyChoice::Adaptive);
+        let c = EngineConfig::default()
+            .with_strategy(StrategyChoice::Adaptive)
+            .with_bulk_size(512);
         assert_eq!(choose(&c, &p), StrategyKind::Kset);
-        // With the engine's selector the same scores also carry a size hint.
-        let mut selector = selector_for(&c, 512).expect("adaptive installs a selector");
+        // The engine's selector lands on the same strategy and records its
+        // decision.
+        let mut selector = selector_for(&c).expect("adaptive installs a selector");
         let resolved = choose_strategy(&c, Some(&mut selector), || p.clone());
-        assert_eq!(resolved, (StrategyKind::Kset, Some(512)));
-        assert!(selector_for(&EngineConfig::default(), 512).is_none());
+        assert_eq!(resolved, StrategyKind::Kset);
+        let stats = selector.stats_handle().snapshot();
+        assert_eq!((stats.kset, stats.last_suggested_bulk_size), (1, 512));
+        assert!(selector_for(&EngineConfig::default()).is_none());
     }
 }

@@ -62,6 +62,6 @@ pub use executor::{
 };
 pub use parallel::{partition_ranges, ParallelExecutor};
 pub use pipeline::{
-    BulkCloseCounts, BulkPlanner, BulkRunner, BulkSizeKnob, PipelineError, PipelineOptions,
-    PipelineStats, PipelinedEngine, StageBusy, SubmitHandle, Ticket, TicketResult,
+    BulkCloseCounts, BulkPlanner, BulkRunner, PipelineError, PipelineOptions, PipelineStats,
+    PipelinedEngine, StageBusy, SubmitHandle, Ticket, TicketResult,
 };

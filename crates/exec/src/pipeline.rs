@@ -20,9 +20,9 @@
 //!   queued transaction has waited `max_wait`, whichever comes first.
 //! * **grouping** — runs the [`BulkPlanner`] for the next bulk while the
 //!   execution stage is still busy with the previous one. This is the
-//!   paper's formation/execution overlap. In `gputx-core` the planner makes
-//!   the strategy decision that sizes bulks and builds the gather step's
-//!   access plan; the bulk itself runs in timestamp order.
+//!   paper's formation/execution overlap. In `gputx-core` the planner
+//!   builds the gather step's access plan; the bulk itself runs in
+//!   timestamp order.
 //! * **execution** — runs the [`BulkRunner`] (the owner of the database and
 //!   the [`Executor`](crate::Executor)).
 //! * **commit** — resolves [`Ticket`]s in submission order.
@@ -34,14 +34,14 @@
 //!
 //! This module is deliberately generic: it knows about stage scheduling,
 //! tickets, timing and failure containment, but not about strategies or
-//! databases. The GPUTx driver (planner + runner over the real strategies)
+//! databases. The GPUTx driver (planner + runner over the real database)
 //! lives in `gputx-core`'s `pipeline` module.
 
 use crate::executor::ExecError;
 use gputx_storage::Value;
 use gputx_txn::{TxnId, TxnOutcome, TxnSignature, TxnTypeId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -327,50 +327,6 @@ impl Default for PipelineOptions {
     }
 }
 
-/// A shared, dynamically adjustable bulk-size target for the admission
-/// stage: the feedback channel an adaptive planner uses to resize bulks
-/// while the pipeline runs (see `PipelinedEngine::new_with_knob`).
-///
-/// The knob only *lowers* the close threshold — the effective limit is
-/// `min(knob, max_bulk_size)`, and an unset knob (`0`) leaves
-/// [`PipelineOptions::max_bulk_size`] in charge. Reads and writes are
-/// relaxed atomics: admission picks up a new target on its next submit,
-/// which is as fast as a bulk boundary can move anyway.
-#[derive(Debug, Clone, Default)]
-pub struct BulkSizeKnob(Arc<AtomicUsize>);
-
-impl BulkSizeKnob {
-    /// A fresh, unset knob.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set the target bulk size (clamped to at least 1).
-    pub fn set(&self, size: usize) {
-        self.0.store(size.max(1), Ordering::Relaxed);
-    }
-
-    /// Clear the override; admission falls back to `max_bulk_size`.
-    pub fn clear(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
-
-    /// The current target, if set.
-    pub fn get(&self) -> Option<usize> {
-        match self.0.load(Ordering::Relaxed) {
-            0 => None,
-            n => Some(n),
-        }
-    }
-
-    /// The close threshold admission applies under `opts`.
-    fn effective(&self, max_bulk_size: usize) -> usize {
-        self.get()
-            .map_or(max_bulk_size, |n| n.min(max_bulk_size))
-            .max(1)
-    }
-}
-
 enum Input {
     Submit {
         ty: TxnTypeId,
@@ -542,20 +498,6 @@ where
     /// submissions immediately. Transaction ids are assigned from 0 in
     /// admission order.
     pub fn new(planner: P, runner: R, opts: PipelineOptions) -> Self {
-        Self::new_with_knob(planner, runner, opts, None)
-    }
-
-    /// [`PipelinedEngine::new`] plus an optional [`BulkSizeKnob`]: a shared
-    /// handle through which a planner (or any controller) can lower the
-    /// admission stage's bulk-size close threshold while the engine runs —
-    /// the sizing half of an adaptive grouping stage. The knob never raises
-    /// the threshold above `opts.max_bulk_size`.
-    pub fn new_with_knob(
-        planner: P,
-        runner: R,
-        opts: PipelineOptions,
-        knob: Option<BulkSizeKnob>,
-    ) -> Self {
         assert!(opts.max_bulk_size > 0, "max_bulk_size must be positive");
         assert!(opts.queue_depth > 0, "queue_depth must be positive");
         let (input_tx, input_rx) = sync_channel::<Input>(opts.queue_depth);
@@ -565,7 +507,7 @@ where
 
         let spawn = |name: &str| std::thread::Builder::new().name(format!("gputx-{name}"));
         let admission = spawn("admission")
-            .spawn(move || admission_loop(input_rx, formed_tx, opts, knob))
+            .spawn(move || admission_loop(input_rx, formed_tx, opts))
             .expect("spawn admission stage");
         let grouping = spawn("grouping")
             .spawn(move || grouping_loop(planner, formed_rx, planned_tx))
@@ -757,7 +699,6 @@ fn admission_loop(
     rx: Receiver<Input>,
     tx: SyncSender<FormedBulk>,
     opts: PipelineOptions,
-    knob: Option<BulkSizeKnob>,
 ) -> AdmissionStats {
     let mut stats = AdmissionStats::default();
     let mut next_id: TxnId = 0;
@@ -815,10 +756,7 @@ fn admission_loop(
                 if sigs.len() == 1 {
                     deadline = Some(Instant::now() + opts.max_wait);
                 }
-                let limit = knob
-                    .as_ref()
-                    .map_or(opts.max_bulk_size, |k| k.effective(opts.max_bulk_size));
-                if sigs.len() >= limit {
+                if sigs.len() >= opts.max_bulk_size {
                     deadline = None;
                     close!(by_size, None)
                 } else {
@@ -1054,45 +992,6 @@ mod tests {
         assert!(stats.throughput_tps() > 0.0);
         let (counts, _) = eng.finish().unwrap();
         assert_eq!(counts.values().sum::<i64>(), 100);
-    }
-
-    #[test]
-    fn size_knob_lowers_the_close_threshold() {
-        let knob = BulkSizeKnob::new();
-        knob.set(8);
-        let eng = PipelinedEngine::new_with_knob(
-            CountPlanner,
-            CountRunner {
-                counts: HashMap::new(),
-                gate: None,
-            },
-            PipelineOptions {
-                max_bulk_size: 1_000,
-                max_wait: Duration::from_secs(10),
-                queue_depth: 64,
-            },
-            Some(knob.clone()),
-        );
-        for i in 0..32 {
-            eng.submit(0, vec![Value::Int(i)]).unwrap();
-        }
-        let (counts, stats) = eng.finish().unwrap();
-        assert_eq!(counts.values().sum::<i64>(), 32);
-        // 32 submissions at a knob of 8 → 4 bulks closed by size, none left
-        // for the final drain.
-        assert_eq!(stats.closes.by_size, 4);
-    }
-
-    #[test]
-    fn size_knob_never_raises_above_max_bulk_size() {
-        let knob = BulkSizeKnob::new();
-        knob.set(1_000_000);
-        assert_eq!(knob.effective(16), 16);
-        knob.clear();
-        assert_eq!(knob.get(), None);
-        assert_eq!(knob.effective(16), 16);
-        knob.set(0); // clamped to 1, never a hang
-        assert_eq!(knob.get(), Some(1));
     }
 
     #[test]

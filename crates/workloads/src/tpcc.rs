@@ -746,6 +746,7 @@ mod tests {
     use super::*;
     use gputx_core::{execute_bulk, Bulk, EngineConfig, ExecContext, StrategyKind};
     use gputx_sim::Gpu;
+    use gputx_txn::{TxnOutcome, TxnSignature};
 
     #[test]
     fn last_name_follows_syllable_rule() {
@@ -868,6 +869,56 @@ mod tests {
         assert_eq!(out.committed, sigs.len());
         assert_eq!(db.table_by_name("orders").num_rows(), sigs.len());
         assert!(db.table_by_name("order_line").num_rows() >= 5 * sigs.len());
+    }
+
+    /// Why TPC-C's abort share grows with bulk size: a New-Order's order row
+    /// waits in the insert buffer until its bulk ends, so a Delivery for the
+    /// same district later in that bulk cannot find order
+    /// `d_next_o_id - 1` and aborts. The same Delivery one bulk later
+    /// commits.
+    #[test]
+    fn delivery_sees_a_new_order_only_from_the_next_bulk() {
+        let w = TpccConfig::default()
+            .with_warehouses(1)
+            .single_partition_only()
+            .build();
+        let new_order = vec![
+            Value::Int(0),
+            Value::Int(3),
+            Value::Int(7),
+            Value::Int(1),
+            Value::Int(1),
+            Value::Int(42),
+            Value::Int(5),
+            Value::Int(0),
+        ];
+        let delivery = vec![Value::Int(0), Value::Int(3), Value::Int(9)];
+        let sig = |id, ty, params: &Vec<Value>| TxnSignature::new(id, ty, params.clone());
+        let mut db = w.db.clone();
+        let mut gpu = Gpu::c1060();
+        let config = EngineConfig::default();
+        let mut ctx = ExecContext {
+            gpu: &mut gpu,
+            db: &mut db,
+            registry: &w.registry,
+            config: &config,
+        };
+        let same_bulk = Bulk::new(vec![
+            sig(0, types::NEW_ORDER, &new_order),
+            sig(1, types::DELIVERY, &delivery),
+        ]);
+        let out = execute_bulk(&mut ctx, StrategyKind::Tpl, &same_bulk);
+        assert_eq!(
+            out.outcomes,
+            vec![
+                (0, TxnOutcome::Committed),
+                (1, TxnOutcome::Aborted("order not found".into())),
+            ]
+        );
+        let next_bulk = Bulk::new(vec![sig(2, types::DELIVERY, &delivery)]);
+        let out = execute_bulk(&mut ctx, StrategyKind::Tpl, &next_bulk);
+        assert_eq!(out.outcomes, vec![(2, TxnOutcome::Committed)]);
+        assert_eq!(db.table_by_name("orders").get(0, 5), Value::Int(9));
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //!   write set leaves out pins the pipeline's execution order to timestamp
 //!   order under every forced strategy, where K-SET waves and PART groups
 //!   would order the bulk differently.
+//! * **No strategy decision** — under `adaptive()` the pipeline derives no
+//!   read/write sets and closes every bulk at `max_bulk_size`, even on a
+//!   stream the one-shot selector scores as TPL.
 //! * **Shutdown/drain semantics** — submitting after `shutdown()` errors,
 //!   `flush()` commits a partial bulk, and no ticket is dropped under
 //!   backpressure (seeded stress).
@@ -25,6 +28,8 @@ use gputx_storage::schema::{ColumnDef, TableSchema};
 use gputx_storage::{DataItemId, DataType, Database, Value};
 use gputx_txn::{BasicOp, ProcedureDef, ProcedureRegistry, TxnId, TxnOutcome, TxnSignature};
 use gputx_workloads::{MicroConfig, MicroWorkload, Tm1Config};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 const BULK: usize = 256;
 
@@ -212,6 +217,100 @@ fn pipelined_runs_each_bulk_in_timestamp_order() {
             "{choice:?}: final state must equal the replay in id order"
         );
     }
+}
+
+/// A `bump(slot)` procedure over one hot counter row: every transaction
+/// increments the counter and writes it into its slot, so a bulk is one
+/// dependency chain, and no transaction has a partition key. The returned
+/// counter tallies the registry's read/write-set derivations.
+fn hot_row_stream(
+    n: usize,
+) -> (
+    Database,
+    ProcedureRegistry,
+    Vec<TxnSignature>,
+    Arc<AtomicUsize>,
+) {
+    let mut db = Database::column_store();
+    let table = db.create_table(TableSchema::new(
+        "counters",
+        vec![
+            ColumnDef::new("id", DataType::Int),
+            ColumnDef::new("value", DataType::Int),
+        ],
+        vec![0],
+    ));
+    for k in 0..=n as i64 {
+        db.table_mut(table)
+            .insert(vec![Value::Int(k), Value::Int(0)]);
+    }
+    let rwset_calls = Arc::new(AtomicUsize::new(0));
+    let calls = Arc::clone(&rwset_calls);
+    let mut registry = ProcedureRegistry::new();
+    let bump = registry.register(ProcedureDef::new(
+        "bump",
+        move |params, _| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            vec![
+                BasicOp::read(DataItemId::new(table, 0, 1)),
+                BasicOp::write(DataItemId::new(table, 0, 1)),
+                BasicOp::write(DataItemId::new(table, params[0].as_int() as u64, 1)),
+            ]
+        },
+        |_| None,
+        move |ctx| {
+            let next = ctx.read(table, 0, 1).as_int() + 1;
+            ctx.write(table, 0, 1, Value::Int(next));
+            ctx.write(table, ctx.param_int(0) as u64, 1, Value::Int(next));
+        },
+    ));
+    let sigs = (1..=n)
+        .map(|k| TxnSignature::new(k as TxnId - 1, bump, vec![Value::Int(k as i64)]))
+        .collect();
+    (db, registry, sigs, rwset_calls)
+}
+
+#[test]
+fn adaptive_pipeline_closes_at_max_bulk_size_without_profiling() {
+    let (db0, registry, sigs, rwset_calls) = hot_row_stream(256);
+    // The premise: the one-shot adaptive engine scores this stream as TPL,
+    // the strategy whose size hint is an eighth of the bulk ceiling.
+    let mut one_shot = EngineBuilder::new(db0.clone(), registry.clone())
+        .adaptive()
+        .with_bulk_size(64)
+        .build();
+    for sig in &sigs {
+        one_shot.submit(sig.ty, sig.params.clone());
+    }
+    one_shot.run_until_empty();
+    let decisions = one_shot.decision_stats().expect("adaptive one-shot engine");
+    assert_eq!(decisions.total(), 4, "256 transactions in bulks of 64");
+    assert_eq!(decisions.tpl, 4, "the selector scores the stream as TPL");
+    assert!(
+        rwset_calls.swap(0, Ordering::Relaxed) > 0,
+        "the one-shot selector profiles every bulk"
+    );
+
+    let engine = EngineBuilder::new(db0, registry)
+        .adaptive()
+        .with_max_bulk_size(64)
+        .with_max_wait_us(10_000_000)
+        .build_pipelined();
+    for sig in &sigs {
+        engine.submit(sig.ty, sig.params.clone()).unwrap();
+    }
+    let (db, stats) = engine.finish().expect("stages stay healthy");
+    assert_eq!(stats.committed, 256);
+    assert_eq!(
+        stats.closes.by_size, 4,
+        "every bulk closes at max_bulk_size"
+    );
+    assert_eq!(
+        rwset_calls.load(Ordering::Relaxed),
+        0,
+        "the pipeline derives no read/write sets"
+    );
+    assert_eq!(db.table_by_name("counters").get(0, 1), Value::Int(256));
 }
 
 #[test]
