@@ -1,7 +1,7 @@
 //! The engine-facing analytics endpoint.
 //!
 //! An [`AnalyticsSession`] is the handle `EngineBuilder::analytics()` (in
-//! `gputx-core`) clones into the engine: the engine's commit stage calls
+//! `gputx-core`) clones into the engine: the engine's group-commit point calls
 //! [`publish`](AnalyticsSession::publish) with every committed
 //! [`BulkLogRecord`] — the same record the WAL appends and the replication
 //! hub ships — while any number of scanner threads hold their own clones and
@@ -128,7 +128,7 @@ impl AnalyticsSession {
     }
 
     /// Fold one committed bulk record into the session. Called by the
-    /// engine's commit stage, in commit order.
+    /// engine's group-commit point, in commit order.
     pub fn publish(&self, record: &BulkLogRecord) {
         let mut store = self.shared.store.lock().expect("analytics store poisoned");
         store.apply(record);

@@ -124,10 +124,8 @@ fn main() {
 /// `plan = None`, where every lookup probes the live index. Both runs execute
 /// the identical transaction stream on identical databases through the same
 /// serial executor and procedure bodies; only the plan differs. The plan is
-/// built outside the timed window — in the streaming engine the gather step
-/// runs on the grouping stage, overlapped with the previous bulk's execution
-/// — and its build time is reported separately so the overlap assumption is
-/// visible, not hidden.
+/// built outside the timed window and its build time is reported
+/// separately, so what the plan costs is visible beside what it saves.
 fn hotpath(json_path: Option<&str>) {
     use gputx_exec::{ExecPolicy, Executor, SerialExecutor};
     use gputx_txn::AccessPlan;

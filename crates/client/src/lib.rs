@@ -129,25 +129,34 @@ impl ClientConfig {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
+struct ReplyCell {
+    result: Option<ReplyResult>,
+    /// Set by a [`Reply::wait`] about to park: only then does resolving the
+    /// reply pay for a wake-up.
+    waiting: bool,
+}
+
+#[derive(Debug, Default)]
 struct ReplySlot {
-    slot: Mutex<Option<ReplyResult>>,
+    cell: Mutex<ReplyCell>,
     cond: Condvar,
 }
 
 impl ReplySlot {
     fn new() -> Arc<ReplySlot> {
-        Arc::new(ReplySlot {
-            slot: Mutex::new(None),
-            cond: Condvar::new(),
-        })
+        Arc::default()
     }
 
     fn resolve(&self, result: ReplyResult) {
-        let mut slot = self.slot.lock().expect("reply slot poisoned");
-        if slot.is_none() {
-            *slot = Some(result);
-            self.cond.notify_all();
+        // The waiter marks itself under this mutex before parking, so no
+        // wake-up is lost.
+        let mut cell = self.cell.lock().expect("reply slot poisoned");
+        if cell.result.is_none() {
+            cell.result = Some(result);
+            if cell.waiting {
+                self.cond.notify_all();
+            }
         }
     }
 }
@@ -169,16 +178,22 @@ impl Reply {
     /// Block until the response arrives. Repeatable; later calls return
     /// immediately.
     pub fn wait(&self) -> ReplyResult {
-        let mut slot = self.slot.slot.lock().expect("reply slot poisoned");
-        while slot.is_none() {
-            slot = self.slot.cond.wait(slot).expect("reply slot poisoned");
+        let mut cell = self.slot.cell.lock().expect("reply slot poisoned");
+        while cell.result.is_none() {
+            cell.waiting = true;
+            cell = self.slot.cond.wait(cell).expect("reply slot poisoned");
         }
-        slot.clone().expect("checked above")
+        cell.result.clone().expect("checked above")
     }
 
     /// Non-blocking poll: `None` while the response is still in flight.
     pub fn try_get(&self) -> Option<ReplyResult> {
-        self.slot.slot.lock().expect("reply slot poisoned").clone()
+        self.slot
+            .cell
+            .lock()
+            .expect("reply slot poisoned")
+            .result
+            .clone()
     }
 }
 
@@ -889,5 +904,25 @@ mod tests {
         assert_eq!(client.unmatched_responses(), 0);
         // Closing the script is EOF, which lets `Drop` join the reader.
         drop(script);
+    }
+
+    /// A reply resolves for a waiter parked before the response, a waiter
+    /// that arrives after it and a poller that never waits.
+    #[test]
+    fn every_reply_reader_sees_the_result() {
+        let slot = ReplySlot::new();
+        let reply = || Reply {
+            slot: Arc::clone(&slot),
+            request_id: 1,
+        };
+        let early = reply();
+        let parked = std::thread::spawn(move || early.wait());
+        while !slot.cell.lock().unwrap().waiting {
+            std::thread::yield_now();
+        }
+        slot.resolve(Ok(TxnResult::Committed(5)));
+        assert_eq!(parked.join().unwrap(), Ok(TxnResult::Committed(5)));
+        assert_eq!(reply().wait(), Ok(TxnResult::Committed(5)));
+        assert_eq!(reply().try_get(), Some(Ok(TxnResult::Committed(5))));
     }
 }

@@ -137,20 +137,21 @@ impl EngineConfig {
 /// Configuration of the streaming pipelined engine
 /// ([`PipelinedGpuTx`](crate::pipeline::PipelinedGpuTx)).
 ///
-/// The admission stage closes a bulk when it reaches `max_bulk_size`
-/// transactions *or* when the oldest queued transaction has waited
-/// `max_wait_us` microseconds, whichever comes first — large bulks amortize
-/// grouping cost (throughput), the deadline bounds ticket latency, the same
-/// trade-off the paper's response-time figures chart.
+/// A bulk closes when it reaches `max_bulk_size` transactions *or*, once
+/// the execution thread is free, when its oldest transaction has waited
+/// `max_wait_us` microseconds — large bulks amortize per-bulk cost
+/// (throughput), the deadline bounds ticket latency, the same trade-off the
+/// paper's response-time figures chart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PipelineConfig {
     /// Close a bulk at this many transactions.
     pub max_bulk_size: usize,
     /// Close a non-empty bulk after its oldest transaction waited this many
-    /// microseconds.
+    /// microseconds, once the execution thread is free.
     pub max_wait_us: u64,
-    /// Capacity of the bounded admission queue; a full queue blocks `submit`
-    /// (backpressure) and fails `try_submit`.
+    /// Most transactions admitted but not yet taken by the execution
+    /// thread (so also a cap on a bulk's size); at this bound `submit`
+    /// blocks (backpressure) and `try_submit` fails.
     pub queue_depth: usize,
 }
 

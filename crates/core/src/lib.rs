@@ -21,7 +21,7 @@
 //!   constraint (Appendix G).
 //! * [`pipeline`] — streaming execution: the [`pipeline::PipelinedGpuTx`]
 //!   engine (continuous ingest, bulk formation overlapped with execution on
-//!   stage threads) and the arrival/response-time simulation behind the
+//!   one execution thread) and the arrival/response-time simulation behind the
 //!   response-time-vs-throughput figures (Figures 9 and 15).
 //! * [`builder`] — the [`EngineBuilder`]: one fluent construction surface
 //!   for the one-shot, pipelined and CPU engines, including the replication

@@ -3,14 +3,14 @@
 //!
 //! Two things live here:
 //!
-//! * [`PipelinedGpuTx`] — the *real* streaming mode: an always-on,
-//!   multi-threaded front-end where clients `submit` transactions into a
-//!   bounded admission queue and receive [`Ticket`] handles; bulks close at
-//!   `max_bulk_size` or `max_wait`, are planned (the gather step's access
-//!   plan) on a dedicated stage thread *while the previous bulk executes*,
-//!   executed in timestamp order, and committed in submission order. This
-//!   is the paper's formation/execution pipelining (§3.2) turned into an
-//!   actual multi-threaded engine, configured by [`PipelineConfig`].
+//! * [`PipelinedGpuTx`] — the *real* streaming mode: an always-on
+//!   front-end where clients `submit` transactions into the open bulk and
+//!   receive [`Ticket`] handles; bulks close at `max_bulk_size` or
+//!   `max_wait` and fill *while the previous bulk executes* on one
+//!   execution thread, which runs each in timestamp order, group-commits it
+//!   and resolves its tickets in submission order. This is the paper's
+//!   formation/execution pipelining (§3.2) turned into an actual
+//!   multi-threaded engine, configured by [`PipelineConfig`].
 //! * [`simulate_pipeline`] — the original arrival/response-time *simulation*
 //!   behind the paper's Figures 9 and 15 (periodic bulk cuts under a uniform
 //!   arrival process, simulated time only).
@@ -21,12 +21,12 @@ use crate::commit::GroupCommit;
 use crate::config::{EngineConfig, PipelineConfig};
 use crate::strategy::{execute_bulk, ExecContext, StrategyKind};
 use gputx_exec::{
-    BulkPlanner, BulkRunner, ExecError, ExecPolicy, Executor, PipelineError, PipelineOptions,
-    PipelineStats, PipelinedEngine, SerialExecutor, SubmitHandle, Ticket,
+    BulkRunner, ExecError, ExecPolicy, Executor, PipelineError, PipelineOptions, PipelineStats,
+    PipelinedEngine, SerialExecutor, SubmitHandle, Ticket,
 };
 use gputx_sim::{Gpu, SimDuration, Throughput};
-use gputx_storage::{Database, IndexSet, Value};
-use gputx_txn::{AccessPlan, ProcedureRegistry, TxnId, TxnSignature, TxnTypeId};
+use gputx_storage::{Database, Value};
+use gputx_txn::{ProcedureRegistry, TxnId, TxnSignature, TxnTypeId};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -34,49 +34,11 @@ use std::time::Duration;
 // The streaming pipelined engine (driver over `gputx_exec::PipelinedEngine`).
 // ---------------------------------------------------------------------------
 
-/// Grouping-stage driver: builds each bulk's access plan from signatures and
-/// index contents.
-///
-/// The planner runs concurrently with execution, so it never sees the live
-/// database and holds no table data at all. It makes no strategy decision:
-/// every bulk executes in timestamp order.
-#[derive(Debug)]
-pub struct GpuTxPlanner {
-    registry: ProcedureRegistry,
-    /// The live database's indexes as of pipeline start, shared
-    /// copy-on-write: the gather step resolves against them. An index
-    /// exists twice only after the execution stage writes it, and only
-    /// until the next plan releases this outdated copy.
-    indexes: IndexSet,
-}
-
-impl BulkPlanner for GpuTxPlanner {
-    /// The gather step: every planned procedure's index keys resolved to
-    /// dense row ids, built off the execution thread against the planner's
-    /// index share. The runner revalidates it against the live database's
-    /// index versions before executing: entries through since-mutated or
-    /// released indexes re-probe transparently (so they stay degraded for
-    /// churning indexes — entries through static indexes keep the fast path;
-    /// see `gputx_txn::access`). `None` when no procedure in the bulk
-    /// declares a plan callback.
-    type Plan = Option<AccessPlan>;
-
-    fn plan(&mut self, bulk: &[TxnSignature]) -> Option<AccessPlan> {
-        // Indexes the execution stage has since copied and written are
-        // outdated here and held by nobody else: free them. Lookups through
-        // them become stale plan entries.
-        self.indexes.release_unshared();
-        // The gather step, overlapped with the previous bulk's execution.
-        let access = AccessPlan::build(&self.registry, &self.indexes, bulk);
-        (!access.is_empty()).then_some(access)
-    }
-}
-
-/// Execution-stage driver: owns the live database and applies each bulk in
-/// timestamp order on the [`SerialExecutor`].
+/// The pipeline's runner: owns the live database and applies each bulk in
+/// timestamp order on the [`SerialExecutor`], with no access plan.
 ///
 /// Execution is purely functional (no simulated-GPU cost model): the
-/// pipelined engine measures *wall-clock* stage timings instead. A bulk's
+/// pipelined engine measures *wall-clock* busy time instead. A bulk's
 /// result is its serial execution in timestamp order (Definition 1), which
 /// every one-shot strategy's schedule reproduces, so the final database
 /// state is bit-identical to [`execute_bulk`] over the same bulks. The
@@ -97,11 +59,11 @@ pub struct GpuTxRunner {
     db: Database,
     registry: ProcedureRegistry,
     policy: ExecPolicy,
-    /// Where committed bulks go. The execution stage is the pipeline's
+    /// Where committed bulks go. The execution thread is the pipeline's
     /// group-commit point: a bulk's record is appended (and fsynced per
-    /// policy) and published before the bulk reaches the commit stage, so
-    /// tickets resolve only after their bulk is durable per policy — the
-    /// fsync wait is naturally folded into every ticket's latency.
+    /// policy) and published before the bulk's tickets resolve, so they
+    /// resolve only after their bulk is durable per policy — the fsync wait
+    /// is naturally folded into every ticket's latency.
     commit: GroupCommit,
 }
 
@@ -120,36 +82,26 @@ impl GpuTxRunner {
 }
 
 impl BulkRunner for GpuTxRunner {
-    type Plan = Option<AccessPlan>;
     type Output = Database;
 
     fn run(
         &mut self,
         bulk: Vec<TxnSignature>,
-        mut access: Option<AccessPlan>,
     ) -> Result<Vec<(TxnId, gputx_txn::TxnOutcome)>, ExecError> {
         // A predecessor bulk that failed (typed error) or unwound (caught by
-        // the execution stage) may have left buffered inserts behind;
+        // the execution thread) may have left buffered inserts behind;
         // applying them here would leak another bulk's partial effects.
         self.discard_insert_buffers();
-        // The access plan was resolved against the planner's index share;
-        // earlier bulks may have mutated indexes since (applied inserts).
-        // Mark entries of since-mutated indexes stale so they re-probe the
-        // live database at consume time — correctness never depends on the
-        // share's freshness.
-        if let Some(access) = access.as_mut() {
-            access.revalidate(&self.db);
-        }
         let capture = self.commit.arm(&mut self.db);
-        // `bulk` arrives in ascending id (timestamp) order from admission:
-        // run it as one serial group in that order.
+        // `bulk` arrives in ascending id (timestamp) order: run it as one
+        // serial group in that order, probing indexes as it goes.
         let executed = SerialExecutor
             .run_groups(
                 &mut self.db,
                 &self.registry,
                 &self.policy,
                 &[bulk.iter().collect()],
-                access.as_ref(),
+                None,
             )
             .expect("the serial executor never fails");
         self.db.apply_insert_buffers();
@@ -176,12 +128,13 @@ impl BulkRunner for GpuTxRunner {
     }
 }
 
-/// The streaming GPUTx engine: continuous transaction ingest with overlapped
-/// grouping and execution.
+/// The streaming GPUTx engine: continuous transaction ingest with bulk
+/// formation overlapped with execution.
 ///
 /// ```text
-/// submit() ─▶ admission ─▶ grouping ─▶ execution ─▶ commit ─▶ Ticket resolves
-///             (size/deadline) (plan N+1 ∥ run N)    (submission order)
+/// submit() ─▶ open bulk ──────────▶ execution thread ─────────────────▶ Ticket resolves
+///             (size/deadline;        run N in timestamp order, group
+///              N+1 forms ∥ run N)    commit, resolve in submission order
 /// ```
 ///
 /// Prefer this over the one-shot [`GpuTxEngine`](crate::GpuTxEngine) when
@@ -191,12 +144,12 @@ impl BulkRunner for GpuTxRunner {
 /// strategy selection: the pipeline ignores `StrategyChoice`.
 #[derive(Debug)]
 pub struct PipelinedGpuTx {
-    engine: PipelinedEngine<GpuTxPlanner, GpuTxRunner>,
+    engine: PipelinedEngine<GpuTxRunner>,
     health: gputx_faults::Health,
 }
 
 impl PipelinedGpuTx {
-    /// Start the stage threads. `pipeline` supplies the admission knobs;
+    /// Start the execution thread. `pipeline` supplies the admission knobs;
     /// `commit` the group-commit point.
     pub(crate) fn start(
         db: Database,
@@ -205,10 +158,6 @@ impl PipelinedGpuTx {
         commit: GroupCommit,
     ) -> Self {
         let health = commit.health();
-        let planner = GpuTxPlanner {
-            registry: registry.clone(),
-            indexes: db.indexes().clone(),
-        };
         let runner = GpuTxRunner {
             db,
             registry,
@@ -221,7 +170,7 @@ impl PipelinedGpuTx {
             queue_depth: pipeline.queue_depth,
         };
         PipelinedGpuTx {
-            engine: PipelinedEngine::new(planner, runner, opts),
+            engine: PipelinedEngine::new(runner, opts),
             health,
         }
     }
@@ -272,13 +221,13 @@ impl PipelinedGpuTx {
         self.engine.flush()
     }
 
-    /// Drain and stop the stage threads. Idempotent; afterwards `submit`
+    /// Drain and stop the execution thread. Idempotent; afterwards `submit`
     /// returns [`PipelineError::ShutDown`].
     pub fn shutdown(&mut self) {
         self.engine.shutdown()
     }
 
-    /// Run statistics (throughput, latency percentiles, per-stage busy time);
+    /// Run statistics (throughput, bulk close reasons, busy time);
     /// `None` before shutdown.
     pub fn stats(&self) -> Option<&PipelineStats> {
         self.engine.stats()
@@ -413,7 +362,7 @@ mod tests {
     use crate::builder::EngineBuilder;
     use crate::config::StrategyChoice;
     use gputx_storage::schema::{ColumnDef, TableSchema};
-    use gputx_storage::{DataItemId, DataType, IndexId};
+    use gputx_storage::{DataItemId, DataType};
     use gputx_txn::{BasicOp, ProcedureDef};
 
     fn setup(rows: i64) -> (Database, ProcedureRegistry) {
@@ -527,7 +476,7 @@ mod tests {
                         .expect("engine accepts submissions")
                 })
                 .collect();
-            let (db, stats) = engine.finish().expect("stages stay healthy");
+            let (db, stats) = engine.finish().expect("the execution thread stays healthy");
             assert!(
                 db == seq_db,
                 "{strategy:?}: final state must equal sequential replay"
@@ -603,73 +552,6 @@ mod tests {
             "only the healthy bulk's inserts may be applied"
         );
         assert_eq!(db.table_by_name("log").pending_inserts(), 0);
-    }
-
-    /// The grouping and execution stages [`PipelinedGpuTx::start`] wires
-    /// together, serial and unlogged, to drive by hand.
-    fn stages(db: Database, registry: ProcedureRegistry) -> (GpuTxPlanner, GpuTxRunner) {
-        let config = EngineConfig::default();
-        let commit = GroupCommit::open(
-            &config.durability,
-            &db,
-            None,
-            None,
-            None,
-            gputx_faults::HealPolicy::default(),
-            gputx_faults::Health::new(),
-        );
-        let planner = GpuTxPlanner {
-            registry: registry.clone(),
-            indexes: db.indexes().clone(),
-        };
-        let runner = GpuTxRunner {
-            db,
-            registry,
-            policy: ExecPolicy::functional(),
-            commit,
-        };
-        (planner, runner)
-    }
-
-    /// TM1 writes only the two call-forwarding indexes. Once the execution
-    /// stage has written them, the planner frees its outdated copies and
-    /// keeps sharing every other index.
-    #[test]
-    fn planner_releases_exactly_the_indexes_the_runner_wrote() {
-        // The stages must be the only holders, as in a started pipeline.
-        let mut bundle = gputx_workloads::Tm1Config { scale_factor: 1 }.build();
-        bundle.reseed(0x1dee);
-        let sigs = bundle.generate_signatures(1_200, 0);
-        let db = &bundle.db;
-        let id = |table: &str, index: &str| -> IndexId {
-            let t = db.table_id(table).expect("TM1 table");
-            db.index_id(t, index).expect("TM1 index")
-        };
-        let written = [id("call_forwarding", "pk"), id("call_forwarding", "by_sf")];
-        let static_ = [
-            id("subscriber", "by_nbr"),
-            id("access_info", "pk"),
-            id("special_facility", "pk"),
-        ];
-        let (mut planner, mut runner) = stages(bundle.db, bundle.registry);
-        let (first, second) = sigs.split_at(sigs.len() / 2);
-        let plan = planner.plan(first);
-        assert!(plan.is_some(), "gather step planned");
-        for id in written.iter().chain(&static_) {
-            assert!(planner.indexes.shares(runner.db.indexes(), *id));
-        }
-        runner.run(first.to_vec(), plan).expect("bulk runs");
-        let plan = planner.plan(second);
-        assert!(plan.is_some(), "gather step planned");
-        for id in written {
-            assert!(planner.indexes.get(id).is_none(), "released");
-        }
-        for id in static_ {
-            assert!(
-                planner.indexes.shares(runner.db.indexes(), id),
-                "static indexes stay shared"
-            );
-        }
     }
 
     #[test]

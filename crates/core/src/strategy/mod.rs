@@ -171,8 +171,8 @@ pub fn try_execute_bulk_planned(
 /// to run on (index state is frozen for the duration of a bulk — buffered
 /// inserts only reach the indexes when the insert buffers are applied — so
 /// the plan is exact). Execution then performs zero index hash lookups for
-/// planned transactions. The streaming pipeline builds this plan on its
-/// grouping stage instead, overlapped with the previous bulk's execution.
+/// planned transactions. The streaming pipeline builds no plan: its
+/// lookups probe the live indexes.
 pub fn execute_bulk(
     ctx: &mut ExecContext<'_>,
     strategy: StrategyKind,

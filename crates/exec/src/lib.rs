@@ -44,11 +44,10 @@
 //! ## Streaming mode
 //!
 //! The [`pipeline`] module adds the always-on streaming front-end:
-//! [`PipelinedEngine`] accepts a continuous stream of `submit` calls into a
-//! bounded admission queue, forms bulks adaptively (size or deadline) and
-//! overlaps the grouping of bulk `N+1` with the execution of bulk `N` on
-//! dedicated stage threads — the pipelining the paper uses to hide bulk
-//! formation cost.
+//! [`PipelinedEngine`] accepts a continuous stream of `submit` calls, which
+//! form bulks themselves (closed by size or deadline) while one execution
+//! thread runs the previous bulk — the pipelining the paper uses to hide
+//! bulk formation cost.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -62,6 +61,6 @@ pub use executor::{
 };
 pub use parallel::{partition_ranges, ParallelExecutor};
 pub use pipeline::{
-    BulkCloseCounts, BulkPlanner, BulkRunner, PipelineError, PipelineOptions, PipelineStats,
-    PipelinedEngine, StageBusy, SubmitHandle, Ticket, TicketResult,
+    BulkCloseCounts, BulkRunner, PipelineError, PipelineOptions, PipelineStats, PipelinedEngine,
+    StageBusy, SubmitHandle, Ticket, TicketResult,
 };

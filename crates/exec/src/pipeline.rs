@@ -1,92 +1,62 @@
-//! The streaming pipelined engine: continuous transaction ingest with
-//! overlapped bulk formation, grouping and execution.
+//! The streaming pipelined engine: continuous transaction ingest with bulk
+//! formation overlapped with bulk execution.
 //!
 //! The one-shot bulk path amortizes per-transaction overhead *within* a bulk;
 //! the paper additionally pipelines bulk *formation* with bulk *execution*, so
-//! the grouping cost of bulk `N+1` hides behind the run of bulk `N` (§3.2).
-//! This module implements that as an always-on front-end of four stage
-//! threads connected by bounded channels:
+//! bulk `N+1` fills while bulk `N` runs (§3.2). This module implements that
+//! with the submitters themselves forming bulks and one execution thread:
 //!
 //! ```text
-//!  clients ──submit()──▶ [admission] ──▶ [grouping] ──▶ [execution] ──▶ [commit]
-//!            bounded        forms          plans the       runs bulk       resolves
-//!            queue          bulks          next bulk       N while         tickets in
-//!            (back-         (size OR       off-thread      grouping        submission
-//!            pressure)      deadline)      (planner)       plans N+1       order
+//!  clients ──submit()──▶ open bulk ──close──▶ closed bulks ──▶ [execution thread]
+//!            one Mutex:   at max_bulk_size,    FIFO            runs bulk N in
+//!            id + append  or at max_wait once                  timestamp order,
+//!            (queue_depth the executor is free                 group-commits it,
+//!             backpressure)                                    resolves its tickets
 //! ```
 //!
-//! * **admission** — assigns monotone transaction ids (submission timestamps)
-//!   and closes a bulk when it reaches `max_bulk_size` *or* when the oldest
-//!   queued transaction has waited `max_wait`, whichever comes first.
-//! * **grouping** — runs the [`BulkPlanner`] for the next bulk while the
-//!   execution stage is still busy with the previous one. This is the
-//!   paper's formation/execution overlap. In `gputx-core` the planner
-//!   builds the gather step's access plan; the bulk itself runs in
-//!   timestamp order.
-//! * **execution** — runs the [`BulkRunner`] (the owner of the database and
-//!   the [`Executor`](crate::Executor)).
-//! * **commit** — resolves [`Ticket`]s in submission order.
+//! * **formation** — `submit` assigns the monotone transaction id (the
+//!   submission timestamp) and appends to the open bulk under one mutex. A
+//!   bulk closes when it reaches `max_bulk_size`, or when the execution
+//!   thread is free and the bulk's oldest transaction has waited
+//!   `max_wait`. A bulk whose deadline passes while the executor is busy
+//!   keeps admitting until the executor takes it: bulk `N+1` forms while
+//!   bulk `N` runs.
+//! * **execution** — one thread takes each closed bulk in order, runs the
+//!   [`BulkRunner`] (the owner of the database, which also group-commits
+//!   the bulk) and then resolves the bulk's [`Ticket`]s in submission order.
 //!
-//! Every channel is bounded, so a slow stage backpressures its upstream all
-//! the way to `submit`, which blocks the client. No ticket is ever dropped:
-//! if a stage dies or a bulk is abandoned mid-flight, its tickets resolve
+//! `queue_depth` bounds the transactions admitted but not yet taken by the
+//! executor: a full queue blocks `submit` and fails `try_submit`. No ticket
+//! is ever dropped: if a bulk fails or is abandoned, its tickets resolve
 //! with an error instead of hanging their waiters.
 //!
-//! This module is deliberately generic: it knows about stage scheduling,
+//! This module is deliberately generic: it knows about bulk formation,
 //! tickets, timing and failure containment, but not about strategies or
-//! databases. The GPUTx driver (planner + runner over the real database)
-//! lives in `gputx-core`'s `pipeline` module.
+//! databases. The GPUTx runner over the real database lives in
+//! `gputx-core`'s `pipeline` module.
 
 use crate::executor::ExecError;
 use gputx_storage::Value;
 use gputx_txn::{TxnId, TxnOutcome, TxnSignature, TxnTypeId};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Capacity of each inter-stage channel. One in-flight bulk per stage
-/// boundary is exactly the paper's overlap (grouping works one bulk ahead of
-/// execution); a deeper pipeline would only add latency.
-const STAGE_CHANNEL_DEPTH: usize = 1;
-
-/// Grouping stage of the pipeline: prepares what the [`BulkRunner`] needs
-/// for a bulk (in `gputx-core`, the pre-resolved access plan) from
-/// transaction signatures alone, *off* the execution thread.
-///
-/// The planner must not touch the live database — it runs concurrently with
-/// the execution of earlier bulks. Plan against immutable inputs (the
-/// signatures plus, if needed, index contents shared copy-on-write at
-/// pipeline start).
-pub trait BulkPlanner: Send + 'static {
-    /// The plan handed to the matching [`BulkRunner`].
-    type Plan: Send + 'static;
-
-    /// Build the plan for one bulk. `bulk` is sorted by ascending id
-    /// (submission order).
-    fn plan(&mut self, bulk: &[TxnSignature]) -> Self::Plan;
-}
-
-/// Execution stage of the pipeline: owns the database and applies bulks in
-/// sequence using the plan produced by the [`BulkPlanner`].
+/// The execution side of the pipeline: owns the database and applies bulks
+/// in sequence.
 pub trait BulkRunner: Send + 'static {
-    /// The plan type consumed (must match the planner's).
-    type Plan: Send + 'static;
     /// Final state handed back by [`PipelinedEngine::finish`] (typically the
     /// database).
     type Output: Send + 'static;
 
-    /// Execute one bulk. Must return exactly one `(id, outcome)` per
-    /// transaction, sorted by ascending id. A [`ExecError`] fails the whole
-    /// bulk (its tickets resolve with [`PipelineError::BulkFailed`]) but the
-    /// pipeline keeps running.
-    fn run(
-        &mut self,
-        bulk: Vec<TxnSignature>,
-        plan: Self::Plan,
-    ) -> Result<Vec<(TxnId, TxnOutcome)>, ExecError>;
+    /// Execute one bulk, sorted by ascending id (submission order). Must
+    /// return exactly one `(id, outcome)` per transaction, sorted by
+    /// ascending id. A [`ExecError`] fails the whole bulk (its tickets
+    /// resolve with [`PipelineError::BulkFailed`]) but the pipeline keeps
+    /// running.
+    fn run(&mut self, bulk: Vec<TxnSignature>) -> Result<Vec<(TxnId, TxnOutcome)>, ExecError>;
 
     /// Consume the runner after shutdown and hand back the final state.
     fn finish(self) -> Self::Output;
@@ -99,10 +69,10 @@ pub enum PipelineError {
     ShutDown,
     /// `try_submit` found the bounded admission queue full.
     QueueFull,
-    /// The bulk containing this transaction failed (planner/runner error or
-    /// panic); the message describes the cause.
+    /// The bulk containing this transaction failed (runner error or panic);
+    /// the message describes the cause.
     BulkFailed(String),
-    /// A pipeline stage terminated before resolving this ticket.
+    /// The execution thread terminated before resolving this ticket.
     Disconnected,
 }
 
@@ -123,9 +93,17 @@ impl std::error::Error for PipelineError {}
 /// timestamp) and the commit/abort outcome.
 pub type TicketResult = Result<(TxnId, TxnOutcome), PipelineError>;
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
+struct TicketCell {
+    result: Option<TicketResult>,
+    /// Set by a [`Ticket::wait`] about to park: only then does resolving
+    /// the ticket pay for a wake-up.
+    waiting: bool,
+}
+
+#[derive(Debug, Default)]
 struct TicketState {
-    slot: Mutex<Option<TicketResult>>,
+    cell: Mutex<TicketCell>,
     cond: Condvar,
 }
 
@@ -140,26 +118,28 @@ impl Ticket {
     /// Block until the transaction's bulk is committed (or failed) and return
     /// the result. Can be called repeatedly; later calls return immediately.
     pub fn wait(&self) -> TicketResult {
-        let mut slot = self.state.slot.lock().expect("ticket mutex poisoned");
-        while slot.is_none() {
-            slot = self.state.cond.wait(slot).expect("ticket mutex poisoned");
+        let mut cell = self.state.cell.lock().expect("ticket mutex poisoned");
+        while cell.result.is_none() {
+            cell.waiting = true;
+            cell = self.state.cond.wait(cell).expect("ticket mutex poisoned");
         }
-        slot.clone().expect("checked above")
+        cell.result.clone().expect("checked above")
     }
 
     /// Non-blocking poll: `None` while the transaction is still in flight.
     pub fn try_get(&self) -> Option<TicketResult> {
         self.state
-            .slot
+            .cell
             .lock()
             .expect("ticket mutex poisoned")
+            .result
             .clone()
     }
 }
 
-/// The resolver half of a ticket. Travels through the stages with its bulk;
-/// if it is dropped unresolved (a stage died, a bulk was abandoned), the
-/// waiter wakes up with [`PipelineError::Disconnected`] instead of hanging.
+/// The resolver half of a ticket. Travels with its bulk; if it is dropped
+/// unresolved (the execution thread died, a bulk was abandoned), the waiter
+/// wakes up with [`PipelineError::Disconnected`] instead of hanging.
 #[derive(Debug)]
 struct TicketSlot {
     state: Arc<TicketState>,
@@ -168,10 +148,7 @@ struct TicketSlot {
 
 impl TicketSlot {
     fn new() -> (Ticket, TicketSlot) {
-        let state = Arc::new(TicketState {
-            slot: Mutex::new(None),
-            cond: Condvar::new(),
-        });
+        let state = Arc::new(TicketState::default());
         (
             Ticket {
                 state: Arc::clone(&state),
@@ -188,10 +165,15 @@ impl TicketSlot {
     }
 
     fn fill(&mut self, result: TicketResult) {
-        let mut slot = self.state.slot.lock().expect("ticket mutex poisoned");
-        if slot.is_none() {
-            *slot = Some(result);
-            self.state.cond.notify_all();
+        // The waiter marks itself under this mutex before parking, so a
+        // waiter that is not marked here has not parked yet and will see
+        // the result when it takes the lock: no wake-up is lost.
+        let mut cell = self.state.cell.lock().expect("ticket mutex poisoned");
+        if cell.result.is_none() {
+            cell.result = Some(result);
+            if cell.waiting {
+                self.state.cond.notify_all();
+            }
         }
         self.resolved = true;
     }
@@ -205,115 +187,18 @@ impl Drop for TicketSlot {
     }
 }
 
-/// The shared submission gate: the master channel sender plus a closed flag.
-///
-/// Submitters (the engine itself and every cloned [`SubmitHandle`]) check the
-/// flag, clone the sender out of the mutex and send *outside* the lock, so a
-/// submit blocked on a full admission queue never holds the gate. Shutdown
-/// sets the flag and drops the master sender; in-flight sends still complete
-/// (admission keeps draining until every transient sender clone is gone), and
-/// every later submit fails fast with [`PipelineError::ShutDown`] instead of
-/// blocking the engine's drop.
-#[derive(Debug)]
-struct SubmitGate {
-    closed: AtomicBool,
-    sender: Mutex<Option<SyncSender<Input>>>,
-}
-
-impl SubmitGate {
-    /// A transient sender clone, or `ShutDown` once the gate is closed.
-    fn sender(&self) -> Result<SyncSender<Input>, PipelineError> {
-        if self.closed.load(Ordering::Acquire) {
-            return Err(PipelineError::ShutDown);
-        }
-        self.sender
-            .lock()
-            .expect("submit gate mutex poisoned")
-            .clone()
-            .ok_or(PipelineError::ShutDown)
-    }
-
-    fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-        drop(
-            self.sender
-                .lock()
-                .expect("submit gate mutex poisoned")
-                .take(),
-        );
-    }
-}
-
-/// A cloneable, engine-independent submission handle.
-///
-/// Obtained from [`PipelinedEngine::handle`]; hand clones to client threads
-/// (a network server's connection handlers, stream drivers) that must outlive
-/// or race the engine's shutdown. Unlike a shared `&PipelinedEngine`, a
-/// handle never blocks the engine's drop: once the engine shuts down, every
-/// handle call fails fast with [`PipelineError::ShutDown`], and tickets
-/// already obtained still resolve (committed, or `Disconnected` if their bulk
-/// never ran).
-#[derive(Debug, Clone)]
-pub struct SubmitHandle {
-    gate: Arc<SubmitGate>,
-}
-
-impl SubmitHandle {
-    /// Submit a transaction; blocks while the admission queue is full
-    /// (backpressure). Fails with [`PipelineError::ShutDown`] once the engine
-    /// shut down. See [`PipelinedEngine::submit`].
-    pub fn submit(&self, ty: TxnTypeId, params: Vec<Value>) -> Result<Ticket, PipelineError> {
-        let sender = self.gate.sender()?;
-        let (ticket, slot) = TicketSlot::new();
-        sender
-            .send(Input::Submit { ty, params, slot })
-            .map_err(|_| PipelineError::Disconnected)?;
-        Ok(ticket)
-    }
-
-    /// Non-blocking [`SubmitHandle::submit`]: fails with
-    /// [`PipelineError::QueueFull`] instead of blocking when the admission
-    /// queue is full.
-    pub fn try_submit(&self, ty: TxnTypeId, params: Vec<Value>) -> Result<Ticket, PipelineError> {
-        let sender = self.gate.sender()?;
-        let (ticket, slot) = TicketSlot::new();
-        match sender.try_send(Input::Submit { ty, params, slot }) {
-            Ok(()) => Ok(ticket),
-            Err(TrySendError::Full(_)) => Err(PipelineError::QueueFull),
-            Err(TrySendError::Disconnected(_)) => Err(PipelineError::Disconnected),
-        }
-    }
-
-    /// Close the currently open partial bulk and block until everything
-    /// submitted before the flush has committed. See
-    /// [`PipelinedEngine::flush`].
-    pub fn flush(&self) -> Result<(), PipelineError> {
-        let sender = self.gate.sender()?;
-        let (ticket, barrier) = TicketSlot::new();
-        sender
-            .send(Input::Flush { barrier })
-            .map_err(|_| PipelineError::Disconnected)?;
-        ticket.wait().map(|_| ())
-    }
-
-    /// True once the engine has shut down (every subsequent call fails with
-    /// [`PipelineError::ShutDown`]).
-    pub fn is_closed(&self) -> bool {
-        self.gate.closed.load(Ordering::Acquire)
-    }
-}
-
 /// Knobs of the pipelined engine (see `gputx-core`'s `PipelineConfig` for the
 /// driver-level configuration that produces these).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineOptions {
     /// Close a bulk when it reaches this many transactions.
     pub max_bulk_size: usize,
-    /// Close a non-empty bulk when its oldest transaction has waited this
-    /// long (the latency bound of the admission stage).
+    /// Close a non-empty bulk once its oldest transaction has waited this
+    /// long and the execution thread is free to take it.
     pub max_wait: Duration,
-    /// Capacity of the bounded admission queue; a full queue blocks
-    /// `submit` (backpressure) and fails `try_submit`.
+    /// Most transactions admitted but not yet taken by the execution
+    /// thread (so also a cap on a bulk's size); at this bound `submit`
+    /// blocks (backpressure) and `try_submit` fails.
     pub queue_depth: usize,
 }
 
@@ -327,39 +212,7 @@ impl Default for PipelineOptions {
     }
 }
 
-enum Input {
-    Submit {
-        ty: TxnTypeId,
-        params: Vec<Value>,
-        slot: TicketSlot,
-    },
-    Flush {
-        barrier: TicketSlot,
-    },
-}
-
-struct FormedBulk {
-    sigs: Vec<TxnSignature>,
-    slots: Vec<TicketSlot>,
-    barrier: Option<TicketSlot>,
-}
-
-struct PlannedBulk<Plan> {
-    sigs: Vec<TxnSignature>,
-    slots: Vec<TicketSlot>,
-    barrier: Option<TicketSlot>,
-    /// `Ok(None)` for an empty (barrier-only) bulk, `Err` when planning
-    /// failed.
-    plan: Result<Option<Plan>, String>,
-}
-
-struct ExecutedBulk {
-    slots: Vec<TicketSlot>,
-    barrier: Option<TicketSlot>,
-    outcomes: Result<Vec<(TxnId, TxnOutcome)>, String>,
-}
-
-/// Why the admission stage closed each bulk.
+/// Why each bulk closed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BulkCloseCounts {
     /// Bulks that reached `max_bulk_size`.
@@ -376,55 +229,19 @@ impl BulkCloseCounts {
     }
 }
 
-/// One stage's clock, in seconds: time spent working, and time spent
-/// blocked handing work to a full downstream channel.
-#[derive(Debug, Clone, Copy, Default)]
-struct StageClock {
-    busy: f64,
-    blocked: f64,
-}
-
-impl StageClock {
-    /// Hand `item` downstream, counting the time blocked on a full channel;
-    /// false when the downstream stage is gone.
-    fn send<T>(&mut self, tx: &SyncSender<T>, item: T) -> bool {
-        let t0 = Instant::now();
-        let sent = tx.send(item).is_ok();
-        self.blocked += t0.elapsed().as_secs_f64();
-        sent
-    }
-}
-
-#[derive(Debug, Default)]
-struct AdmissionStats {
-    closes: BulkCloseCounts,
-    clock: StageClock,
-}
-
-#[derive(Debug, Default)]
-struct CommitStats {
-    committed: u64,
-    aborted: u64,
-    failed: u64,
-    bulks_failed: u64,
-    busy_secs: f64,
-}
-
-/// Time per pipeline stage, in seconds. [`PipelineStats::stage_busy`] is
-/// the time each stage spends working: it excludes waiting on an empty input
-/// channel and waiting on a full output channel.
-/// [`PipelineStats::stage_blocked`] is that second wait — a stage blocked
-/// handing work downstream is backpressured by a slower successor. Commit
-/// has no downstream, so its blocked time is always 0.
+/// Time per pipeline stage, in seconds, spent working (waiting for work is
+/// excluded).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageBusy {
-    /// Admission stage (bulk formation).
+    /// Always 0: submitters form bulks themselves, so there is no admission
+    /// thread to time.
     pub admission_secs: f64,
-    /// Grouping stage (plan construction).
+    /// Always 0: the pipeline builds no plan, so there is no grouping
+    /// thread to time.
     pub grouping_secs: f64,
-    /// Execution stage (bulk run).
+    /// Execution thread: bulk run plus group commit.
     pub execution_secs: f64,
-    /// Commit stage (ticket resolution).
+    /// Execution thread: ticket resolution.
     pub commit_secs: f64,
 }
 
@@ -434,9 +251,9 @@ pub struct StageBusy {
 pub struct PipelineStats {
     /// Wall-clock seconds from engine start to shutdown.
     pub wall_secs: f64,
-    /// Bulks formed by the admission stage, by close reason.
+    /// Bulks formed, by close reason.
     pub closes: BulkCloseCounts,
-    /// Bulks whose planning or execution failed.
+    /// Bulks whose execution failed.
     pub bulks_failed: u64,
     /// Transactions that committed.
     pub committed: u64,
@@ -446,8 +263,6 @@ pub struct PipelineStats {
     pub failed: u64,
     /// Per-stage busy time.
     pub stage_busy: StageBusy,
-    /// Per-stage time blocked handing work to the next stage.
-    pub stage_blocked: StageBusy,
 }
 
 impl PipelineStats {
@@ -471,63 +286,285 @@ impl PipelineStats {
     }
 }
 
-/// The streaming pipelined engine. See the [module docs](self) for the stage
-/// layout; construct one through the driver in `gputx-core` unless you are
-/// providing your own planner/runner.
+/// Transactions of one bulk with their tickets' resolver halves, in
+/// submission order.
+#[derive(Debug, Default)]
+struct Bulk {
+    sigs: Vec<TxnSignature>,
+    slots: Vec<TicketSlot>,
+}
+
+impl Bulk {
+    fn with_capacity(n: usize) -> Self {
+        Bulk {
+            sigs: Vec::with_capacity(n),
+            slots: Vec::with_capacity(n),
+        }
+    }
+}
+
+/// A closed bulk waiting for the execution thread; a flush adds a barrier
+/// that resolves once the bulk (possibly empty) has committed.
 #[derive(Debug)]
-pub struct PipelinedEngine<P, R>
-where
-    P: BulkPlanner,
-    R: BulkRunner<Plan = P::Plan>,
-{
-    gate: Arc<SubmitGate>,
-    admission: Option<JoinHandle<AdmissionStats>>,
-    grouping: Option<JoinHandle<(P, StageClock)>>,
-    execution: Option<JoinHandle<(R, StageClock)>>,
-    commit: Option<JoinHandle<CommitStats>>,
+struct ClosedBulk {
+    bulk: Bulk,
+    barrier: Option<TicketSlot>,
+}
+
+/// Everything submitters and the execution thread share, behind one mutex.
+#[derive(Debug, Default)]
+struct State {
+    next_id: TxnId,
+    open: Bulk,
+    /// When the open bulk's oldest transaction has waited `max_wait`;
+    /// `None` exactly while the open bulk is empty.
+    deadline: Option<Instant>,
+    closed: VecDeque<ClosedBulk>,
+    /// Pre-sized vectors the next close swaps in, allocated by the
+    /// execution thread outside the lock.
+    spare: Option<Bulk>,
+    /// Admitted transactions the execution thread has not yet taken.
+    pending: usize,
+    closes: BulkCloseCounts,
+    /// The execution thread waits on `work` and no wake-up is on its way.
+    executor_parked: bool,
+    /// Some submitter waits on `room` and no wake-up is on its way.
+    submitter_parked: bool,
+    shut: bool,
+}
+
+impl State {
+    /// Queue the open bulk (with `barrier`, if a flush closes it).
+    fn close(&mut self, barrier: Option<TicketSlot>) {
+        let bulk = if self.open.sigs.is_empty() {
+            Bulk::default()
+        } else {
+            let next = self.spare.take().unwrap_or_default();
+            std::mem::replace(&mut self.open, next)
+        };
+        self.deadline = None;
+        self.closed.push_back(ClosedBulk { bulk, barrier });
+    }
+
+    /// Whether a submitter that just changed the state must wake the
+    /// execution thread; clears the flag, since that wake-up is on its way.
+    fn wake_executor(&mut self) -> bool {
+        std::mem::take(&mut self.executor_parked)
+    }
+}
+
+#[derive(Debug)]
+struct Shared {
+    state: Mutex<State>,
+    /// The execution thread waits here for a bulk to close.
+    work: Condvar,
+    /// Submitters wait here while `queue_depth` transactions are pending.
+    room: Condvar,
+    opts: PipelineOptions,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("pipeline state poisoned")
+    }
+
+    fn submit(
+        &self,
+        ty: TxnTypeId,
+        params: Vec<Value>,
+        block: bool,
+    ) -> Result<Ticket, PipelineError> {
+        let mut sig = TxnSignature::new(0, ty, params);
+        let (ticket, slot) = TicketSlot::new();
+        let mut state = self.lock();
+        loop {
+            if state.shut {
+                return Err(PipelineError::ShutDown);
+            }
+            if state.pending < self.opts.queue_depth {
+                break;
+            }
+            if !block {
+                return Err(PipelineError::QueueFull);
+            }
+            state.submitter_parked = true;
+            state = self.room.wait(state).expect("pipeline state poisoned");
+        }
+        sig.id = state.next_id;
+        state.next_id += 1;
+        state.pending += 1;
+        state.open.sigs.push(sig);
+        state.open.slots.push(slot);
+        let len = state.open.sigs.len();
+        if len == 1 {
+            state.deadline = Some(Instant::now() + self.opts.max_wait);
+        }
+        let closed = len >= self.opts.max_bulk_size;
+        if closed {
+            state.closes.by_size += 1;
+            state.close(None);
+        }
+        // A parked executor needs the first transaction (to start the
+        // deadline) and a bulk closed by size; nothing else wakes it.
+        let wake = (len == 1 || closed) && state.wake_executor();
+        drop(state);
+        if wake {
+            self.work.notify_one();
+        }
+        Ok(ticket)
+    }
+
+    fn flush(&self) -> Result<(), PipelineError> {
+        let (ticket, barrier) = TicketSlot::new();
+        let mut state = self.lock();
+        if state.shut {
+            return Err(PipelineError::ShutDown);
+        }
+        state.closes.by_flush += 1;
+        state.close(Some(barrier));
+        let wake = state.wake_executor();
+        drop(state);
+        if wake {
+            self.work.notify_one();
+        }
+        ticket.wait().map(|_| ())
+    }
+
+    /// The execution thread's next bulk, in close order; `None` once the
+    /// engine is shut down and everything admitted has been taken. Closes
+    /// the open bulk when its deadline has passed (or at shutdown), and
+    /// parks while there is nothing to run. `spare` is handed over for the
+    /// next close if the last one used the previous pair.
+    fn next_bulk(&self, spare: &mut Option<Bulk>) -> Option<ClosedBulk> {
+        let mut state = self.lock();
+        if state.spare.is_none() {
+            state.spare = spare.take();
+        }
+        loop {
+            if let Some(next) = state.closed.pop_front() {
+                state.pending -= next.bulk.sigs.len();
+                let wake = std::mem::take(&mut state.submitter_parked);
+                drop(state);
+                if wake {
+                    self.room.notify_all();
+                }
+                return Some(next);
+            }
+            if let Some(deadline) = state.deadline {
+                if state.shut {
+                    state.closes.by_flush += 1;
+                    state.close(None);
+                    continue;
+                }
+                let now = Instant::now();
+                if now >= deadline {
+                    state.closes.by_timer += 1;
+                    state.close(None);
+                    continue;
+                }
+                state.executor_parked = true;
+                state = self
+                    .work
+                    .wait_timeout(state, deadline - now)
+                    .expect("pipeline state poisoned")
+                    .0;
+            } else if state.shut {
+                return None;
+            } else {
+                state.executor_parked = true;
+                state = self.work.wait(state).expect("pipeline state poisoned");
+            }
+            state.executor_parked = false;
+        }
+    }
+}
+
+/// A cloneable, engine-independent submission handle.
+///
+/// Obtained from [`PipelinedEngine::handle`]; hand clones to client threads
+/// (a network server's connection handlers, stream drivers) that must outlive
+/// or race the engine's shutdown. Unlike a shared `&PipelinedEngine`, a
+/// handle never blocks the engine's drop: once the engine shuts down, every
+/// handle call fails fast with [`PipelineError::ShutDown`], and tickets
+/// already obtained still resolve (committed, or `Disconnected` if their bulk
+/// never ran).
+#[derive(Debug, Clone)]
+pub struct SubmitHandle {
+    shared: Arc<Shared>,
+}
+
+impl SubmitHandle {
+    /// Submit a transaction; blocks while the admission queue is full
+    /// (backpressure). Fails with [`PipelineError::ShutDown`] once the engine
+    /// shut down. See [`PipelinedEngine::submit`].
+    pub fn submit(&self, ty: TxnTypeId, params: Vec<Value>) -> Result<Ticket, PipelineError> {
+        self.shared.submit(ty, params, true)
+    }
+
+    /// Non-blocking [`SubmitHandle::submit`]: fails with
+    /// [`PipelineError::QueueFull`] instead of blocking when the admission
+    /// queue is full.
+    pub fn try_submit(&self, ty: TxnTypeId, params: Vec<Value>) -> Result<Ticket, PipelineError> {
+        self.shared.submit(ty, params, false)
+    }
+
+    /// Close the currently open partial bulk and block until everything
+    /// submitted before the flush has committed. See
+    /// [`PipelinedEngine::flush`].
+    pub fn flush(&self) -> Result<(), PipelineError> {
+        self.shared.flush()
+    }
+
+    /// True once the engine has shut down (every subsequent call fails with
+    /// [`PipelineError::ShutDown`]).
+    pub fn is_closed(&self) -> bool {
+        self.shared.lock().shut
+    }
+}
+
+/// What the execution thread counts while it runs.
+#[derive(Debug, Default)]
+struct ExecStats {
+    committed: u64,
+    aborted: u64,
+    failed: u64,
+    bulks_failed: u64,
+    execution_secs: f64,
+    commit_secs: f64,
+}
+
+/// The streaming pipelined engine. See the [module docs](self) for the
+/// layout; construct one through the driver in `gputx-core` unless you are
+/// providing your own runner.
+#[derive(Debug)]
+pub struct PipelinedEngine<R: BulkRunner> {
+    shared: Arc<Shared>,
+    execution: Option<JoinHandle<(R, ExecStats)>>,
     started: Instant,
     finished: Option<(Result<R::Output, PipelineError>, PipelineStats)>,
 }
 
-impl<P, R> PipelinedEngine<P, R>
-where
-    P: BulkPlanner,
-    R: BulkRunner<Plan = P::Plan>,
-{
-    /// Start the engine: spawns the four stage threads and begins accepting
+impl<R: BulkRunner> PipelinedEngine<R> {
+    /// Start the engine: spawns the execution thread and begins accepting
     /// submissions immediately. Transaction ids are assigned from 0 in
     /// admission order.
-    pub fn new(planner: P, runner: R, opts: PipelineOptions) -> Self {
+    pub fn new(runner: R, opts: PipelineOptions) -> Self {
         assert!(opts.max_bulk_size > 0, "max_bulk_size must be positive");
         assert!(opts.queue_depth > 0, "queue_depth must be positive");
-        let (input_tx, input_rx) = sync_channel::<Input>(opts.queue_depth);
-        let (formed_tx, formed_rx) = sync_channel::<FormedBulk>(STAGE_CHANNEL_DEPTH);
-        let (planned_tx, planned_rx) = sync_channel::<PlannedBulk<P::Plan>>(STAGE_CHANNEL_DEPTH);
-        let (executed_tx, executed_rx) = sync_channel::<ExecutedBulk>(STAGE_CHANNEL_DEPTH);
-
-        let spawn = |name: &str| std::thread::Builder::new().name(format!("gputx-{name}"));
-        let admission = spawn("admission")
-            .spawn(move || admission_loop(input_rx, formed_tx, opts))
-            .expect("spawn admission stage");
-        let grouping = spawn("grouping")
-            .spawn(move || grouping_loop(planner, formed_rx, planned_tx))
-            .expect("spawn grouping stage");
-        let execution = spawn("execution")
-            .spawn(move || execution_loop(runner, planned_rx, executed_tx))
-            .expect("spawn execution stage");
-        let commit = spawn("commit")
-            .spawn(move || commit_loop(executed_rx))
-            .expect("spawn commit stage");
-
+        let shared = Arc::new(Shared {
+            state: Mutex::new(State::default()),
+            work: Condvar::new(),
+            room: Condvar::new(),
+            opts,
+        });
+        let executor = Arc::clone(&shared);
+        let execution = std::thread::Builder::new()
+            .name("gputx-execution".into())
+            .spawn(move || execution_loop(runner, &executor))
+            .expect("spawn execution thread");
         PipelinedEngine {
-            gate: Arc::new(SubmitGate {
-                closed: AtomicBool::new(false),
-                sender: Mutex::new(Some(input_tx)),
-            }),
-            admission: Some(admission),
-            grouping: Some(grouping),
+            shared,
             execution: Some(execution),
-            commit: Some(commit),
             started: Instant::now(),
             finished: None,
         }
@@ -539,36 +576,28 @@ where
     ///
     /// # Examples
     ///
-    /// A minimal planner/runner pair (the "plan" is the parameter list, the
-    /// runner counts submissions) driven through the full pipeline:
+    /// A minimal runner (it counts submissions) driven through the
+    /// pipeline:
     ///
     /// ```
-    /// use gputx_exec::{BulkPlanner, BulkRunner, ExecError, PipelineOptions, PipelinedEngine};
+    /// use gputx_exec::{BulkRunner, ExecError, PipelineOptions, PipelinedEngine};
     /// use gputx_storage::Value;
     /// use gputx_txn::{TxnId, TxnOutcome, TxnSignature};
     ///
-    /// struct EchoPlanner;
-    /// impl BulkPlanner for EchoPlanner {
-    ///     type Plan = usize;
-    ///     fn plan(&mut self, bulk: &[TxnSignature]) -> usize { bulk.len() }
-    /// }
     /// struct CountRunner { total: usize }
     /// impl BulkRunner for CountRunner {
-    ///     type Plan = usize;
     ///     type Output = usize;
     ///     fn run(
     ///         &mut self,
     ///         bulk: Vec<TxnSignature>,
-    ///         plan: usize,
     ///     ) -> Result<Vec<(TxnId, TxnOutcome)>, ExecError> {
-    ///         self.total += plan;
+    ///         self.total += bulk.len();
     ///         Ok(bulk.iter().map(|s| (s.id, TxnOutcome::Committed)).collect())
     ///     }
     ///     fn finish(self) -> usize { self.total }
     /// }
     ///
-    /// let engine = PipelinedEngine::new(EchoPlanner, CountRunner { total: 0 },
-    ///     PipelineOptions::default());
+    /// let engine = PipelinedEngine::new(CountRunner { total: 0 }, PipelineOptions::default());
     /// let ticket = engine.submit(0, vec![Value::Int(7)]).unwrap();
     /// let (id, outcome) = ticket.wait().unwrap();
     /// assert_eq!(id, 0);
@@ -578,21 +607,21 @@ where
     /// assert_eq!(stats.committed, 1);
     /// ```
     pub fn submit(&self, ty: TxnTypeId, params: Vec<Value>) -> Result<Ticket, PipelineError> {
-        self.handle().submit(ty, params)
+        self.shared.submit(ty, params, true)
     }
 
     /// Non-blocking [`PipelinedEngine::submit`]: fails with
     /// [`PipelineError::QueueFull`] instead of blocking when the admission
     /// queue is full (the shed-load policy of an open-loop client).
     pub fn try_submit(&self, ty: TxnTypeId, params: Vec<Value>) -> Result<Ticket, PipelineError> {
-        self.handle().try_submit(ty, params)
+        self.shared.submit(ty, params, false)
     }
 
     /// Close the currently open (partial) bulk immediately and block until
     /// everything submitted before the flush has committed. Returns the
     /// failure of the flushed bulk, if any.
     pub fn flush(&self) -> Result<(), PipelineError> {
-        self.handle().flush()
+        self.shared.flush()
     }
 
     /// A cloneable [`SubmitHandle`] for submitter threads that may outlive or
@@ -602,72 +631,51 @@ where
     /// [`PipelineError::ShutDown`].
     pub fn handle(&self) -> SubmitHandle {
         SubmitHandle {
-            gate: Arc::clone(&self.gate),
+            shared: Arc::clone(&self.shared),
         }
     }
 
-    /// Drain and stop: close the open bulk, run everything still queued, join
-    /// the stage threads and collect [`PipelineStats`]. Idempotent; after
+    /// Drain and stop: close the open bulk, run everything admitted, join
+    /// the execution thread and collect [`PipelineStats`]. Idempotent; after
     /// shutdown, `submit` returns [`PipelineError::ShutDown`].
     ///
     /// Safe to call (and safe to `drop` the engine) while [`SubmitHandle`]
-    /// clones are still submitting from other threads: the gate is closed
-    /// first, so racing submitters either land in the final drain or fail
-    /// with [`PipelineError::ShutDown`] — they can no longer keep the
-    /// admission stage alive indefinitely, and tickets that never reach a
-    /// bulk resolve as [`PipelineError::Disconnected`] instead of hanging.
+    /// clones are still submitting from other threads: every submit after
+    /// the shutdown starts, including one parked on a full queue, fails
+    /// with [`PipelineError::ShutDown`], and every transaction admitted
+    /// before it runs in the final drain.
     pub fn shutdown(&mut self) {
         if self.finished.is_some() {
             return;
         }
-        // Close the gate (new submits fail fast), then drop the master
-        // sender: admission sees the disconnect as soon as the last transient
-        // sender clone is gone, closes the final partial bulk and lets the
-        // stages drain in order.
-        self.gate.close();
+        self.shared.lock().shut = true;
+        self.shared.work.notify_one();
+        self.shared.room.notify_all();
         let mut stats = PipelineStats::default();
-        let mut output: Result<Option<R::Output>, PipelineError> = Ok(None);
-        match self.admission.take().map(JoinHandle::join) {
-            Some(Ok(a)) => {
-                stats.closes = a.closes;
-                stats.stage_busy.admission_secs = a.clock.busy;
-                stats.stage_blocked.admission_secs = a.clock.blocked;
+        let output = match self.execution.take().map(JoinHandle::join) {
+            Some(Ok((runner, exec))) => {
+                stats.committed = exec.committed;
+                stats.aborted = exec.aborted;
+                stats.failed = exec.failed;
+                stats.bulks_failed = exec.bulks_failed;
+                stats.stage_busy.execution_secs = exec.execution_secs;
+                stats.stage_busy.commit_secs = exec.commit_secs;
+                Ok(runner.finish())
             }
-            _ => output = Err(PipelineError::Disconnected),
-        }
-        match self.grouping.take().map(JoinHandle::join) {
-            Some(Ok((_planner, clock))) => {
-                stats.stage_busy.grouping_secs = clock.busy;
-                stats.stage_blocked.grouping_secs = clock.blocked;
-            }
-            _ => output = Err(PipelineError::Disconnected),
-        }
-        match self.execution.take().map(JoinHandle::join) {
-            Some(Ok((runner, clock))) => {
-                stats.stage_busy.execution_secs = clock.busy;
-                stats.stage_blocked.execution_secs = clock.blocked;
-                if let Ok(slot) = &mut output {
-                    *slot = Some(runner.finish());
-                }
-            }
-            _ => output = Err(PipelineError::Disconnected),
-        }
-        match self.commit.take().map(JoinHandle::join) {
-            Some(Ok(c)) => {
-                stats.committed = c.committed;
-                stats.aborted = c.aborted;
-                stats.failed = c.failed;
-                stats.bulks_failed = c.bulks_failed;
-                stats.stage_busy.commit_secs = c.busy_secs;
-            }
-            _ => output = Err(PipelineError::Disconnected),
-        }
-        stats.wall_secs = self.started.elapsed().as_secs_f64();
-        let output = match output {
-            Ok(Some(out)) => Ok(out),
-            Ok(None) | Err(PipelineError::Disconnected) => Err(PipelineError::Disconnected),
-            Err(e) => Err(e),
+            _ => Err(PipelineError::Disconnected),
         };
+        // Whatever a dead execution thread left queued resolves
+        // `Disconnected` as it drops here.
+        let (open, closed) = {
+            let mut state = self.shared.lock();
+            stats.closes = state.closes;
+            (
+                std::mem::take(&mut state.open),
+                std::mem::take(&mut state.closed),
+            )
+        };
+        drop((open, closed));
+        stats.wall_secs = self.started.elapsed().as_secs_f64();
         self.finished = Some((output, stats));
     }
 
@@ -677,7 +685,7 @@ where
     }
 
     /// Shut down (if still running) and hand back the runner's final state
-    /// plus the run statistics. Errors if a stage thread itself died.
+    /// plus the run statistics. Errors if the execution thread itself died.
     pub fn finish(mut self) -> Result<(R::Output, PipelineStats), PipelineError> {
         self.shutdown();
         let (output, stats) = self.finished.take().expect("shutdown populates finished");
@@ -685,249 +693,107 @@ where
     }
 }
 
-impl<P, R> Drop for PipelinedEngine<P, R>
-where
-    P: BulkPlanner,
-    R: BulkRunner<Plan = P::Plan>,
-{
+impl<R: BulkRunner> Drop for PipelinedEngine<R> {
     fn drop(&mut self) {
         self.shutdown();
     }
 }
 
-fn admission_loop(
-    rx: Receiver<Input>,
-    tx: SyncSender<FormedBulk>,
-    opts: PipelineOptions,
-) -> AdmissionStats {
-    let mut stats = AdmissionStats::default();
-    let mut next_id: TxnId = 0;
-    let mut sigs: Vec<TxnSignature> = Vec::new();
-    let mut slots: Vec<TicketSlot> = Vec::new();
-    let mut deadline: Option<Instant> = None;
-
-    // Close the open bulk: `None` when there is nothing to hand downstream.
-    macro_rules! close {
-        ($counter:ident, $barrier:expr) => {{
-            let barrier: Option<TicketSlot> = $barrier;
-            if sigs.is_empty() && barrier.is_none() {
-                None
-            } else {
-                stats.closes.$counter += 1;
-                Some(FormedBulk {
-                    sigs: std::mem::take(&mut sigs),
-                    slots: std::mem::take(&mut slots),
-                    barrier,
-                })
-            }
-        }};
-    }
-
-    loop {
-        let msg = match deadline {
-            None => rx.recv().ok(),
-            Some(d) => match rx.recv_timeout(d.saturating_duration_since(Instant::now())) {
-                Ok(msg) => Some(msg),
-                Err(RecvTimeoutError::Timeout) => {
-                    deadline = None;
-                    if let Some(bulk) = close!(by_timer, None) {
-                        if !stats.clock.send(&tx, bulk) {
-                            return stats;
-                        }
-                    }
-                    continue;
-                }
-                Err(RecvTimeoutError::Disconnected) => None,
-            },
-        };
-        let Some(msg) = msg else {
-            // Engine shut down: drain the final partial bulk.
-            if let Some(bulk) = close!(by_flush, None) {
-                stats.clock.send(&tx, bulk);
-            }
-            return stats;
-        };
-        let handled_at = Instant::now();
-        let closed = match msg {
-            Input::Submit { ty, params, slot } => {
-                sigs.push(TxnSignature::new(next_id, ty, params));
-                slots.push(slot);
-                next_id += 1;
-                if sigs.len() == 1 {
-                    deadline = Some(Instant::now() + opts.max_wait);
-                }
-                if sigs.len() >= opts.max_bulk_size {
-                    deadline = None;
-                    close!(by_size, None)
-                } else {
-                    None
-                }
-            }
-            Input::Flush { barrier } => {
-                deadline = None;
-                close!(by_flush, Some(barrier))
-            }
-        };
-        stats.clock.busy += handled_at.elapsed().as_secs_f64();
-        if let Some(bulk) = closed {
-            if !stats.clock.send(&tx, bulk) {
-                // Downstream died; unprocessed tickets resolve Disconnected
-                // when their slots drop.
-                return stats;
-            }
-        }
-    }
-}
-
-fn grouping_loop<P: BulkPlanner>(
-    mut planner: P,
-    rx: Receiver<FormedBulk>,
-    tx: SyncSender<PlannedBulk<P::Plan>>,
-) -> (P, StageClock) {
-    let mut clock = StageClock::default();
-    while let Ok(FormedBulk {
-        sigs,
-        slots,
-        barrier,
-    }) = rx.recv()
-    {
+fn execution_loop<R: BulkRunner>(mut runner: R, shared: &Shared) -> (R, ExecStats) {
+    let mut stats = ExecStats::default();
+    let spare_cap = shared.opts.max_bulk_size.min(shared.opts.queue_depth);
+    let mut spare = None;
+    while let Some(ClosedBulk { bulk, barrier }) = shared.next_bulk(&mut spare) {
+        let Bulk { sigs, slots } = bulk;
+        let len = sigs.len();
         let t0 = Instant::now();
-        let plan = if sigs.is_empty() {
-            Ok(None)
+        let outcomes = if sigs.is_empty() {
+            Ok(Vec::new())
         } else {
-            catch_unwind(AssertUnwindSafe(|| planner.plan(&sigs)))
-                .map(Some)
-                .map_err(crate::parallel::panic_message)
-        };
-        clock.busy += t0.elapsed().as_secs_f64();
-        let planned = PlannedBulk {
-            sigs,
-            slots,
-            barrier,
-            plan,
-        };
-        if !clock.send(&tx, planned) {
-            break;
-        }
-    }
-    (planner, clock)
-}
-
-fn execution_loop<R: BulkRunner>(
-    mut runner: R,
-    rx: Receiver<PlannedBulk<R::Plan>>,
-    tx: SyncSender<ExecutedBulk>,
-) -> (R, StageClock) {
-    let mut clock = StageClock::default();
-    while let Ok(PlannedBulk {
-        sigs,
-        slots,
-        barrier,
-        plan,
-    }) = rx.recv()
-    {
-        let t0 = Instant::now();
-        let outcomes = match plan {
-            Err(msg) => Err(format!("bulk planning failed: {msg}")),
-            Ok(None) => Ok(Vec::new()),
-            Ok(Some(plan)) => match catch_unwind(AssertUnwindSafe(|| runner.run(sigs, plan))) {
-                Ok(Ok(outcomes)) => Ok(outcomes),
+            match catch_unwind(AssertUnwindSafe(|| runner.run(sigs))) {
+                Ok(Ok(outcomes)) if outcomes.len() == len => Ok(outcomes),
+                Ok(Ok(outcomes)) => Err(format!(
+                    "runner returned {} outcomes for a {len}-transaction bulk",
+                    outcomes.len()
+                )),
                 Ok(Err(e)) => Err(e.to_string()),
                 Err(payload) => Err(crate::parallel::panic_message(payload)),
-            },
+            }
         };
-        clock.busy += t0.elapsed().as_secs_f64();
-        let executed = ExecutedBulk {
-            slots,
-            barrier,
-            outcomes,
-        };
-        if !clock.send(&tx, executed) {
-            break;
+        let t1 = Instant::now();
+        stats.execution_secs += (t1 - t0).as_secs_f64();
+        resolve(&mut stats, slots, barrier, outcomes);
+        stats.commit_secs += t1.elapsed().as_secs_f64();
+        if spare.is_none() {
+            // Sized for a bulk like this one, outside the lock.
+            spare = Some(Bulk::with_capacity(len.next_power_of_two().min(spare_cap)));
         }
     }
-    (runner, clock)
+    (runner, stats)
 }
 
-fn commit_loop(rx: Receiver<ExecutedBulk>) -> CommitStats {
-    let mut stats = CommitStats::default();
-    while let Ok(ExecutedBulk {
-        slots,
-        barrier,
-        outcomes,
-    }) = rx.recv()
-    {
-        let t0 = Instant::now();
-        let outcomes = match outcomes {
-            Ok(outcomes) if outcomes.len() == slots.len() => Ok(outcomes),
-            Ok(outcomes) => Err(format!(
-                "runner returned {} outcomes for a {}-transaction bulk",
-                outcomes.len(),
-                slots.len()
-            )),
-            Err(msg) => Err(msg),
-        };
-        match outcomes {
-            Ok(outcomes) => {
-                // Admission assigns ascending ids, so slots and the
-                // id-sorted outcomes line up 1:1 in submission order.
-                for (slot, (id, outcome)) in slots.into_iter().zip(outcomes) {
-                    if outcome.is_committed() {
-                        stats.committed += 1;
-                    } else {
-                        stats.aborted += 1;
-                    }
-                    slot.resolve(Ok((id, outcome)));
+/// Resolve a bulk's tickets in submission order, then its barrier.
+fn resolve(
+    stats: &mut ExecStats,
+    slots: Vec<TicketSlot>,
+    barrier: Option<TicketSlot>,
+    outcomes: Result<Vec<(TxnId, TxnOutcome)>, String>,
+) {
+    match outcomes {
+        Ok(outcomes) => {
+            // Ids ascend in submission order, so slots and the id-sorted
+            // outcomes line up 1:1.
+            for (slot, (id, outcome)) in slots.into_iter().zip(outcomes) {
+                if outcome.is_committed() {
+                    stats.committed += 1;
+                } else {
+                    stats.aborted += 1;
                 }
-                if let Some(barrier) = barrier {
-                    barrier.resolve(Ok((0, TxnOutcome::Committed)));
-                }
+                slot.resolve(Ok((id, outcome)));
             }
-            Err(msg) => {
-                stats.bulks_failed += 1;
-                stats.failed += slots.len() as u64;
-                let err = PipelineError::BulkFailed(msg);
-                for slot in slots {
-                    slot.resolve(Err(err.clone()));
-                }
-                if let Some(barrier) = barrier {
-                    barrier.resolve(Err(err));
-                }
+            if let Some(barrier) = barrier {
+                barrier.resolve(Ok((0, TxnOutcome::Committed)));
             }
         }
-        stats.busy_secs += t0.elapsed().as_secs_f64();
+        Err(msg) => {
+            stats.bulks_failed += 1;
+            stats.failed += slots.len() as u64;
+            let err = PipelineError::BulkFailed(msg);
+            for slot in slots {
+                slot.resolve(Err(err.clone()));
+            }
+            if let Some(barrier) = barrier {
+                barrier.resolve(Err(err));
+            }
+        }
     }
-    stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashMap;
+    use std::sync::mpsc::{channel, Receiver, Sender};
 
-    /// Toy planner: the "plan" is just the per-key increment list.
-    struct CountPlanner;
-    impl BulkPlanner for CountPlanner {
-        type Plan = Vec<i64>;
-        fn plan(&mut self, bulk: &[TxnSignature]) -> Vec<i64> {
-            bulk.iter().map(|s| s.params[0].as_int()).collect()
-        }
+    /// Where a gated runner stops: it announces `entered`, then waits for
+    /// `release`.
+    struct Gate {
+        entered: Sender<()>,
+        release: Receiver<()>,
     }
 
-    /// Toy runner: counts per key; type 9 fails the bulk, type 8 panics,
-    /// type 7 sleeps and type 6 blocks until `gate` yields.
+    /// Toy runner: counts per key and records each bulk's size; type 9
+    /// fails the bulk, type 8 panics, type 7 sleeps and type 6 stops at the
+    /// gate.
+    #[derive(Default)]
     struct CountRunner {
         counts: HashMap<i64, i64>,
-        gate: Option<Receiver<()>>,
+        sizes: Vec<usize>,
+        gate: Option<Gate>,
     }
     impl BulkRunner for CountRunner {
-        type Plan = Vec<i64>;
-        type Output = HashMap<i64, i64>;
-        fn run(
-            &mut self,
-            bulk: Vec<TxnSignature>,
-            plan: Vec<i64>,
-        ) -> Result<Vec<(TxnId, TxnOutcome)>, ExecError> {
+        type Output = CountRunner;
+        fn run(&mut self, bulk: Vec<TxnSignature>) -> Result<Vec<(TxnId, TxnOutcome)>, ExecError> {
             if bulk.iter().any(|s| s.ty == 9) {
                 return Err(ExecError::WorkerPanicked {
                     shard: 0,
@@ -942,28 +808,41 @@ mod tests {
             }
             if bulk.iter().any(|s| s.ty == 6) {
                 if let Some(gate) = &self.gate {
-                    gate.recv().expect("gate opens");
+                    gate.entered.send(()).expect("test listens");
+                    gate.release.recv().expect("gate opens");
                 }
             }
-            for key in plan {
-                *self.counts.entry(key).or_insert(0) += 1;
+            for s in &bulk {
+                *self.counts.entry(s.params[0].as_int()).or_insert(0) += 1;
             }
+            self.sizes.push(bulk.len());
             Ok(bulk.iter().map(|s| (s.id, TxnOutcome::Committed)).collect())
         }
-        fn finish(self) -> HashMap<i64, i64> {
-            self.counts
+        fn finish(self) -> CountRunner {
+            self
         }
     }
 
-    fn engine(opts: PipelineOptions) -> PipelinedEngine<CountPlanner, CountRunner> {
-        PipelinedEngine::new(
-            CountPlanner,
+    fn engine(opts: PipelineOptions) -> PipelinedEngine<CountRunner> {
+        PipelinedEngine::new(CountRunner::default(), opts)
+    }
+
+    /// An engine whose runner is held at the gate: a type-6 transaction,
+    /// alone in the first bulk (closed by size or timer), is running when
+    /// this returns. Send on the returned sender to release it.
+    fn gated(opts: PipelineOptions) -> (PipelinedEngine<CountRunner>, Sender<()>) {
+        let (entered, entered_rx) = channel();
+        let (release_tx, release) = channel();
+        let eng = PipelinedEngine::new(
             CountRunner {
-                counts: HashMap::new(),
-                gate: None,
+                gate: Some(Gate { entered, release }),
+                ..CountRunner::default()
             },
             opts,
-        )
+        );
+        eng.submit(6, vec![Value::Int(0)]).unwrap();
+        entered_rx.recv().expect("the runner reaches the gate");
+        (eng, release_tx)
     }
 
     #[test]
@@ -990,8 +869,9 @@ mod tests {
         assert_eq!(stats.closes.by_size, 3);
         assert_eq!(stats.closes.by_flush, 1);
         assert!(stats.throughput_tps() > 0.0);
-        let (counts, _) = eng.finish().unwrap();
-        assert_eq!(counts.values().sum::<i64>(), 100);
+        let (out, _) = eng.finish().unwrap();
+        assert_eq!(out.counts.values().sum::<i64>(), 100);
+        assert_eq!(out.sizes, [32, 32, 32, 4]);
     }
 
     #[test]
@@ -1011,6 +891,73 @@ mod tests {
         assert!(stats.closes.by_timer >= 1);
     }
 
+    /// The transactions submitted while the runner is busy wait out
+    /// `max_wait` in one open bulk, which the free executor then takes
+    /// whole — cut only at `max_bulk_size`.
+    #[test]
+    fn a_bulk_keeps_admitting_while_the_executor_is_busy() {
+        for (max_bulk_size, sizes, by_size) in [(64, vec![1, 10], 0), (4, vec![1, 4, 4, 2], 2)] {
+            let (eng, release) = gated(PipelineOptions {
+                max_bulk_size,
+                max_wait: Duration::from_millis(1),
+                queue_depth: 64,
+            });
+            let tickets: Vec<Ticket> = (0..10)
+                .map(|i| eng.submit(0, vec![Value::Int(i)]).unwrap())
+                .collect();
+            std::thread::sleep(Duration::from_millis(20));
+            release.send(()).expect("runner waits at the gate");
+            for t in &tickets {
+                assert!(t.wait().expect("resolves").1.is_committed());
+            }
+            let (out, stats) = eng.finish().unwrap();
+            assert_eq!(out.sizes, sizes, "max_bulk_size {max_bulk_size}");
+            // One timer close is the gated bulk's own.
+            assert_eq!(stats.closes.by_timer, 2, "max_bulk_size {max_bulk_size}");
+            assert_eq!(stats.closes.by_size, by_size);
+            assert_eq!(stats.closes.by_flush, 0);
+        }
+    }
+
+    #[test]
+    fn queue_depth_bounds_admitted_transactions_the_executor_has_not_taken() {
+        let (eng, release) = gated(PipelineOptions {
+            max_bulk_size: 1_000,
+            max_wait: Duration::from_millis(1),
+            queue_depth: 5,
+        });
+        let mut admitted = Vec::new();
+        let last = loop {
+            match eng.try_submit(0, vec![Value::Int(1)]) {
+                Ok(t) => admitted.push(t),
+                Err(e) => break e,
+            }
+            assert!(admitted.len() <= 5, "queue_depth bounds admission");
+        };
+        assert_eq!(last, PipelineError::QueueFull);
+        assert_eq!(admitted.len(), 5);
+        // A blocking submit parks until the executor takes a bulk.
+        let handle = eng.handle();
+        let (done_tx, done) = channel();
+        let blocked = std::thread::spawn(move || {
+            let ticket = handle.submit(0, vec![Value::Int(2)]);
+            done_tx.send(()).expect("test listens");
+            ticket
+        });
+        assert!(done.recv_timeout(Duration::from_millis(20)).is_err());
+        release.send(()).expect("runner waits at the gate");
+        done.recv()
+            .expect("the submit returns once a bulk is taken");
+        let ticket = blocked.join().unwrap().expect("admitted");
+        assert!(ticket.wait().is_ok());
+        for t in &admitted {
+            assert!(t.wait().is_ok());
+        }
+        let (out, _) = eng.finish().unwrap();
+        assert_eq!(out.counts[&1], 5);
+        assert_eq!(out.counts[&2], 1);
+    }
+
     #[test]
     fn flush_commits_partial_bulk_and_waits_for_it() {
         let eng = engine(PipelineOptions {
@@ -1022,8 +969,8 @@ mod tests {
         eng.flush().expect("flush succeeds");
         // After flush returns, the earlier ticket must already be resolved.
         assert!(matches!(t.try_get(), Some(Ok(_))));
-        let (counts, stats) = eng.finish().unwrap();
-        assert_eq!(counts[&3], 1);
+        let (out, stats) = eng.finish().unwrap();
+        assert_eq!(out.counts[&3], 1);
         assert!(stats.closes.by_flush >= 1);
     }
 
@@ -1071,8 +1018,8 @@ mod tests {
         for t in &good {
             assert!(t.wait().is_ok());
         }
-        let (counts, stats) = eng.finish().unwrap();
-        assert_eq!(counts[&5], 4);
+        let (out, stats) = eng.finish().unwrap();
+        assert_eq!(out.counts[&5], 4);
         assert_eq!(stats.bulks_failed, 2);
         assert_eq!(stats.failed, 8);
         assert_eq!(stats.committed, 4);
@@ -1080,8 +1027,8 @@ mod tests {
 
     #[test]
     fn backpressure_drops_no_tickets() {
-        // Tiny queue + tiny bulks: the submitter outruns the pipeline and
-        // blocks on the admission queue; every ticket must still resolve.
+        // Tiny queue + tiny bulks: the submitter outruns the executor and
+        // blocks on the full queue; every ticket must still resolve.
         let eng = engine(PipelineOptions {
             max_bulk_size: 2,
             max_wait: Duration::from_micros(50),
@@ -1090,45 +1037,31 @@ mod tests {
         let tickets: Vec<Ticket> = (0..500)
             .map(|i| eng.submit(0, vec![Value::Int(i % 11)]).unwrap())
             .collect();
-        let (counts, stats) = eng.finish().unwrap();
+        let (out, stats) = eng.finish().unwrap();
         assert_eq!(tickets.iter().filter(|t| t.wait().is_ok()).count(), 500);
-        assert_eq!(counts.values().sum::<i64>(), 500);
+        assert_eq!(out.counts.values().sum::<i64>(), 500);
         assert_eq!(stats.transactions(), 500);
     }
 
     #[test]
     fn engine_drop_with_live_handle_submitters_does_not_block() {
         // A remote submitter (e.g. a network connection handler) is parked
-        // in a blocking submit on a full admission queue when the engine is
-        // dropped from another thread. The drop must return without waiting
-        // for the submitter to stop first, the submitter must end in
-        // ShutDown, and every ticket it obtained must resolve.
-        let (open_gate, gate) = std::sync::mpsc::channel();
-        let eng = PipelinedEngine::new(
-            CountPlanner,
-            CountRunner {
-                counts: HashMap::new(),
-                gate: Some(gate),
-            },
-            PipelineOptions {
-                max_bulk_size: 1,
-                max_wait: Duration::from_secs(10),
-                queue_depth: 1,
-            },
-        );
-        // The first transaction holds the runner at the gate. Behind it,
-        // one-transaction bulks fill every slot that can hold one: the
-        // planned and formed channels, the grouping and admission threads
-        // (each blocked handing its bulk on) and the admission queue. With
-        // those full, the next submit cannot complete until the gate opens.
-        let stalled_capacity = 1 + 2 * STAGE_CHANNEL_DEPTH + 2 + 1;
+        // in a blocking submit on a full queue when the engine is dropped
+        // from another thread. The drop must return without waiting for the
+        // submitter to stop first, the parked submit must end in ShutDown,
+        // and every ticket the submitter obtained must resolve.
+        let queue_depth = 3;
+        let (eng, release) = gated(PipelineOptions {
+            max_bulk_size: 1,
+            max_wait: Duration::from_secs(10),
+            queue_depth,
+        });
         let handle = eng.handle();
-        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let (held_tx, held_rx) = channel();
         let submitter = std::thread::spawn(move || {
             let mut tickets = Vec::new();
             loop {
-                let ty = if tickets.is_empty() { 6 } else { 0 };
-                match handle.submit(ty, vec![Value::Int(1)]) {
+                match handle.submit(0, vec![Value::Int(1)]) {
                     Ok(t) => tickets.push(t),
                     Err(e) => return (tickets, e),
                 }
@@ -1136,74 +1069,28 @@ mod tests {
                 let _ = held_tx.send(tickets.len());
             }
         });
-        assert_eq!(held_rx.recv(), Ok(1), "the submitter's first ticket");
-        while held_rx.recv().expect("submitter alive") < stalled_capacity {}
-        // The submitter holds every slot and is in (or entering) its next
-        // submit, which the full queue parks.
+        // With the runner gated, the queue holds exactly `queue_depth`
+        // transactions; the submit after them parks.
+        while held_rx.recv().expect("submitter alive") < queue_depth {}
         assert_eq!(
             eng.try_submit(0, vec![Value::Int(1)]).unwrap_err(),
             PipelineError::QueueFull
         );
         let gate_closed = eng.handle();
         let dropper = std::thread::spawn(move || drop(eng));
-        // Shutdown closes the submit gate first; only then release the
-        // runner so the pipeline can drain.
+        // Shutdown refuses submits first; only then release the runner so
+        // the engine can drain.
         while !gate_closed.is_closed() {
             std::thread::yield_now();
         }
-        open_gate.send(()).expect("runner waits at the gate");
+        release.send(()).expect("runner waits at the gate");
         dropper.join().expect("drop returned");
         let (tickets, last) = submitter.join().expect("submitter exits");
         assert_eq!(last, PipelineError::ShutDown);
-        // A parked submit already holds a queue sender, so it lands in the
-        // final drain; the submit after it is refused.
-        assert!(tickets.len() >= stalled_capacity);
+        assert_eq!(tickets.len(), queue_depth, "the parked submit is refused");
         for t in tickets {
             assert!(t.wait().expect("resolves").1.is_committed());
         }
-    }
-
-    #[test]
-    fn backpressure_counts_as_blocked_not_busy() {
-        let (open_gate, gate) = std::sync::mpsc::channel();
-        let eng = PipelinedEngine::new(
-            CountPlanner,
-            CountRunner {
-                counts: HashMap::new(),
-                gate: Some(gate),
-            },
-            PipelineOptions {
-                max_bulk_size: 1,
-                max_wait: Duration::from_secs(10),
-                queue_depth: 1,
-            },
-        );
-        // The first transaction holds the runner at the gate. Each of the
-        // next five one-transaction bulks fills one slot behind it: the
-        // planned channel, the grouping thread (blocked handing its bulk
-        // on), the formed channel, the admission thread (blocked likewise)
-        // and the admission queue. The last submit returns once admission
-        // has taken the bulk it then blocks on.
-        let tickets: Vec<Ticket> = (0..6)
-            .map(|i| eng.submit(if i == 0 { 6 } else { 0 }, vec![Value::Int(1)]))
-            .collect::<Result<_, _>>()
-            .unwrap();
-        let held = Duration::from_millis(200);
-        std::thread::sleep(held);
-        open_gate.send(()).expect("runner waits at the gate");
-        for t in &tickets {
-            assert!(t.wait().expect("resolves").1.is_committed());
-        }
-        let (_, stats) = eng.finish().unwrap();
-        // Grouping and admission reach their blocking send microseconds
-        // after the last submit returns; half the hold absorbs scheduling
-        // delay.
-        let floor = held.as_secs_f64() / 2.0;
-        assert!(stats.stage_blocked.grouping_secs >= floor, "{stats:?}");
-        assert!(stats.stage_blocked.admission_secs >= floor, "{stats:?}");
-        // The runner waiting at its own gate is work, not backpressure.
-        assert!(stats.stage_busy.execution_secs >= floor, "{stats:?}");
-        assert_eq!(stats.stage_blocked.commit_secs, 0.0);
     }
 
     #[test]
@@ -1227,9 +1114,10 @@ mod tests {
 
     #[test]
     fn try_submit_sheds_load_when_queue_is_full() {
-        // One-transaction bulks over a slow (20 ms) runner: the stage
-        // channels and the depth-1 admission queue fill up, so try_submit
-        // must start reporting QueueFull instead of blocking.
+        // One-transaction bulks over a slow (20 ms) runner with a depth-1
+        // queue: while one bulk runs, the next one closed behind it fills
+        // the queue, so try_submit must report QueueFull instead of
+        // blocking.
         let eng = engine(PipelineOptions {
             max_bulk_size: 1,
             max_wait: Duration::from_secs(10),
@@ -1248,5 +1136,30 @@ mod tests {
         }
         assert!(full_seen, "a depth-1 queue must eventually report Full");
         drop(eng);
+    }
+
+    /// A ticket resolves for a waiter parked before the result, a waiter
+    /// that arrives after it and a poller, whether or not anyone parked.
+    #[test]
+    fn every_ticket_reader_sees_the_result() {
+        let (ticket, slot) = TicketSlot::new();
+        let ticket = Arc::new(ticket);
+        let parked = {
+            let ticket = Arc::clone(&ticket);
+            std::thread::spawn(move || ticket.wait())
+        };
+        while !ticket.state.cell.lock().unwrap().waiting {
+            std::thread::yield_now();
+        }
+        slot.resolve(Ok((7, TxnOutcome::Committed)));
+        assert_eq!(parked.join().unwrap(), Ok((7, TxnOutcome::Committed)));
+        assert_eq!(ticket.wait(), Ok((7, TxnOutcome::Committed)));
+        assert_eq!(ticket.try_get(), Some(Ok((7, TxnOutcome::Committed))));
+
+        let (unwatched, slot) = TicketSlot::new();
+        slot.resolve(Ok((8, TxnOutcome::Committed)));
+        assert!(!unwatched.state.cell.lock().unwrap().waiting);
+        assert_eq!(unwatched.try_get(), Some(Ok((8, TxnOutcome::Committed))));
+        assert_eq!(unwatched.wait(), Ok((8, TxnOutcome::Committed)));
     }
 }

@@ -7,7 +7,9 @@
 //! protocol of [`proto`], forwards each request into the pipeline, and
 //! resolves the engine's `Ticket`s back into response frames — asynchronously,
 //! so one connection multiplexes many in-flight submits while bulks form and
-//! commit behind it.
+//! commit behind it. A submit appends to the engine's open bulk under one
+//! lock and returns; the engine's one execution thread runs and commits the
+//! bulk and resolves its tickets.
 //!
 //! Per connection the server runs two threads:
 //!
@@ -208,7 +210,8 @@ pub fn socket_pair() -> io::Result<(UnixStream, UnixStream)> {
 pub struct ServerStats {
     /// Connections ever attached (accepted or [`Server::attach`]ed).
     pub connections: u64,
-    /// Well-formed requests parsed off the wire.
+    /// Well-formed requests parsed off the wire, each counted once the
+    /// reader has handled it (for a submit: once `submit` returned).
     pub requests: u64,
     /// Response frames in bursts whose write succeeded (excludes
     /// drained-after-disconnect ones).
@@ -415,7 +418,9 @@ impl Server {
     }
 
     /// Stop accepting, close every live connection, and join all server
-    /// threads. Idempotent; also run by `Drop`.
+    /// threads. Idempotent; also run by `Drop`. It blocks until each
+    /// connection's admitted tickets resolve, which can take up to the
+    /// engine's `max_wait` while their bulk is still open.
     pub fn stop(&self) {
         self.shared.stopping.store(true, Ordering::Release);
         // Wake each blocked `accept` with a throwaway connection, then join.
@@ -623,7 +628,6 @@ fn reader_loop(
                 return;
             }
         };
-        shared.stats.requests.fetch_add(1, Ordering::Relaxed);
         activity.store(shared.now_ms(), Ordering::Relaxed);
         let out = match request {
             Request::Ping { request_id } => Outgoing::Immediate(Response::Pong { request_id }),
@@ -665,6 +669,9 @@ fn reader_loop(
                 }
             }
         };
+        // Counted once its submit has returned: a caller that sees the
+        // count can flush and know the transaction is in a closed bulk.
+        shared.stats.requests.fetch_add(1, Ordering::Relaxed);
         if tx.send(out).is_err() {
             // Responder already gone (it never exits before the queue closes
             // unless the whole connection is being torn down).

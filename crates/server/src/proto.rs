@@ -138,14 +138,14 @@ pub enum Response {
         /// Echo of the request's correlation id.
         request_id: u64,
     },
-    /// The transaction's bulk failed (planner/runner error or panic).
+    /// The transaction's bulk failed (runner error or panic).
     BulkFailed {
         /// Echo of the request's correlation id.
         request_id: u64,
         /// Human-readable failure cause.
         message: String,
     },
-    /// The engine shut down (or a stage died) before resolving this
+    /// The engine shut down (or its execution thread died) before resolving this
     /// transaction.
     Disconnected {
         /// Echo of the request's correlation id.

@@ -42,19 +42,19 @@ impl IndexId {
     }
 }
 
-/// Panic message of a database-side access to an index slot: only a
-/// grouping stage's [`IndexSet`] ever releases an index.
+/// Panic message of a database-side access to an index slot: only a shared
+/// [`IndexSet`] clone ever releases an index.
 const HELD: &str = "a database holds every index it created";
 
 /// The hash indexes of a database, per table, each a copy-on-write [`Arc`].
 ///
 /// Cloning a set — or the [`Database`] that owns one — shares every index;
 /// [`Database::insert_indexed`], the only index mutator, copies just the
-/// index it writes, and only while another holder still shares it. A
-/// pipelined grouping stage keeps a clone of the live database's set: it
-/// costs nothing until the execution stage writes an index, and then only
-/// the written index exists twice until [`IndexSet::release_unshared`] lets
-/// the stage drop its outdated copy.
+/// index it writes, and only while another holder still shares it. A clone
+/// of a live database's set costs nothing until the database writes an
+/// index, and then only the written index exists twice until
+/// [`IndexSet::release_unshared`] lets the clone's holder drop its outdated
+/// copy.
 ///
 /// Lookups through a released index answer `None`. A database's own set
 /// never releases an index.

@@ -5,21 +5,20 @@
 //! reproduction the expensive per-operation location work is the index
 //! lookup: hashing a composite [`IndexKey`], probing the hash table and (for
 //! string keys) building the key at all. An [`AccessPlan`] hoists that work
-//! out of procedure execution: during bulk *grouping* — which the streaming
-//! pipeline already runs on its own stage thread, overlapped with the
-//! execution of the previous bulk — every transaction's index keys are
-//! resolved to dense [`RowId`]s once, and the procedure bodies consume the
-//! resolved rows in order with **zero hash lookups** on the execution thread.
+//! out of procedure execution: before the bulk runs, every transaction's
+//! index keys are resolved to dense [`RowId`]s once, and the procedure
+//! bodies consume the resolved rows in order with **zero hash lookups**.
+//! The one-shot engine builds a plan per bulk; the streaming pipeline builds
+//! none.
 //!
 //! # How plans stay correct
 //!
 //! Index lookups are stable *within* a bulk (buffered inserts only reach the
 //! indexes in [`Database::apply_insert_buffers`], after the bulk), so a plan
 //! resolved against the very database the bulk will run on is always exact.
-//! The streaming pipeline, however, plans bulk `N+1` against its own
-//! [`IndexSet`]: a copy-on-write share of the live database's indexes taken
-//! at pipeline start, which lags the live database by the inserts of earlier
-//! bulks. Every index therefore carries a mutation version
+//! A plan may instead be built against another [`IndexSet`]: a copy-on-write
+//! share of the live database's indexes, which lags the live database by the
+//! inserts of the bulks run since it was taken. Every index therefore carries a mutation version
 //! ([`gputx_storage::index::HashIndex::version`]); a plan records the
 //! versions it resolved against, and [`AccessPlan::revalidate`] compares them
 //! with the live database right before execution. Entries resolved through
@@ -32,14 +31,14 @@
 //! Staleness is tracked **per index**, so the degradation is proportional to
 //! index churn, not all-or-nothing: in a TM1 stream, the first applied
 //! call-forwarding insert makes every later bulk's call-forwarding entries
-//! stale (the execution stage wrote its own copy of those indexes, and the
-//! planner then releases its outdated one — [`IndexSet::release_unshared`] —
-//! so lookups through it are recorded stale without probing), but lookups
-//! through the static indexes — subscriber number, access-info and
-//! special-facility primary keys, the bulk of TM1's lookup volume — keep the
-//! pre-resolved fast path for the lifetime of the pipeline. Plans built
-//! against the execution database itself (the one-shot engine path) are
-//! always fully fresh. For static indexes the revalidation is a handful of
+//! stale (the live database wrote its own copy of those indexes, and the
+//! share's holder then releases its outdated one —
+//! [`IndexSet::release_unshared`] — so lookups through it are recorded stale
+//! without probing), but lookups through the static indexes — subscriber
+//! number, access-info and special-facility primary keys, the bulk of TM1's
+//! lookup volume — keep the pre-resolved fast path for as long as the share
+//! is held. Plans built against the execution database itself (the one-shot
+//! engine path) are always fully fresh. For static indexes the revalidation is a handful of
 //! integer compares per bulk.
 //!
 //! [`TxnCtx`]: crate::procedure::TxnCtx
@@ -100,7 +99,7 @@ pub struct AccessPlan {
 impl AccessPlan {
     /// Resolve the index lookups of every transaction in `txns` whose
     /// procedure declares a plan callback, against `indexes`: the
-    /// [`Database`] the bulk runs on or a grouping stage's [`IndexSet`].
+    /// [`Database`] the bulk runs on or an [`IndexSet`] share.
     /// Transactions without a callback simply get no span and keep probing
     /// at execution time.
     pub fn build(
@@ -144,8 +143,7 @@ impl AccessPlan {
     /// Compare the recorded index versions with the live database and mark
     /// entries resolved through since-mutated or released indexes as stale
     /// (they will be re-probed at consume time). Call this when the plan was
-    /// built against another [`IndexSet`] — e.g. by the streaming pipeline's
-    /// grouping stage — right before the bulk executes. Returns the number
+    /// built against another [`IndexSet`], right before the bulk executes. Returns the number
     /// of stale indexes.
     pub fn revalidate(&mut self, db: &Database) -> usize {
         let mut stale_count = 0;
@@ -419,7 +417,7 @@ mod tests {
                 },
             ),
         );
-        // A grouping stage's share; the live database then writes `pk`.
+        // A share of the indexes; the live database then writes `pk`.
         let mut planner = db.indexes().clone();
         db.insert_indexed(t, vec![Value::Int(100), Value::Double(0.0)]);
         assert_eq!(planner.release_unshared(), 1);

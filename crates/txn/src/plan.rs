@@ -11,8 +11,8 @@
 //!
 //! The read/write sets themselves must be *state-independent* (derivable from
 //! the signature alone, the paper's Appendix B static analysis); planning
-//! against the grouping stage's index share, which lags the live database,
-//! is only correct under that assumption, which all bundled workloads
+//! against an index share, which lags the live database, is only correct
+//! under that assumption, which all bundled workloads
 //! satisfy.
 
 use crate::kset::IncrementalKSet;
@@ -20,8 +20,8 @@ use crate::op::BasicOp;
 use crate::signature::TxnId;
 use std::collections::BTreeMap;
 
-/// The precomputed execution schedule of one bulk, produced off-thread by the
-/// grouping stage and consumed by the execution stage.
+/// The precomputed execution schedule of one bulk, computed before the bulk
+/// runs and consumed by its execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BulkPlan {
     /// K-SET: successive 0-sets (each wave is pairwise conflict-free and may

@@ -436,9 +436,9 @@ pub struct ProcedureDef {
     /// skip undo logging for it (Appendix D, "Logging").
     pub two_phase: bool,
     /// Declared read/write set for a given parameter list; index lookups
-    /// may resolve row ids. A pipelined grouping stage evaluates it against
-    /// its own share of the indexes, so it must not depend on what the bulks
-    /// still executing will insert.
+    /// may resolve row ids. It may be evaluated against an [`IndexSet`]
+    /// share that lags the live database, so it must not depend on what
+    /// earlier bulks insert.
     pub read_write_set: ReadWriteSetFn,
     /// Partitioning key for a given parameter list; `None` marks a
     /// cross-partition transaction.
@@ -528,7 +528,7 @@ impl ProcedureRegistry {
     }
 
     /// Declared read/write set of a signature, resolved against `indexes`:
-    /// a [`Database`] or a grouping stage's [`IndexSet`].
+    /// a [`Database`] or an [`IndexSet`] share.
     pub fn read_write_set(
         &self,
         sig: &TxnSignature,

@@ -13,7 +13,7 @@
 //!   a serial replay of exactly the admitted subset.
 //! * **Shutdown** — dropping the engine while wire submitters are live
 //!   resolves their in-flight replies as `Disconnected` instead of hanging
-//!   (the `SubmitGate` regression).
+//!   (the engine refuses new submits before it drains).
 //! * **Codec fuzz** — arbitrary garbled/byte-chopped request streams yield
 //!   clean per-connection errors, never a panic and never a committed
 //!   partial request; the buffered frame reader fed 1..k bytes at a time
@@ -250,6 +250,13 @@ fn mid_bulk_disconnect_preserves_admitted_transactions() {
     // Vanish without reading a single response. The socket-pair transport
     // delivers everything written before the close, then EOF.
     drop(client);
+    // Once all 300 submits have returned, the flush closes the open tail
+    // where `in_process_run`'s flush does, so the responders need not wait
+    // out the 60 s `max_wait` before `stop` can join them.
+    while server.stats().requests < 300 {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    engine.flush().expect("flush the tail bulk");
     server.stop();
     let (db_wire, stats) = engine.finish().expect("clean finish");
     assert_eq!(
@@ -332,8 +339,8 @@ fn queue_full_shedding_commits_exactly_the_admitted_subset() {
 
 /// Dropping the engine while a wire connection is still submitting resolves
 /// that connection's in-flight replies as `Disconnected` — promptly, instead
-/// of blocking engine teardown on the remote submitter (the `SubmitGate`
-/// regression, seen through the wire).
+/// of blocking engine teardown on the remote submitter (the engine refuses
+/// new submits before it drains, seen through the wire).
 #[test]
 fn engine_drop_with_live_wire_connection_resolves_disconnected() {
     let bundle = micro();
