@@ -5,9 +5,10 @@
 //! durability/pipeline/replication/analytics/robustness, then
 //! [`build`](EngineBuilder::build) (one-shot),
 //! [`build_pipelined`](EngineBuilder::build_pipelined) (streaming) or
-//! [`build_cpu`](EngineBuilder::build_cpu) (the CPU reference engine). The
-//! GPU terminals open the engine's group-commit seam (`commit.rs`) exactly
-//! once, from the parts collected here.
+//! [`build_cpu`](EngineBuilder::build_cpu) (the CPU reference engine). Only
+//! `build_pipelined` opens the group-commit seam (`commit.rs`), once, from
+//! the durability, replication, analytics and fault parts collected here;
+//! `build` refuses a builder that holds any of them.
 //!
 //! ```
 //! use gputx_core::{EngineBuilder, StrategyChoice};
@@ -47,6 +48,8 @@ pub struct EngineBuilder {
     registry: ProcedureRegistry,
     config: EngineConfig,
     pipeline: PipelineConfig,
+    /// The pipelined engine's redo log (disabled by default).
+    durability: DurabilityConfig,
     replication: Option<PrimaryHub>,
     analytics: Option<AnalyticsSession>,
     /// Epoch the hub must start under when this builder continues a promoted
@@ -69,6 +72,7 @@ impl EngineBuilder {
             registry,
             config: EngineConfig::default(),
             pipeline: PipelineConfig::default(),
+            durability: DurabilityConfig::disabled(),
             replication: None,
             analytics: None,
             epoch_seed: None,
@@ -91,10 +95,8 @@ impl EngineBuilder {
 
     // -- engine configuration -------------------------------------------------
 
-    /// Replace the whole engine configuration (strategy, thresholds, device,
-    /// …). Fields the builder also exposes directly (durability) are taken
-    /// from `config` as given and can still be overridden by later builder
-    /// calls.
+    /// Replace the whole one-shot engine configuration (strategy,
+    /// thresholds, device, …).
     pub fn with_config(mut self, config: EngineConfig) -> Self {
         self.config = config;
         self
@@ -151,18 +153,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Enable bulk-granular redo logging into `dir` with the default
-    /// per-bulk fsync policy.
-    pub fn with_durability(self, dir: impl Into<PathBuf>) -> Self {
-        self.with_durability_config(DurabilityConfig::at(dir))
-    }
-
-    /// Full durability configuration (directory + fsync policy).
-    pub fn with_durability_config(mut self, durability: DurabilityConfig) -> Self {
-        self.config.durability = durability;
-        self
-    }
-
     // -- pipeline configuration ----------------------------------------------
 
     /// Replace the whole pipeline configuration (admission knobs) for
@@ -191,10 +181,23 @@ impl EngineBuilder {
         self
     }
 
+    /// Enable bulk-granular redo logging into `dir` with the default
+    /// per-bulk fsync policy ([`build_pipelined`](EngineBuilder::build_pipelined)
+    /// only).
+    pub fn with_durability(self, dir: impl Into<PathBuf>) -> Self {
+        self.with_durability_config(DurabilityConfig::at(dir))
+    }
+
+    /// Full durability configuration (directory + fsync policy).
+    pub fn with_durability_config(mut self, durability: DurabilityConfig) -> Self {
+        self.durability = durability;
+        self
+    }
+
     // -- robustness -----------------------------------------------------------
 
     /// Install a deterministic fault-injection plan (see
-    /// [`FaultPlan`](gputx_faults::FaultPlan)): the built engine's WAL
+    /// [`FaultPlan`](gputx_faults::FaultPlan)): the pipelined engine's WAL
     /// writer consults the plan's seeded decision stream on every
     /// append/fsync, and [`faults_injector`](EngineBuilder::faults_injector)
     /// exposes the injector for wrapping wire and replication streams
@@ -221,7 +224,7 @@ impl EngineBuilder {
         self
     }
 
-    /// The health surface the built engine updates at its group-commit
+    /// The health surface the pipelined engine updates at its group-commit
     /// point. Clone it before building and hand it to
     /// `Server::serve_health` to answer wire `Health` requests.
     pub fn health(&self) -> gputx_faults::Health {
@@ -237,7 +240,7 @@ impl EngineBuilder {
         self.replicate_with(ReplicationOptions::default())
     }
 
-    /// Make the built engine a replication primary: every committed bulk's
+    /// Make the pipelined engine a replication primary: every committed bulk's
     /// redo record is published to a [`PrimaryHub`] seeded **now**, from this
     /// builder's database. Call [`hub`](EngineBuilder::hub) to get the handle
     /// for `listen`/`attach`/`retire`; under a builder made by
@@ -267,7 +270,7 @@ impl EngineBuilder {
         self.analytics_with(AnalyticsConfig::default())
     }
 
-    /// Attach an [`AnalyticsSession`] to the built engine: every committed
+    /// Attach an [`AnalyticsSession`] to the pipelined engine: every committed
     /// bulk's redo record — the same one the WAL appends and the replication
     /// hub ships — is published into the session's snapshot store, so
     /// scanner threads can cut consistent bulk-boundary snapshots
@@ -294,30 +297,46 @@ impl EngineBuilder {
 
     // -- terminals ------------------------------------------------------------
 
-    /// Open the group-commit seam over everything this builder collected.
-    /// Panics if the durability directory cannot be initialized.
-    fn open_commit(&mut self) -> GroupCommit {
-        GroupCommit::open(
-            &self.config.durability,
-            &self.db,
-            self.replication.take(),
-            self.analytics.take(),
-            self.faults.take(),
-            self.heal_policy,
-            self.health.clone(),
-        )
-    }
-
-    /// Build the one-shot bulk engine ([`GpuTxEngine`]).
-    pub fn build(mut self) -> GpuTxEngine {
-        let commit = self.open_commit();
-        GpuTxEngine::assemble(self.db, self.registry, self.config, commit)
+    /// Build the one-shot bulk engine ([`GpuTxEngine`]): the simulated-GPU
+    /// engine behind the paper's figures and strategy selection. It commits
+    /// to no consumer.
+    ///
+    /// # Panics
+    ///
+    /// If the builder holds a durability directory, a replication hub, an
+    /// analytics session or a fault plan: those attach only to
+    /// [`build_pipelined`](EngineBuilder::build_pipelined).
+    pub fn build(self) -> GpuTxEngine {
+        let consumers = self.durability.enabled()
+            || self.replication.is_some()
+            || self.analytics.is_some()
+            || self.faults.is_some();
+        assert!(
+            !consumers,
+            "durability, replication, analytics and fault plans attach only to \
+             `build_pipelined()`; the one-shot `build()` commits to no consumer"
+        );
+        GpuTxEngine::assemble(self.db, self.registry, self.config)
     }
 
     /// Build the streaming engine ([`PipelinedGpuTx`]): continuous ingest,
-    /// grouping overlapped with execution.
-    pub fn build_pipelined(mut self) -> PipelinedGpuTx {
-        let commit = self.open_commit();
+    /// bulk formation overlapped with execution. The one engine that commits
+    /// to consumers: it opens the group-commit seam over the parts collected
+    /// here.
+    ///
+    /// # Panics
+    ///
+    /// If the durability directory cannot be initialized.
+    pub fn build_pipelined(self) -> PipelinedGpuTx {
+        let commit = GroupCommit::open(
+            &self.durability,
+            &self.db,
+            self.replication,
+            self.analytics,
+            self.faults,
+            self.heal_policy,
+            self.health,
+        );
         PipelinedGpuTx::start(self.db, self.registry, self.pipeline, commit)
     }
 
@@ -432,35 +451,52 @@ mod tests {
         let hub = builder.hub().expect("replicate() creates the hub");
         assert!(hub.mirror_db() == db);
         assert_eq!(hub.next_lsn(), 0);
-        let mut engine = builder.build();
-        engine.submit(0, vec![Value::Int(1)]);
-        engine.run_until_empty();
+        let engine = builder.build_pipelined();
+        engine.submit(0, vec![Value::Int(1)]).unwrap();
+        let (db, _) = engine.finish().unwrap();
         // The commit was published: mirror tracks the engine exactly.
         assert_eq!(hub.next_lsn(), 1);
-        assert!(hub.mirror_db() == *engine.db());
+        assert!(hub.mirror_db() == db);
         hub.stop();
     }
 
     #[test]
     fn analytics_session_tracks_commits_and_survives_shutdown() {
         let (db, reg) = setup(8);
-        let builder = EngineBuilder::new(db, reg).analytics();
+        let builder = EngineBuilder::new(db, reg)
+            .with_max_bulk_size(8)
+            .with_max_wait_us(10_000_000)
+            .analytics();
         let session = builder
             .analytics_session()
             .expect("analytics() creates the session");
         assert_eq!(session.records_applied(), 0);
-        let mut engine = builder.build();
+        let engine = builder.build_pipelined();
         for i in 0..8 {
-            engine.submit(0, vec![Value::Int(i)]);
+            engine.submit(0, vec![Value::Int(i)]).unwrap();
         }
-        engine.run_until_empty();
+        engine.flush().unwrap();
         assert_eq!(session.records_applied(), 1);
         let snap = session.snapshot();
-        snap.check_against(engine.db()).unwrap();
         assert_eq!(snap.get_i64(0, 5, 1), 1);
         // The snapshot outlives the engine.
-        drop(engine);
+        let (db, _) = engine.finish().unwrap();
+        snap.check_against(&db).unwrap();
         assert_eq!(snap.get_i64(0, 5, 1), 1);
+    }
+
+    #[test]
+    fn durability_disabled_by_default() {
+        let (db, reg) = setup(1);
+        assert!(!EngineBuilder::new(db, reg).durability.enabled());
+    }
+
+    #[test]
+    #[should_panic(expected = "build_pipelined")]
+    fn one_shot_build_refuses_durability() {
+        let (db, reg) = setup(1);
+        let dir = std::env::temp_dir().join("gputx-builder-refused");
+        EngineBuilder::new(db, reg).with_durability(dir).build();
     }
 
     #[test]

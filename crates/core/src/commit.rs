@@ -5,13 +5,11 @@
 //! writes are captured into one [`BulkLogRecord`], and that same record feeds
 //! every attached consumer in a fixed order — write-ahead log, replication
 //! hub, analytics session — so a record a follower or a snapshot holds is
-//! always one the primary logged. Both engines ([`GpuTxEngine`] and the
-//! pipelined runner) hold one [`GroupCommit`], opened once by `EngineBuilder`,
-//! and bracket each bulk with [`arm`](GroupCommit::arm) /
-//! [`commit`](GroupCommit::commit); they differ only in what they do with a
-//! commit error (see `docs/architecture.md`, "Group commit").
-//!
-//! [`GpuTxEngine`]: crate::GpuTxEngine
+//! always one the primary logged. One engine holds a [`GroupCommit`]: the
+//! pipelined engine's runner, whose seam `EngineBuilder::build_pipelined`
+//! opens once. The runner brackets each bulk with [`arm`](GroupCommit::arm) /
+//! [`commit`](GroupCommit::commit), and a commit error fails the bulk's
+//! tickets (see `docs/architecture.md`, "Group commit").
 
 use gputx_analytics::AnalyticsSession;
 use gputx_durability::{BulkLogRecord, Durability, DurabilityConfig, WriteCapture};
@@ -174,15 +172,5 @@ impl GroupCommit {
     /// The health surface this seam updates.
     pub(crate) fn health(&self) -> Health {
         self.health.clone()
-    }
-
-    /// The redo log, while one is attached.
-    pub(crate) fn wal(&self) -> Option<&Durability> {
-        self.wal.as_ref()
-    }
-
-    /// Mutable access to the redo log (checkpoints).
-    pub(crate) fn wal_mut(&mut self) -> Option<&mut Durability> {
-        self.wal.as_mut()
     }
 }

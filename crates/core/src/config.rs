@@ -1,6 +1,5 @@
 //! Engine configuration.
 
-use gputx_durability::DurabilityConfig;
 use gputx_sim::DeviceSpec;
 use serde::{Deserialize, Serialize};
 
@@ -47,7 +46,8 @@ impl Default for SelectionThresholds {
     }
 }
 
-/// Configuration of the GPUTx engine.
+/// Configuration of the one-shot GPUTx engine
+/// ([`GpuTxEngine`](crate::GpuTxEngine)).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineConfig {
     /// The simulated device to run on.
@@ -71,13 +71,6 @@ pub struct EngineConfig {
     /// Relax the timestamp constraint (Appendix G): bulk generation skips the
     /// rank computation and locks only enforce mutual exclusion.
     pub relax_timestamps: bool,
-    /// Crash durability: when a directory is configured, every committed
-    /// bulk appends one redo record (its net typed write-set) to a
-    /// write-ahead log there, fsynced per the configured policy, and
-    /// `gputx_durability::recover` rebuilds the committed state after a
-    /// crash. Disabled by default — the engines then behave exactly as
-    /// before, paying zero logging cost.
-    pub durability: DurabilityConfig,
 }
 
 impl Default for EngineConfig {
@@ -91,7 +84,6 @@ impl Default for EngineConfig {
             partition_size: 128,
             undo_logging: true,
             relax_timestamps: false,
-            durability: DurabilityConfig::disabled(),
         }
     }
 }
@@ -213,11 +205,6 @@ mod tests {
         assert_eq!(c.grouping_passes, 2);
         assert_eq!(c.partition_size, 64);
         assert!(c.relax_timestamps);
-    }
-
-    #[test]
-    fn durability_disabled_by_default() {
-        assert!(!EngineConfig::default().durability.enabled());
     }
 
     #[test]

@@ -9,12 +9,10 @@
 
 use crate::adaptive::{AdaptiveSelector, DecisionStats};
 use crate::bulk::{Bulk, BulkReport};
-use crate::commit::GroupCommit;
 use crate::config::EngineConfig;
 use crate::profiler::{profile_bulk, BulkProfile};
 use crate::select::{choose_strategy, selector_for};
 use crate::strategy::{execute_bulk, ExecContext, StrategyKind};
-use gputx_durability::DurabilityStats;
 use gputx_sim::{Gpu, SimDuration, Throughput};
 use gputx_storage::{Database, Value};
 use gputx_txn::{ProcedureRegistry, TransactionPool, TxnId, TxnOutcome, TxnTypeId};
@@ -30,6 +28,10 @@ pub struct TxnResult {
 
 /// The GPUTx engine. Constructed by
 /// [`EngineBuilder::build`](crate::EngineBuilder::build).
+///
+/// It commits to no consumer: a write-ahead log, a replication hub and an
+/// analytics session attach only to the streaming
+/// [`PipelinedGpuTx`](crate::PipelinedGpuTx).
 #[derive(Debug)]
 pub struct GpuTxEngine {
     gpu: Gpu,
@@ -40,8 +42,6 @@ pub struct GpuTxEngine {
     reports: Vec<BulkReport>,
     results: Vec<TxnResult>,
     load_time: SimDuration,
-    /// Where committed bulks go: WAL, replication hub, analytics session.
-    commit: GroupCommit,
     /// Cost-model strategy selector, present under
     /// `StrategyChoice::Adaptive`. The one-shot engine applies its strategy
     /// decisions but keeps `config.bulk_size` bulk boundaries: nothing reads
@@ -56,7 +56,6 @@ impl GpuTxEngine {
         db: Database,
         registry: ProcedureRegistry,
         config: EngineConfig,
-        commit: GroupCommit,
     ) -> Self {
         let mut gpu = Gpu::new(config.device.clone());
         let load_time = db.load_to_device(&mut gpu);
@@ -70,15 +69,8 @@ impl GpuTxEngine {
             reports: Vec::new(),
             results: Vec::new(),
             load_time,
-            commit,
             selector,
         }
-    }
-
-    /// The engine's shared health surface (WAL state including automatic
-    /// heals and degradation, replication progress, fault-plane activity).
-    pub fn health(&self) -> gputx_faults::Health {
-        self.commit.health()
     }
 
     /// Submit a transaction (`Execute procedure_name(parameters)`); returns
@@ -127,22 +119,13 @@ impl GpuTxEngine {
         self.selector.as_ref().map(|s| s.stats_handle().snapshot())
     }
 
-    /// Generate and execute one bulk with an explicit strategy. With a commit
-    /// consumer attached, the bulk's redo record is appended to the WAL (and
-    /// fsynced per policy) and published before this returns — the
-    /// group-commit point of the one-shot engine.
-    ///
-    /// Panics with the commit error when the log has degraded under
-    /// `HealPolicy { writes_when_degraded: false, .. }`: this API has no
-    /// per-bulk error channel, and returning normally would report an
-    /// unlogged bulk as committed.
+    /// Generate and execute one bulk with an explicit strategy.
     pub fn execute_pending_with(&mut self, strategy: StrategyKind) -> Option<BulkReport> {
         if self.pool.is_empty() {
             return None;
         }
         let sigs = self.pool.drain(self.config.bulk_size);
         let bulk = Bulk::new(sigs);
-        let capture = self.commit.arm(&mut self.db);
         let mut ctx = ExecContext {
             gpu: &mut self.gpu,
             db: &mut self.db,
@@ -150,9 +133,6 @@ impl GpuTxEngine {
             config: &self.config,
         };
         let outcome = execute_bulk(&mut ctx, strategy, &bulk);
-        if let Some(capture) = capture {
-            (self.commit.commit(&mut self.db, capture)).unwrap_or_else(|e| panic!("{e}"));
-        }
         for (id, o) in &outcome.outcomes {
             self.results.push(TxnResult {
                 id: *id,
@@ -228,28 +208,6 @@ impl GpuTxEngine {
     /// Total aborted transactions so far.
     pub fn total_aborted(&self) -> usize {
         self.reports.iter().map(|r| r.aborted).sum()
-    }
-
-    /// Take a durability checkpoint: snapshot the current database state and
-    /// truncate the write-ahead log. No-op returning `false` when durability
-    /// is disabled; panics on I/O failure (like the logging path, a silently
-    /// dropped snapshot would forfeit the durability guarantee).
-    pub fn checkpoint(&mut self) -> bool {
-        match self.commit.wal_mut() {
-            Some(durability) => {
-                durability
-                    .checkpoint(&self.db)
-                    .unwrap_or_else(|e| panic!("durability checkpoint failed: {e}"));
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Durability cost accounting (records, bytes, fsyncs, logging seconds);
-    /// `None` when durability is disabled.
-    pub fn durability_stats(&self) -> Option<DurabilityStats> {
-        self.commit.wal().map(|d| d.stats())
     }
 }
 

@@ -24,9 +24,10 @@
 //!   one execution thread) and the arrival/response-time simulation behind the
 //!   response-time-vs-throughput figures (Figures 9 and 15).
 //! * [`builder`] — the [`EngineBuilder`]: one fluent construction surface
-//!   for the one-shot, pipelined and CPU engines, including the replication
-//!   role (primary log shipping via `gputx-replication`) and the HTAP read
-//!   path (bulk-boundary analytics snapshots via `gputx-analytics`).
+//!   for the one-shot, pipelined and CPU engines. Durability, the
+//!   replication role (primary log shipping via `gputx-replication`) and
+//!   the HTAP read path (bulk-boundary analytics snapshots via
+//!   `gputx-analytics`) attach to the pipelined engine only.
 //! * [`error`] — typed engine errors ([`EngineError`]).
 //! * [`engine`] — the [`engine::GpuTxEngine`] facade: register procedures,
 //!   load the database to the device, submit transactions, execute bulks and

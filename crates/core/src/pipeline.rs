@@ -137,11 +137,12 @@ impl BulkRunner for GpuTxRunner {
 ///              N+1 forms ∥ run N)    commit, resolve in submission order
 /// ```
 ///
-/// Prefer this over the one-shot [`GpuTxEngine`](crate::GpuTxEngine) when
-/// transactions arrive continuously and per-transaction latency matters;
-/// prefer one-shot bulks for offline/batch runs, for the simulated-GPU
-/// cost model (the pipeline measures wall-clock only) and for per-bulk
-/// strategy selection: the pipeline ignores `StrategyChoice`.
+/// This is the engine that serves: the only one that commits to consumers
+/// (write-ahead log, replication hub, analytics session) and the one the
+/// server drives. The one-shot [`GpuTxEngine`](crate::GpuTxEngine) is the
+/// paper's simulated-GPU bulk engine: use it for the simulated-GPU cost
+/// model (the pipeline measures wall-clock only) and for per-bulk strategy
+/// selection, since the pipeline ignores `StrategyChoice`.
 #[derive(Debug)]
 pub struct PipelinedGpuTx {
     engine: PipelinedEngine<GpuTxRunner>,

@@ -13,8 +13,6 @@
 //! its slowest core finishes.
 
 use crate::cost::{trace_cpu_seconds, CPU_DISPATCH_OVERHEAD_NS};
-use gputx_durability::Durability;
-use gputx_exec::ExecError;
 use gputx_sim::{CpuSpec, SimDuration, Throughput};
 use gputx_storage::Database;
 use gputx_txn::{ProcedureRegistry, TxnId, TxnOutcome, TxnSignature};
@@ -183,30 +181,6 @@ impl CpuEngine {
             aborted: bulk.len() - committed,
             outcomes,
         }
-    }
-
-    /// [`CpuEngine::execute_bulk`] with redo logging: the bulk's write
-    /// capture brackets the execution and the record is appended (fsynced per
-    /// the durability handle's policy) before this returns — the same
-    /// bulk-boundary group commit the GPU engines use. On an append failure
-    /// ([`ExecError::LogAppendFailed`], the only error) the bulk's functional
-    /// effects are applied but the error tells the caller durability was not
-    /// achieved.
-    pub fn try_execute_bulk_durable(
-        &self,
-        db: &mut Database,
-        registry: &ProcedureRegistry,
-        bulk: &[TxnSignature],
-        durability: &mut Durability,
-    ) -> Result<CpuBulkReport, ExecError> {
-        let capture = durability.begin_bulk(db);
-        let report = self.execute_bulk(db, registry, bulk);
-        durability
-            .commit_bulk(capture, db)
-            .map_err(|e| ExecError::LogAppendFailed {
-                message: e.to_string(),
-            })?;
-        Ok(report)
     }
 }
 

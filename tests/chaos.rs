@@ -20,7 +20,7 @@
 //!   replay of the committed transactions.
 
 use gputx_client::{Client, ClientConfig, TxnResult};
-use gputx_core::{EngineBuilder, PipelineConfig, StrategyChoice};
+use gputx_core::{EngineBuilder, PipelineConfig, PipelinedGpuTx, StrategyChoice};
 use gputx_durability::recover;
 use gputx_faults::{BackoffPolicy, FaultPlan, HealPolicy, WalState};
 use gputx_replication::{ReplicaSupervisor, SupervisorConfig};
@@ -78,6 +78,15 @@ fn serial_replay(
     db
 }
 
+/// Submit `chunk` (at most one bulk's worth) to an engine that closes bulks
+/// by size, and wait for its bulk to commit.
+fn commit_bulk(engine: &PipelinedGpuTx, chunk: &[TxnSignature]) {
+    for sig in chunk {
+        engine.submit(sig.ty, sig.params.clone()).expect("submit");
+    }
+    engine.flush().expect("bulk commits");
+}
+
 /// Fast backoff so chaos runs spend their time injecting, not sleeping.
 fn fast_backoff(seed: u64) -> BackoffPolicy {
     BackoffPolicy {
@@ -106,17 +115,7 @@ fn wal_storm_plan(seed: u64) -> FaultPlan {
     .with_max_faults(5)
 }
 
-/// Which engine a WAL storm drives. Both see the same bulk boundaries: the
-/// one-shot engine executes `PER_BULK` pending transactions at a time, the
-/// pipelined engine closes every bulk at `PER_BULK` by size.
-#[derive(Debug, Clone, Copy)]
-enum Flavor {
-    OneShot,
-    Pipelined,
-}
-
-/// What one WAL-storm run observed; equal across runs of one seed and across
-/// flavors.
+/// What one WAL-storm run observed; equal across runs of one seed.
 #[derive(Debug, PartialEq)]
 struct StormOutcome {
     heals: u64,
@@ -124,20 +123,18 @@ struct StormOutcome {
     wal: WalState,
 }
 
-/// A durable engine builder over the storm stream's database, cut into
-/// `per_bulk`-sized bulks by either flavor.
+/// A durable pipelined engine builder over `bundle`'s database that closes
+/// every bulk at `per_bulk` transactions by size.
 fn storm_builder(bundle: &WorkloadBundle, dir: &std::path::Path, per_bulk: usize) -> EngineBuilder {
     EngineBuilder::new(bundle.db.clone(), bundle.registry.clone())
-        .with_strategy(StrategyChoice::ForceKset)
         .with_durability(dir)
-        .with_bulk_size(per_bulk)
         .with_max_bulk_size(per_bulk)
         .with_max_wait_us(10_000_000)
 }
 
 /// One seeded WAL-storm run: returns the final database plus what the health
-/// surface observed, so callers can assert determinism and flavor parity.
-fn run_wal_storm(plan: Option<FaultPlan>, flavor: Flavor, name: &str) -> (Database, StormOutcome) {
+/// surface observed, so callers can assert determinism.
+fn run_wal_storm(plan: Option<FaultPlan>, name: &str) -> (Database, StormOutcome) {
     const BULKS: usize = 10;
     const PER_BULK: usize = 16;
     let bundle = micro(128, 0xD15C);
@@ -148,25 +145,12 @@ fn run_wal_storm(plan: Option<FaultPlan>, flavor: Flavor, name: &str) -> (Databa
         builder = builder.faults(plan);
     }
     let health = builder.health();
-    let db = match flavor {
-        Flavor::OneShot => {
-            let mut engine = builder.build();
-            for sig in &sigs {
-                engine.submit(sig.ty, sig.params.clone());
-            }
-            assert_eq!(engine.run_until_empty().len(), BULKS);
-            engine.db().clone()
-        }
-        Flavor::Pipelined => {
-            let engine = builder.build_pipelined();
-            for sig in &sigs {
-                engine.submit(sig.ty, sig.params.clone()).expect("submit");
-            }
-            let (db, stats) = engine.finish().expect("pipeline finishes cleanly");
-            assert_eq!((stats.bulks(), stats.bulks_failed), (BULKS as u64, 0));
-            db
-        }
-    };
+    let engine = builder.build_pipelined();
+    for sig in &sigs {
+        engine.submit(sig.ty, sig.params.clone()).expect("submit");
+    }
+    let (db, stats) = engine.finish().expect("pipeline finishes cleanly");
+    assert_eq!((stats.bulks(), stats.bulks_failed), (BULKS as u64, 0));
     let report = health.report();
     assert!(
         matches!(report.wal, WalState::Healthy | WalState::Healed),
@@ -177,7 +161,7 @@ fn run_wal_storm(plan: Option<FaultPlan>, flavor: Flavor, name: &str) -> (Databa
     let recovered = recover(&dir).expect("recovery after WAL storm");
     assert!(
         recovered.db == db,
-        "{flavor:?}: recovery must reproduce the live state exactly"
+        "{name}: recovery must reproduce the live state exactly"
     );
     let _ = std::fs::remove_dir_all(&dir);
     let outcome = StormOutcome {
@@ -190,26 +174,18 @@ fn run_wal_storm(plan: Option<FaultPlan>, flavor: Flavor, name: &str) -> (Databa
 
 /// The same seed injects the same WAL faults at the same appends; the engine
 /// heals through all of them; the committed state is bit-identical to the
-/// fault-free run — and, because both engines commit through one seam, the
-/// pipelined engine heals exactly as often and ends in the same WAL state as
-/// the one-shot engine.
+/// fault-free run.
 #[test]
 fn wal_fault_storm_heals_deterministically() {
     let plan = || Some(wal_storm_plan(0xBAD_5EED));
-    let (db_a, a) = run_wal_storm(plan(), Flavor::OneShot, "wal-a");
-    let (db_b, b) = run_wal_storm(plan(), Flavor::OneShot, "wal-b");
-    let (db_p, p) = run_wal_storm(plan(), Flavor::Pipelined, "wal-p");
+    let (db_a, a) = run_wal_storm(plan(), "wal-a");
+    let (db_b, b) = run_wal_storm(plan(), "wal-b");
     assert!(a.injected > 0, "the storm must actually inject faults");
     assert!(a.heals >= 1, "injected WAL faults must trigger heals");
     assert_eq!(a, b, "same seed, same fault schedule, same heal count");
-    assert_eq!(a, p, "one commit seam: both flavors heal identically");
     assert!(db_a == db_b, "same seed must produce bit-identical state");
-    assert!(
-        db_a == db_p,
-        "both flavors must produce bit-identical state"
-    );
 
-    let (db_clean, clean) = run_wal_storm(None, Flavor::OneShot, "wal-clean");
+    let (db_clean, clean) = run_wal_storm(None, "wal-clean");
     assert_eq!((clean.heals, clean.injected), (0, 0));
     assert!(
         db_a == db_clean,
@@ -217,31 +193,25 @@ fn wal_fault_storm_heals_deterministically() {
     );
 }
 
-/// With the budget spent and `writes_when_degraded: false` both flavors
-/// refuse the write with the same typed error: the pipelined engine fails
-/// the bulk's tickets with it, the one-shot engine — whose API has no
-/// per-bulk error channel — panics with its `Display`.
+/// With the budget spent and `writes_when_degraded: false` the engine
+/// refuses the write with a typed error: it fails the bulk's tickets with
+/// `ExecError::LogAppendFailed`.
 #[test]
-fn degraded_log_refuses_writes_identically_on_both_flavors() {
+fn degraded_log_fails_the_bulk_tickets_with_the_commit_error() {
     const PER_BULK: usize = 8;
     let bundle = micro(64, 0xF00D);
     let sigs = micro(64, 0xF00D).generate_signatures(PER_BULK, 0);
-    let refusing = |name: &str| {
-        let dir = scratch_dir(name);
-        let builder = storm_builder(&bundle, &dir, PER_BULK)
-            .faults(FaultPlan {
-                seed: 7,
-                wal_append_error: 1.0,
-                ..FaultPlan::disabled()
-            })
-            .heal_policy(HealPolicy {
-                heal_budget: 0,
-                writes_when_degraded: false,
-            });
-        (builder, dir)
-    };
-
-    let (builder, dir) = refusing("refuse-pipelined");
+    let dir = scratch_dir("refuse");
+    let builder = storm_builder(&bundle, &dir, PER_BULK)
+        .faults(FaultPlan {
+            seed: 7,
+            wal_append_error: 1.0,
+            ..FaultPlan::disabled()
+        })
+        .heal_policy(HealPolicy {
+            heal_budget: 0,
+            writes_when_degraded: false,
+        });
     let health = builder.health();
     let engine = builder.build_pipelined();
     let tickets: Vec<_> = sigs
@@ -264,26 +234,6 @@ fn degraded_log_refuses_writes_identically_on_both_flavors() {
     assert_eq!(health.report().wal, WalState::Degraded);
     drop(engine);
     let _ = std::fs::remove_dir_all(&dir);
-
-    let (builder, dir) = refusing("refuse-oneshot");
-    let health = builder.health();
-    let mut engine = builder.build();
-    for sig in &sigs {
-        engine.submit(sig.ty, sig.params.clone());
-    }
-    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        engine.execute_pending();
-    }))
-    .expect_err("a degraded one-shot engine must refuse the bulk");
-    let message = panic
-        .downcast_ref::<String>()
-        .expect("panic carries the formatted error");
-    assert_eq!(
-        *message, errors[0],
-        "the one-shot panic is the seam error's Display"
-    );
-    assert_eq!(health.report().wal, WalState::Degraded);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// With the heal budget spent the engine degrades *visibly* instead of
@@ -302,25 +252,24 @@ fn heal_budget_exhaustion_degrades_without_losing_the_engine() {
         wal_append_error: 1.0,
         ..FaultPlan::disabled()
     };
-    let builder = EngineBuilder::new(bundle.db.clone(), bundle.registry.clone())
-        .with_strategy(StrategyChoice::ForceKset)
-        .with_durability(&dir)
+    let builder = storm_builder(&bundle, &dir, PER_BULK)
         .faults(plan)
         .heal_policy(HealPolicy {
             heal_budget: 0,
             writes_when_degraded: true,
         });
     let health = builder.health();
-    let mut engine = builder.build();
+    let engine = builder.build_pipelined();
     assert_eq!(health.report().wal, WalState::Healthy);
 
     for chunk in sigs.chunks(PER_BULK) {
-        for sig in chunk {
-            engine.submit(sig.ty, sig.params.clone());
+        let tickets: Vec<_> = chunk
+            .iter()
+            .map(|sig| engine.submit(sig.ty, sig.params.clone()).expect("submit"))
+            .collect();
+        for ticket in tickets {
+            ticket.wait().expect("degraded engine keeps serving");
         }
-        engine
-            .execute_pending()
-            .expect("degraded engine keeps serving");
     }
     let report = health.report();
     assert_eq!(
@@ -334,7 +283,8 @@ fn heal_budget_exhaustion_degrades_without_losing_the_engine() {
     // the serial replay of everything committed.
     let bulks: Vec<&[TxnSignature]> = sigs.chunks(PER_BULK).collect();
     let reference = serial_replay(&bundle.db, &bundle.registry, &bulks);
-    assert!(*engine.db() == reference);
+    let (db, _) = engine.finish().expect("pipeline finishes cleanly");
+    assert!(db == reference);
 
     // The log was abandoned before any record landed, so recovery returns
     // exactly the initial checkpoint — stale but consistent, never torn.
@@ -588,25 +538,23 @@ fn chaos_storm_long_soak() {
 // ---------------------------------------------------------------------------
 
 /// One proptest case: engine + durability + supervised replication under a
-/// seed-derived storm (WAL faults plus follower stall/kill). The one-shot
-/// engine acks everything it executes, so the final state must equal a
-/// serial replay of *all* submitted transactions — and mirror, replica and
-/// recovery must agree with it.
+/// seed-derived storm (WAL faults plus follower stall/kill). The default
+/// heal policy keeps writing when degraded, so every bulk commits and the
+/// final state must equal a serial replay of *all* submitted transactions —
+/// and mirror, replica and recovery must agree with it.
 fn assert_seeded_storm_converges(seed: u64) {
     const BULKS: usize = 3;
     const PER_BULK: usize = 8;
     let bundle = micro(64, 0x5EED);
     let sigs = micro(64, 0x5EED).generate_signatures(BULKS * PER_BULK, 0);
     let dir = scratch_dir(&format!("prop-{seed:x}"));
-    let builder = EngineBuilder::new(bundle.db.clone(), bundle.registry.clone())
-        .with_strategy(StrategyChoice::ForceKset)
-        .with_durability(&dir)
+    let builder = storm_builder(&bundle, &dir, PER_BULK)
         .replicate()
         .faults(FaultPlan::storm(seed).with_max_faults(12));
     let health = builder.health();
     let hub = builder.hub().expect("replicate() creates the hub");
     let injector = builder.faults_injector().expect("plan installed");
-    let mut engine = builder.build();
+    let engine = builder.build_pipelined();
 
     let mut sup = {
         let hub = hub.clone();
@@ -627,20 +575,17 @@ fn assert_seeded_storm_converges(seed: u64) {
     };
 
     for chunk in sigs.chunks(PER_BULK) {
-        for sig in chunk {
-            engine.submit(sig.ty, sig.params.clone());
-        }
-        engine
-            .execute_pending()
-            .expect("bulk executes under the storm");
+        commit_bulk(&engine, chunk);
     }
+    let (db, stats) = engine.finish().expect("pipeline finishes cleanly");
+    assert_eq!(stats.bulks_failed, 0, "no bulk fails under the storm");
 
-    // Everything the one-shot engine executed was acked, so the reference is
-    // the serial replay of the full stream.
+    // Every bulk committed, so the reference is the serial replay of the
+    // full stream.
     let bulks: Vec<&[TxnSignature]> = sigs.chunks(PER_BULK).collect();
     let reference = serial_replay(&bundle.db, &bundle.registry, &bulks);
     assert!(
-        *engine.db() == reference,
+        db == reference,
         "engine state must equal serial replay (seed {seed:#x})"
     );
     assert!(

@@ -7,7 +7,7 @@
 //!   equal the live final
 //!   database exactly (`Database` equality compares every table cell, delete
 //!   flag and index entry).
-//! * **Pipeline** — the streaming engine's execution stage is the group
+//! * **Pipeline** — the streaming engine's execution thread is the group
 //!   commit point; after a clean shutdown, recovery equals the pipeline's
 //!   final state.
 //! * **Torn tail (property)** — chop the WAL at an arbitrary byte offset;
@@ -31,8 +31,9 @@ fn scratch_dir(name: &str) -> PathBuf {
 }
 
 /// Run `n_txns` of the bundle's workload through a durability-enabled
-/// one-shot engine in bulks of `bulk_size`. Returns the final live database
-/// plus the state snapshot after every bulk (index 0 = initial state).
+/// pipelined engine that closes a bulk every `bulk_size` transactions.
+/// Returns the final live database plus the serial replay of every bulk
+/// prefix (index 0 = initial state), which the live state must end on.
 fn run_logged_bulks(
     bundle: &mut WorkloadBundle,
     dir: &Path,
@@ -40,19 +41,30 @@ fn run_logged_bulks(
     n_txns: usize,
     bulk_size: usize,
 ) -> (Database, Vec<Database>) {
-    let mut engine = EngineBuilder::new(bundle.db.clone(), bundle.registry.clone())
-        .with_strategy(StrategyChoice::ForceKset)
-        .with_bulk_size(bulk_size)
+    let engine = EngineBuilder::new(bundle.db.clone(), bundle.registry.clone())
+        .with_max_bulk_size(bulk_size)
+        .with_max_wait_us(10_000_000)
         .with_durability_config(DurabilityConfig::at(dir).with_fsync(fsync))
-        .build();
-    for (ty, params) in bundle.generate(n_txns) {
-        engine.submit(ty, params);
+        .build_pipelined();
+    let mut states = vec![bundle.db.clone()];
+    for chunk in bundle.generate_signatures(n_txns, 0).chunks(bulk_size) {
+        for sig in chunk {
+            engine.submit(sig.ty, sig.params.clone()).expect("submit");
+        }
+        engine.flush().expect("bulk commits");
+        let mut next = states.last().expect("non-empty").clone();
+        for sig in chunk {
+            bundle.registry.execute(sig, &mut next);
+        }
+        next.apply_insert_buffers();
+        states.push(next);
     }
-    let mut states = vec![engine.db().clone()];
-    while engine.execute_pending().is_some() {
-        states.push(engine.db().clone());
-    }
-    (engine.db().clone(), states)
+    let (live, _) = engine.finish().expect("pipeline finishes cleanly");
+    assert!(
+        live == *states.last().expect("non-empty"),
+        "the live state is the serial replay of every bulk"
+    );
+    (live, states)
 }
 
 #[test]
@@ -76,36 +88,6 @@ fn recovery_equals_live_state_on_tm1_and_micro() {
             "{name}: recovered state must equal the live state"
         );
     }
-}
-
-#[test]
-fn checkpoint_mid_run_truncates_log_and_recovery_resumes() {
-    let mut bundle = MicroWorkload::build(&MicroConfig::default().with_tuples(1024));
-    let dir = scratch_dir("mid-ckpt");
-    let mut engine = EngineBuilder::new(bundle.db.clone(), bundle.registry.clone())
-        .with_strategy(StrategyChoice::ForceKset)
-        .with_bulk_size(256)
-        .with_durability(&dir)
-        .build();
-    for (ty, params) in bundle.generate(1024) {
-        engine.submit(ty, params);
-    }
-    engine.execute_pending().expect("bulk 1");
-    engine.execute_pending().expect("bulk 2");
-    assert!(engine.checkpoint(), "durability is enabled");
-    engine.execute_pending().expect("bulk 3");
-    engine.execute_pending().expect("bulk 4");
-    let live = engine.db().clone();
-    let stats = engine.durability_stats().expect("stats present");
-    assert_eq!(
-        stats.records, 2,
-        "checkpoint truncated the first two records"
-    );
-    drop(engine);
-    let recovery = recover(&dir).expect("recover");
-    assert_eq!(recovery.replayed, 2, "only post-checkpoint bulks replay");
-    assert_eq!(recovery.next_lsn, 4);
-    assert!(recovery.db == live);
 }
 
 #[test]

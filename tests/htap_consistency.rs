@@ -25,7 +25,7 @@ use gputx_storage::Database;
 use gputx_txn::TxnSignature;
 use gputx_workloads::Tm1Config;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 const N_TXNS: usize = 4_096;
@@ -89,9 +89,14 @@ fn scan_under_load_matches_serial_replay() {
     let engine = builder.build_pipelined();
 
     let done = Arc::new(AtomicBool::new(false));
+    // The scanner makes its first observation before anything is submitted,
+    // so it observes once with `done` unset and once after: at least twice
+    // however late its thread is first scheduled.
+    let first_observed = Arc::new(Barrier::new(2));
     let scanner = {
         let session = session.clone();
         let done = done.clone();
+        let first_observed = first_observed.clone();
         std::thread::spawn(move || {
             let mut observed: Vec<(u64, ScanResult)> = Vec::new();
             loop {
@@ -101,6 +106,9 @@ fn scan_under_load_matches_serial_replay() {
                     snap.records_applied(),
                     scan(&snap, table, ScanOptions::parallel(4)),
                 ));
+                if observed.len() == 1 {
+                    first_observed.wait();
+                }
                 if finished {
                     return observed;
                 }
@@ -108,6 +116,7 @@ fn scan_under_load_matches_serial_replay() {
             }
         })
     };
+    first_observed.wait();
     for sig in &sigs {
         engine.submit(sig.ty, sig.params.clone()).unwrap();
     }

@@ -4,9 +4,9 @@
 //!   bulk boundaries, `PipelinedGpuTx` must commit the exact same final
 //!   database state (and per-transaction outcomes) as the one-shot
 //!   `execute_bulk` path, for the K-SET, PART and
-//!   TPL strategies, on TM1 and the micro benchmark. Every strategy runs
-//!   with the grouping stage's access plan, and TM1's call-forwarding
-//!   inserts make the grouping stage release its copies of those indexes.
+//!   TPL strategies, on TM1 and the micro benchmark. The pipeline runs
+//!   each bulk on its one execution thread without an access plan, and
+//!   TM1's call-forwarding inserts update indexes that later bulks probe.
 //!   The pipeline runs every bulk in timestamp order, so these tests also
 //!   show that order equals each one-shot strategy's schedule.
 //! * **Admission order** — a procedure that touches a row its declared
@@ -80,9 +80,9 @@ fn pipelined(
     sigs: &[TxnSignature],
     strategy: StrategyChoice,
 ) -> (Database, Vec<(TxnId, TxnOutcome)>) {
-    // A copy that shares no index with `db0`: the engine's stages are then
-    // the only holders, as in a served engine, so the grouping stage
-    // releases every index execution writes.
+    // A copy that shares no index with `db0`: the engine is then the only
+    // holder of its indexes, as in a served engine, so writing one never
+    // clones it.
     let db = db0.rebuilt_with_layout(db0.layout());
     assert!(db == *db0);
     let engine = EngineBuilder::new(db, registry.clone())
@@ -358,7 +358,7 @@ fn flush_commits_a_partial_bulk() {
 /// An analytics snapshot held across pipeline shutdown: every outstanding
 /// ticket still resolves, the snapshot stays readable (bit-identically)
 /// after the engine and the session are gone, and no drop order of
-/// {engine, session, snapshot} deadlocks the stage threads.
+/// {engine, session, snapshot} deadlocks the execution thread.
 #[test]
 fn snapshot_held_across_pipeline_shutdown() {
     use gputx_analytics::{count_rows, sum_i64, Predicate, ScanOptions};

@@ -1,10 +1,9 @@
 //! End-to-end replication tests: the replica is the primary, bit for bit.
 //!
-//! * **Promoted prefix == serial replay** — drive a replicated engine over a
-//!   seeded micro stream, promote the follower, and require its database to
-//!   be bit-identical to the engine's own state after the same number of
-//!   bulks — which is itself asserted equal to a serial replay of exactly
-//!   those transactions.
+//! * **Promoted prefix == serial replay** — drive a replicated pipelined
+//!   engine over a seeded micro stream, promote the follower, and require its
+//!   database to be bit-identical to the engine's own final state and to a
+//!   serial replay of exactly the acked transactions.
 //! * **Arbitrary stream chops** — capture the exact byte stream a primary
 //!   sends a fresh follower (snapshot + records), then cut it at arbitrary
 //!   byte offsets (proptest + every frame boundary): the replica must apply
@@ -17,7 +16,7 @@
 //! * **Slow followers shed, never block** — a follower that stops reading
 //!   gets gap-marked and resynced; the commit path never waits on it.
 
-use gputx_core::EngineBuilder;
+use gputx_core::{EngineBuilder, PipelinedGpuTx};
 use gputx_durability::BulkLogRecord;
 use gputx_replication::{
     Replica, ReplicaSeed, ReplicaSupervisor, ReplicationOptions, SupervisorConfig,
@@ -46,6 +45,24 @@ fn micro(tuples: u64, seed: u64) -> WorkloadBundle {
     bundle
 }
 
+/// A pipelined engine over `bundle` that closes every bulk at `per_bulk`
+/// transactions by size: the timer never fires, so [`commit_bulk`] cuts the
+/// bulks exactly where a test's chunks end.
+fn bulk_builder(bundle: &WorkloadBundle, per_bulk: usize) -> EngineBuilder {
+    EngineBuilder::new(bundle.db.clone(), bundle.registry.clone())
+        .with_max_bulk_size(per_bulk)
+        .with_max_wait_us(10_000_000)
+}
+
+/// Submit `chunk` (at most one bulk's worth) and wait for its bulk to
+/// commit and publish.
+fn commit_bulk(engine: &PipelinedGpuTx, chunk: &[TxnSignature]) {
+    for sig in chunk {
+        engine.submit(sig.ty, sig.params.clone()).expect("submit");
+    }
+    engine.flush().expect("bulk commits");
+}
+
 /// Replay `sigs` serially (the paper's reference execution) and apply the
 /// insert buffers once per bulk, exactly like the engine's commit.
 fn serial_replay(
@@ -65,8 +82,8 @@ fn serial_replay(
 
 /// The tentpole property: run a replicated engine, kill the primary, and the
 /// promoted follower's committed prefix is bit-identical — both to the
-/// primary's own state after each bulk and to a serial replay of exactly the
-/// acked transactions.
+/// primary's own final state and to a serial replay of exactly the acked
+/// transactions.
 #[test]
 fn promoted_follower_prefix_is_bit_identical_to_serial_replay() {
     const BULKS: usize = 8;
@@ -76,34 +93,27 @@ fn promoted_follower_prefix_is_bit_identical_to_serial_replay() {
         let mut b = micro(256, 0xA11CE);
         b.generate_signatures(BULKS * PER_BULK, 0)
     };
-    let builder = EngineBuilder::new(bundle.db.clone(), bundle.registry.clone()).replicate();
+    let builder = bulk_builder(&bundle, PER_BULK).replicate();
     let hub = builder.hub().expect("replicate() creates the hub");
-    let mut engine = builder.build();
+    let engine = builder.build_pipelined();
 
     let (server_end, follower_end) = socket_pair().expect("socketpair");
     hub.attach(server_end).expect("attach follower");
     let replica = Replica::start(follower_end).expect("start follower");
     assert!(replica.wait_synced(WAIT), "initial snapshot must install");
 
-    // One engine snapshot per committed bulk: states[k] = after k records.
-    let mut states: Vec<Database> = vec![engine.db().clone()];
     for chunk in sigs.chunks(PER_BULK) {
-        for sig in chunk {
-            engine.submit(sig.ty, sig.params.clone());
-        }
-        engine.execute_pending().expect("bulk executes");
-        states.push(engine.db().clone());
+        commit_bulk(&engine, chunk);
     }
     assert!(
         hub.wait_acked(BULKS as u64, WAIT),
         "follower must ack the full stream"
     );
-    // The one-shot engine commits through the same seam as the pipelined
-    // one, so its health surface tracks replication too (it used to report
-    // no followers and LSN 0 forever).
+    // The health surface tracks replication at the group-commit point.
     let report = engine.health().report();
     assert_eq!(report.repl_followers, 1);
     assert_eq!(report.repl_next_lsn, hub.next_lsn());
+    let (primary, _) = engine.finish().expect("pipeline finishes cleanly");
 
     // Primary loss: fence the hub and hand off to the best follower.
     assert!(hub.retire(), "retire hands off to the acked follower");
@@ -111,7 +121,7 @@ fn promoted_follower_prefix_is_bit_identical_to_serial_replay() {
     let applied = promotion.applied_lsn as usize;
     assert_eq!(applied, BULKS, "fully acked follower applied everything");
     assert!(
-        promotion.db == states[applied],
+        promotion.db == primary,
         "promoted prefix must equal the primary's state at LSN {applied}"
     );
     // And the primary's state is itself the serial replay of those bulks.
@@ -147,9 +157,9 @@ fn captured_stream() -> &'static CapturedStream {
             let mut b = micro(128, 0xC0FFEE);
             b.generate_signatures(BULKS * PER_BULK, 0)
         };
-        let builder = EngineBuilder::new(bundle.db.clone(), bundle.registry.clone()).replicate();
+        let builder = bulk_builder(&bundle, PER_BULK).replicate();
         let hub = builder.hub().expect("hub");
-        let mut engine = builder.build();
+        let engine = builder.build_pipelined();
 
         // A raw witness follower: handshake by hand, then capture the
         // primary's frames verbatim.
@@ -175,10 +185,7 @@ fn captured_stream() -> &'static CapturedStream {
         }
 
         for chunk in sigs.chunks(PER_BULK) {
-            for sig in chunk {
-                engine.submit(sig.ty, sig.params.clone());
-            }
-            engine.execute_pending().expect("bulk executes");
+            commit_bulk(&engine, chunk);
         }
 
         let mut bytes = Vec::new();
@@ -298,24 +305,21 @@ fn follower_killed_mid_run_resyncs_and_converges() {
         let mut b = micro(128, 0xDEAD);
         b.generate_signatures(8 * PER_BULK, 0)
     };
-    let builder = EngineBuilder::new(bundle.db.clone(), bundle.registry.clone()).replicate();
+    let builder = bulk_builder(&bundle, PER_BULK).replicate();
     let hub = builder.hub().expect("hub");
-    let mut engine = builder.build();
+    let engine = builder.build_pipelined();
 
     let (server_end, follower_end) = socket_pair().expect("socketpair");
     hub.attach(server_end).expect("attach");
     let mut replica = Replica::start(follower_end).expect("start");
     assert!(replica.wait_synced(WAIT));
 
-    let run_bulks = |engine: &mut gputx_core::GpuTxEngine, range: std::ops::Range<usize>| {
+    let run_bulks = |range: std::ops::Range<usize>| {
         for chunk in sigs[range.start * PER_BULK..range.end * PER_BULK].chunks(PER_BULK) {
-            for sig in chunk {
-                engine.submit(sig.ty, sig.params.clone());
-            }
-            engine.execute_pending().expect("bulk executes");
+            commit_bulk(&engine, chunk);
         }
     };
-    run_bulks(&mut engine, 0..3);
+    run_bulks(0..3);
     assert!(replica.wait_applied(3, WAIT));
 
     // Kill: stop the reader and remember what the follower had.
@@ -328,7 +332,7 @@ fn follower_killed_mid_run_resyncs_and_converges() {
     drop(replica);
 
     // The primary keeps committing while the follower is down.
-    run_bulks(&mut engine, 3..8);
+    run_bulks(3..8);
 
     // Resync from the seed; the primary sees a stale LSN and snapshots it.
     let (server_end, follower_end) = socket_pair().expect("socketpair");
@@ -338,8 +342,9 @@ fn follower_killed_mid_run_resyncs_and_converges() {
         replica.wait_applied(8, WAIT),
         "resynced follower catches up"
     );
+    let (primary, _) = engine.finish().expect("pipeline finishes cleanly");
     assert!(
-        replica.snapshot_db().expect("synced") == *engine.db(),
+        replica.snapshot_db().expect("synced") == primary,
         "resynced follower must be bit-identical to the primary"
     );
     hub.stop();
@@ -357,9 +362,9 @@ fn supervised_replica_reconnects_and_converges() {
         let mut b = micro(128, 0xFEED);
         b.generate_signatures(8 * PER_BULK, 0)
     };
-    let builder = EngineBuilder::new(bundle.db.clone(), bundle.registry.clone()).replicate();
+    let builder = bulk_builder(&bundle, PER_BULK).replicate();
     let hub = builder.hub().expect("hub");
-    let mut engine = builder.build();
+    let engine = builder.build_pipelined();
 
     // The connector stashes the latest follower-side stream so the test can
     // yank the wire out from under the supervisor.
@@ -380,15 +385,12 @@ fn supervised_replica_reconnects_and_converges() {
     .expect("supervisor starts");
     assert!(sup.wait_synced(WAIT), "initial sync");
 
-    let run_bulks = |engine: &mut gputx_core::GpuTxEngine, range: std::ops::Range<usize>| {
+    let run_bulks = |range: std::ops::Range<usize>| {
         for chunk in sigs[range.start * PER_BULK..range.end * PER_BULK].chunks(PER_BULK) {
-            for sig in chunk {
-                engine.submit(sig.ty, sig.params.clone());
-            }
-            engine.execute_pending().expect("bulk executes");
+            commit_bulk(&engine, chunk);
         }
     };
-    run_bulks(&mut engine, 0..3);
+    run_bulks(0..3);
     assert!(sup.wait_applied(3, WAIT), "live session applies");
 
     // Two outages, each with commits while the wire is down: the supervisor
@@ -401,7 +403,7 @@ fn supervised_replica_reconnects_and_converges() {
             .expect("connected at least once")
             .shutdown(Shutdown::Both)
             .expect("yank the wire");
-        run_bulks(&mut engine, kill..watermark as usize);
+        run_bulks(kill..watermark as usize);
         assert!(
             sup.wait_applied(watermark, WAIT),
             "supervisor catches up to LSN {watermark} after the outage"
@@ -413,14 +415,15 @@ fn supervised_replica_reconnects_and_converges() {
         "each outage forces a reconnect, got {stats:?}"
     );
     assert!(!stats.gave_up, "retry budget never exhausted: {stats:?}");
+    let (primary, _) = engine.finish().expect("pipeline finishes cleanly");
     assert!(
-        sup.snapshot_db().expect("synced") == *engine.db(),
+        sup.snapshot_db().expect("synced") == primary,
         "supervised follower must be bit-identical to the primary"
     );
     sup.stop();
     // State survives stop: the final seed is the converged database.
     assert!(
-        sup.seed().db == *engine.db(),
+        sup.seed().db == primary,
         "seed after stop is the converged state"
     );
     hub.stop();
@@ -576,14 +579,12 @@ fn slow_follower_sheds_but_never_blocks_commits() {
         let mut b = micro(128, 0x51de);
         b.generate_signatures(BULKS * PER_BULK, 0)
     };
-    let builder = EngineBuilder::new(bundle.db.clone(), bundle.registry.clone()).replicate_with(
-        ReplicationOptions {
-            queue_depth: QUEUE_DEPTH,
-            ..ReplicationOptions::default()
-        },
-    );
+    let builder = bulk_builder(&bundle, PER_BULK).replicate_with(ReplicationOptions {
+        queue_depth: QUEUE_DEPTH,
+        ..ReplicationOptions::default()
+    });
     let hub = builder.hub().expect("hub");
-    let mut engine = builder.build();
+    let engine = builder.build_pipelined();
 
     let (server_end, mut follower) = socket_pair().expect("socketpair");
     let gate = Arc::new((Mutex::new(Gate::default()), Condvar::new()));
@@ -611,10 +612,7 @@ fn slow_follower_sheds_but_never_blocks_commits() {
     assert_eq!(hub.stats().followers, 1, "parked after registering");
 
     for chunk in sigs.chunks(PER_BULK) {
-        for sig in chunk {
-            engine.submit(sig.ty, sig.params.clone());
-        }
-        engine.execute_pending().expect("bulk executes");
+        commit_bulk(&engine, chunk);
     }
     // Every publish returned while the follower was provably stalled: the
     // gate never opened, so its session never left that first write.
@@ -623,10 +621,8 @@ fn slow_follower_sheds_but_never_blocks_commits() {
         1,
         "follower stayed stalled throughout"
     );
-    assert_eq!(
-        engine.total_committed() + engine.total_aborted(),
-        BULKS * PER_BULK
-    );
+    let (_, run) = engine.finish().expect("pipeline finishes cleanly");
+    assert_eq!(run.committed + run.aborted, (BULKS * PER_BULK) as u64);
     assert_eq!(hub.next_lsn(), BULKS as u64, "every bulk published");
     // Nobody drained the queue: it took QUEUE_DEPTH records, the next one
     // overflowed it (gap), and everything after the gap was shed too.
@@ -654,9 +650,9 @@ fn soak_two_followers_kill_resync_promote_under_load() {
         let mut b = micro(256, 0x50AC);
         b.generate_signatures(BULKS * PER_BULK, 0)
     };
-    let builder = EngineBuilder::new(bundle.db.clone(), bundle.registry.clone()).replicate();
+    let builder = bulk_builder(&bundle, PER_BULK).replicate();
     let hub = builder.hub().expect("hub");
-    let mut engine = builder.build();
+    let engine = builder.build_pipelined();
 
     let (a_srv, a_end) = socket_pair().expect("socketpair");
     hub.attach(a_srv).expect("attach a");
@@ -666,13 +662,8 @@ fn soak_two_followers_kill_resync_promote_under_load() {
     let mut replica_b = Replica::start(b_end).expect("start b");
     assert!(replica_a.wait_synced(WAIT) && replica_b.wait_synced(WAIT));
 
-    let mut states: Vec<Database> = vec![engine.db().clone()];
     for (i, chunk) in sigs.chunks(PER_BULK).enumerate() {
-        for sig in chunk {
-            engine.submit(sig.ty, sig.params.clone());
-        }
-        engine.execute_pending().expect("bulk executes");
-        states.push(engine.db().clone());
+        commit_bulk(&engine, chunk);
         if i == BULKS / 3 {
             // Kill B mid-run...
             replica_b.stop();
@@ -691,16 +682,17 @@ fn soak_two_followers_kill_resync_promote_under_load() {
     }
     assert!(hub.wait_acked(BULKS as u64, WAIT), "both followers drain");
     assert!(replica_b.wait_applied(BULKS as u64, WAIT));
+    let (primary, _) = engine.finish().expect("pipeline finishes cleanly");
+    let bulks: Vec<&[TxnSignature]> = sigs.chunks(PER_BULK).collect();
+    assert!(
+        primary == serial_replay(&bundle.db, &bundle.registry, &bulks),
+        "the primary is the serial replay of the whole stream"
+    );
 
     assert!(hub.retire(), "hand off to the best follower");
     drop(replica_b);
     let promotion = replica_a.promote().expect("a was synced");
     let applied = promotion.applied_lsn as usize;
-    assert!(
-        promotion.db == states[applied],
-        "prefix matches the primary"
-    );
-    let bulks: Vec<&[TxnSignature]> = sigs.chunks(PER_BULK).collect();
     let reference = serial_replay(&bundle.db, &bundle.registry, &bulks[..applied]);
     assert!(
         promotion.db == reference,
