@@ -36,14 +36,14 @@
 #![deny(missing_docs)]
 
 use gputx_server::proto::{
-    decode_response, encode_request, read_frame, write_frame, FrameError, Request, Response,
+    append_request_frame, decode_response, read_frame_into, FrameError, Request, Response,
     MAX_FRAME_LEN,
 };
 use gputx_server::Duplex;
 use gputx_storage::Value;
 use gputx_txn::{TxnId, TxnTypeId};
 use std::collections::HashMap;
-use std::io::{self, BufReader, Read};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -229,10 +229,36 @@ impl Demux {
     }
 }
 
+/// The write half of a connection with the buffer its request frames are
+/// encoded into, reused frame after frame.
+struct ConnWriter {
+    stream: Box<dyn Duplex>,
+    frame: Vec<u8>,
+}
+
+impl ConnWriter {
+    /// Encode `request` as one frame and hand it to the socket in one
+    /// `write_all`: a chaos transport drops or corrupts whole frames per
+    /// write call. The buffer is kept unless an outsized request grew it
+    /// past the largest frame a server accepts.
+    fn write_request(&mut self, request: &Request) -> io::Result<()> {
+        self.frame.clear();
+        append_request_frame(&mut self.frame, request);
+        let written = self
+            .stream
+            .write_all(&self.frame)
+            .and_then(|()| self.stream.flush());
+        if self.frame.capacity() > MAX_FRAME_LEN as usize {
+            self.frame = Vec::new();
+        }
+        written
+    }
+}
+
 /// One reconnect generation: a stream, its writer handle, its demux and its
 /// reader thread. Torn down as a unit when the connection dies.
 struct Conn {
-    writer: Mutex<Box<dyn Duplex>>,
+    writer: Mutex<ConnWriter>,
     stream: Box<dyn Duplex>,
     demux: Arc<Demux>,
     reader: Option<JoinHandle<()>>,
@@ -258,7 +284,10 @@ impl Conn {
                 .map_err(io::Error::other)?
         };
         Ok(Conn {
-            writer: Mutex::new(write_half),
+            writer: Mutex::new(ConnWriter {
+                stream: write_half,
+                frame: Vec::new(),
+            }),
             stream,
             demux,
             reader: Some(reader),
@@ -462,11 +491,11 @@ impl Client {
             .lock()
             .expect("pending map poisoned")
             .insert(request_id, Arc::clone(&slot));
-        let payload = encode_request(request);
-        let write = {
-            let mut writer = conn.writer.lock().expect("writer poisoned");
-            write_frame(&mut *writer, &payload)
-        };
+        let write = conn
+            .writer
+            .lock()
+            .expect("writer poisoned")
+            .write_request(request);
         let reply = Reply { slot, request_id };
         match write {
             Ok(()) => SendAttempt::Sent(reply),
@@ -673,11 +702,12 @@ fn reader_loop(stream: Box<dyn Duplex>, demux: &Demux, closing: &AtomicBool) {
         inner: BufReader::with_capacity(READ_BUF_LEN, stream),
         consumed: 0,
     };
+    let mut payload = Vec::new();
     let close_reason = loop {
         reader.consumed = 0;
-        let payload = match read_frame(&mut reader, MAX_FRAME_LEN) {
-            Ok(Some(p)) => p,
-            Ok(None) => break None,
+        match read_frame_into(&mut reader, MAX_FRAME_LEN, &mut payload) {
+            Ok(true) => {}
+            Ok(false) => break None,
             // A timeout at a frame boundary is idleness, not failure: check
             // whether the client is closing and otherwise keep waiting. A
             // timeout *inside* a frame is a peer that stalled mid-message.
@@ -692,7 +722,7 @@ fn reader_loop(stream: Box<dyn Duplex>, demux: &Demux, closing: &AtomicBool) {
             }
             Err(FrameError::Corrupt(msg)) => break Some(msg),
             Err(FrameError::Io(e)) => break Some(e.to_string()),
-        };
+        }
         let response = match decode_response(&payload) {
             Ok(r) => r,
             Err(e) => break Some(e.to_string()),

@@ -115,16 +115,17 @@ pub fn read_checkpoint(path: impl AsRef<Path>) -> io::Result<Checkpoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::TestDir;
     use gputx_storage::index::IndexKey;
     use gputx_storage::schema::{ColumnDef, TableSchema};
     use gputx_storage::{DataType, StorageLayout, Value};
     use std::path::PathBuf;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("gputx-ckpt-test-{}-{name}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        dir.join("test.ckpt")
+    /// A checkpoint path in a directory removed when the guard drops.
+    fn tmp(name: &str) -> (TestDir, PathBuf) {
+        let dir = TestDir::new(&format!("ckpt-test-{name}"));
+        let path = dir.path().join("test.ckpt");
+        (dir, path)
     }
 
     fn populated_db(layout: StorageLayout) -> Database {
@@ -175,7 +176,7 @@ mod tests {
                     ],
                 );
             }
-            let path = tmp(&format!("roundtrip{i}"));
+            let (_dir, path) = tmp(&format!("roundtrip{i}"));
             write_checkpoint(&path, &db, 42, 7).expect("write");
             let ckpt = read_checkpoint(&path).expect("read");
             assert_eq!(ckpt.next_lsn, 42);
@@ -204,7 +205,7 @@ mod tests {
     #[test]
     fn rewrite_replaces_previous_checkpoint() {
         let mut db = populated_db(StorageLayout::Column);
-        let path = tmp("rewrite");
+        let (_dir, path) = tmp("rewrite");
         write_checkpoint(&path, &db, 1, 7).expect("write v1");
         let t = db.table_id("accounts").unwrap();
         db.table_mut(t).set(0, 1, &Value::Double(999.0));
@@ -217,7 +218,7 @@ mod tests {
     #[test]
     fn corruption_is_a_hard_error() {
         let db = populated_db(StorageLayout::Column);
-        let path = tmp("corrupt");
+        let (_dir, path) = tmp("corrupt");
         write_checkpoint(&path, &db, 0, 7).expect("write");
         let mut bytes = std::fs::read(&path).expect("read");
         let mid = bytes.len() / 2;

@@ -31,6 +31,9 @@ pub mod checkpoint;
 pub mod manager;
 pub mod wal;
 
+#[cfg(test)]
+mod test_dir;
+
 pub use capture::WriteCapture;
 pub use checkpoint::{read_checkpoint, write_checkpoint, Checkpoint};
 pub use manager::{

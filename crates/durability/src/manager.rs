@@ -137,6 +137,8 @@ pub struct DurabilityStats {
 /// let recovered = recover(&dir).unwrap();
 /// assert!(recovered.db == db);
 /// assert_eq!(recovered.replayed, 1);
+/// # drop(durability);
+/// # std::fs::remove_dir_all(&dir).unwrap();
 /// ```
 #[derive(Debug)]
 pub struct Durability {
@@ -419,15 +421,16 @@ pub fn recover_from(checkpoint: &Path, wal: &Path) -> io::Result<Recovery> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::TestDir;
     use gputx_storage::schema::{ColumnDef, TableSchema};
     use gputx_storage::{DataItemId, DataType, Value};
     use gputx_txn::{BasicOp, ProcedureDef, ProcedureRegistry, TxnSignature};
 
-    fn tmp_dir(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("gputx-mgr-test-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    /// A durability directory removed when the guard drops.
+    fn tmp_dir(name: &str) -> (TestDir, PathBuf) {
+        let dir = TestDir::new(&format!("mgr-test-{name}"));
+        let path = dir.path().to_path_buf();
+        (dir, path)
     }
 
     fn setup(rows: i64) -> (Database, ProcedureRegistry, u32) {
@@ -510,7 +513,7 @@ mod tests {
 
     #[test]
     fn create_log_recover_round_trip() {
-        let dir = tmp_dir("roundtrip");
+        let (_guard, dir) = tmp_dir("roundtrip");
         let (mut db, reg, _t) = setup(16);
         let mut durability = Durability::create(&dir, FsyncPolicy::PerBulk, &db).expect("create");
         run_bulks(&mut durability, &mut db, &reg, 5, 16);
@@ -528,7 +531,7 @@ mod tests {
 
     #[test]
     fn checkpoint_truncates_and_recovery_resumes_from_it() {
-        let dir = tmp_dir("checkpoint");
+        let (_guard, dir) = tmp_dir("checkpoint");
         let (mut db, reg, _t) = setup(16);
         let mut durability = Durability::create(&dir, FsyncPolicy::EveryN(2), &db).expect("create");
         run_bulks(&mut durability, &mut db, &reg, 3, 16);
@@ -545,7 +548,7 @@ mod tests {
 
     #[test]
     fn torn_tail_recovers_the_committed_prefix() {
-        let dir = tmp_dir("torn");
+        let (_guard, dir) = tmp_dir("torn");
         let (mut db, reg, _t) = setup(16);
         let db0 = db.clone();
         let mut durability = Durability::create(&dir, FsyncPolicy::PerBulk, &db).expect("create");
@@ -591,7 +594,7 @@ mod tests {
         // collide with the new epoch's numbering, both starting at 0 after
         // a fresh create) — replaying them would double-apply inserts and
         // updates. The epoch stamp makes them unreachable.
-        let dir = tmp_dir("stale-epoch");
+        let (_guard, dir) = tmp_dir("stale-epoch");
         let (mut db, reg, _t) = setup(16);
         let mut durability = Durability::create(&dir, FsyncPolicy::PerBulk, &db).expect("create");
         run_bulks(&mut durability, &mut db, &reg, 3, 16);
@@ -619,7 +622,7 @@ mod tests {
         assert!(Durability::from_config(&DurabilityConfig::disabled(), &db)
             .expect("ok")
             .is_none());
-        let dir = tmp_dir("fromcfg");
+        let (_guard, dir) = tmp_dir("fromcfg");
         let config = DurabilityConfig::at(&dir).with_fsync(FsyncPolicy::Async);
         let durability = Durability::from_config(&config, &db)
             .expect("ok")

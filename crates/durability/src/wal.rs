@@ -364,14 +364,15 @@ pub fn read_wal(path: impl AsRef<Path>) -> io::Result<WalScan> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir::TestDir;
     use gputx_storage::schema::{ColumnDef, TableSchema};
     use gputx_storage::{DataType, ShardView, StorageView, Value};
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("gputx-wal-test-{}-{name}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        dir.join("test.wal")
+    /// A log file path in a directory removed when the guard drops.
+    fn tmp(name: &str) -> (TestDir, PathBuf) {
+        let dir = TestDir::new(&format!("wal-test-{name}"));
+        let path = dir.path().join("test.wal");
+        (dir, path)
     }
 
     fn sample_db() -> (Database, u32) {
@@ -417,7 +418,7 @@ mod tests {
     #[test]
     fn append_and_read_back() {
         let (db, t) = sample_db();
-        let path = tmp("roundtrip");
+        let (_dir, path) = tmp("roundtrip");
         let mut wal = WalWriter::create(&path, FsyncPolicy::PerBulk, 7).expect("create");
         for lsn in 0..3 {
             wal.append(&sample_record(&db, t, lsn)).expect("append");
@@ -434,7 +435,7 @@ mod tests {
     #[test]
     fn every_n_policy_batches_syncs() {
         let (db, t) = sample_db();
-        let path = tmp("everyn");
+        let (_dir, path) = tmp("everyn");
         let mut wal = WalWriter::create(&path, FsyncPolicy::EveryN(4), 7).expect("create");
         for lsn in 0..10 {
             wal.append(&sample_record(&db, t, lsn)).expect("append");
@@ -447,7 +448,7 @@ mod tests {
     #[test]
     fn torn_tail_is_dropped_at_every_cut_point() {
         let (db, t) = sample_db();
-        let path = tmp("torn");
+        let (_dir, path) = tmp("torn");
         let mut wal = WalWriter::create(&path, FsyncPolicy::Async, 7).expect("create");
         let header = WAL_MAGIC.len() + 8; // magic + epoch
         let mut ends = vec![header as u64];
@@ -473,7 +474,7 @@ mod tests {
     #[test]
     fn corrupted_byte_drops_the_tail() {
         let (db, t) = sample_db();
-        let path = tmp("corrupt");
+        let (_dir, path) = tmp("corrupt");
         let mut wal = WalWriter::create(&path, FsyncPolicy::PerBulk, 7).expect("create");
         let mut first_end = 0;
         for lsn in 0..2 {
@@ -513,7 +514,7 @@ mod tests {
     #[test]
     fn poisoned_writer_refuses_further_work_and_keeps_a_clean_prefix() {
         let (db, t) = sample_db();
-        let path = tmp("poison");
+        let (_dir, path) = tmp("poison");
         let mut wal = WalWriter::create(&path, FsyncPolicy::Async, 7).expect("create");
         wal.append(&sample_record(&db, t, 0)).expect("append");
         wal.append(&sample_record(&db, t, 1)).expect("append");
@@ -534,7 +535,7 @@ mod tests {
 
     #[test]
     fn missing_magic_is_an_error() {
-        let path = tmp("nomagic");
+        let (_dir, path) = tmp("nomagic");
         std::fs::write(&path, b"definitely not a wal").expect("write");
         assert!(read_wal(&path).is_err());
     }

@@ -219,7 +219,9 @@ pub struct BulkCloseCounts {
     pub by_size: u64,
     /// Bulks closed by the `max_wait` deadline.
     pub by_timer: u64,
-    /// Bulks closed by an explicit `flush` (or final drain).
+    /// Non-empty bulks closed by an explicit `flush` (or final drain). A
+    /// flush over an empty open bulk closes nothing and counts nothing; it
+    /// still waits for every earlier bulk to commit.
     pub by_flush: u64,
 }
 
@@ -420,7 +422,9 @@ impl Shared {
         if state.shut {
             return Err(PipelineError::ShutDown);
         }
-        state.closes.by_flush += 1;
+        if !state.open.sigs.is_empty() {
+            state.closes.by_flush += 1;
+        }
         state.close(Some(barrier));
         let wake = state.wake_executor();
         drop(state);
@@ -972,6 +976,31 @@ mod tests {
         let (out, stats) = eng.finish().unwrap();
         assert_eq!(out.counts[&3], 1);
         assert!(stats.closes.by_flush >= 1);
+    }
+
+    /// A flush right after a size cut finds an empty open bulk: it still
+    /// waits for the cut bulk to commit, but counts no bulk of its own.
+    #[test]
+    fn flush_over_an_empty_open_bulk_counts_no_bulk() {
+        let eng = engine(PipelineOptions {
+            max_bulk_size: 4,
+            max_wait: Duration::from_secs(10),
+            queue_depth: 64,
+        });
+        for bulk in 0..10 {
+            let tickets: Vec<Ticket> = (0..4)
+                .map(|i| eng.submit(0, vec![Value::Int(bulk * 4 + i)]).unwrap())
+                .collect();
+            eng.flush().expect("flush succeeds");
+            for t in &tickets {
+                assert!(matches!(t.try_get(), Some(Ok(_))), "bulk {bulk}");
+            }
+        }
+        let (out, stats) = eng.finish().unwrap();
+        assert_eq!(stats.bulks(), 10);
+        assert_eq!(stats.closes.by_size, 10);
+        assert_eq!(stats.closes.by_flush, 0);
+        assert_eq!(out.sizes, [4; 10]);
     }
 
     #[test]

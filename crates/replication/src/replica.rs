@@ -100,9 +100,53 @@ struct ReplState {
     lag_samples: Vec<u64>,
 }
 
-struct ReplicaShared {
+/// The state a session's reader thread maintains, shared with everyone who
+/// watches the session's progress.
+pub(crate) struct ReplicaShared {
     state: Mutex<ReplState>,
     changed: Condvar,
+}
+
+impl ReplicaShared {
+    pub(crate) fn applied_lsn(&self) -> u64 {
+        self.state
+            .lock()
+            .expect("replica state poisoned")
+            .applied_lsn
+    }
+
+    pub(crate) fn wait_applied(&self, lsn: u64, timeout: Duration) -> bool {
+        self.wait_until(timeout, |s| s.applied_lsn >= lsn)
+            .applied_lsn
+            >= lsn
+    }
+
+    pub(crate) fn wait_disconnected(&self, timeout: Duration) -> bool {
+        self.wait_until(timeout, |s| s.disconnected).disconnected
+    }
+
+    fn wait_until(
+        &self,
+        timeout: Duration,
+        done: impl Fn(&ReplState) -> bool,
+    ) -> std::sync::MutexGuard<'_, ReplState> {
+        let deadline = std::time::Instant::now() + timeout;
+        let mut s = self.state.lock().expect("replica state poisoned");
+        loop {
+            if done(&s) || s.disconnected {
+                return s;
+            }
+            let now = std::time::Instant::now();
+            if now >= deadline {
+                return s;
+            }
+            s = self
+                .changed
+                .wait_timeout(s, deadline - now)
+                .expect("replica state poisoned")
+                .0;
+        }
+    }
 }
 
 /// A read-only follower: applies the primary's shipped redo records to its
@@ -203,59 +247,31 @@ impl Replica {
 
     /// Records applied in the current epoch (== the next LSN expected).
     pub fn applied_lsn(&self) -> u64 {
-        self.shared
-            .state
-            .lock()
-            .expect("replica state poisoned")
-            .applied_lsn
+        self.shared.applied_lsn()
     }
 
     /// Block until `applied_lsn >= lsn` (in any epoch), the session ends, or
     /// `timeout` elapses; returns whether the watermark was reached.
     pub fn wait_applied(&self, lsn: u64, timeout: Duration) -> bool {
-        self.wait_until(timeout, |s| s.applied_lsn >= lsn)
-            .map(|s| s.applied_lsn >= lsn)
-            .unwrap_or(false)
+        self.shared.wait_applied(lsn, timeout)
     }
 
     /// Block until the first sync completes (snapshot installed or fast
     /// path); returns whether it did within `timeout`.
     pub fn wait_synced(&self, timeout: Duration) -> bool {
-        self.wait_until(timeout, |s| s.synced)
-            .map(|s| s.synced)
-            .unwrap_or(false)
+        self.shared.wait_until(timeout, |s| s.synced).synced
     }
 
     /// Block until the session ends (primary gone, handoff, or fenced);
     /// returns whether it did within `timeout`.
     pub fn wait_disconnected(&self, timeout: Duration) -> bool {
-        self.wait_until(timeout, |s| s.disconnected)
-            .map(|s| s.disconnected)
-            .unwrap_or(false)
+        self.shared.wait_disconnected(timeout)
     }
 
-    fn wait_until(
-        &self,
-        timeout: Duration,
-        done: impl Fn(&ReplState) -> bool,
-    ) -> Option<std::sync::MutexGuard<'_, ReplState>> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut s = self.shared.state.lock().expect("replica state poisoned");
-        loop {
-            if done(&s) || s.disconnected {
-                return Some(s);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Some(s);
-            }
-            let (guard, _) = self
-                .shared
-                .changed
-                .wait_timeout(s, deadline - now)
-                .expect("replica state poisoned");
-            s = guard;
-        }
+    /// The session's shared progress state: lets a caller wait on it
+    /// without holding whatever lock guards this `Replica`.
+    pub(crate) fn progress(&self) -> Arc<ReplicaShared> {
+        Arc::clone(&self.shared)
     }
 
     /// Snapshot the observable state, with lag percentiles over every sample

@@ -14,8 +14,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How long one watch/wait slice holds the supervisor's session lock. Short
-/// enough that `stop` and the progress APIs interleave promptly.
+/// How long one watch/wait slice lasts. Short enough that `stop` and a
+/// reconnect are noticed promptly. No slice holds the supervisor's session
+/// lock: waits are on the session's own progress state.
 const SLICE: Duration = Duration::from_millis(25);
 
 /// Knobs for a [`ReplicaSupervisor`].
@@ -49,8 +50,9 @@ pub struct SupervisorStats {
 }
 
 struct SupShared {
-    /// The live session, if any. `Replica`'s progress APIs are `&self`, so
-    /// holders of this lock can wait on it in short slices.
+    /// The live session, if any. Held only for short reads and updates,
+    /// never across a wait: a waiter takes the session's
+    /// [`progress`](Replica::progress) handle and releases the lock.
     replica: Mutex<Option<Replica>>,
     /// Best state harvested from finished sessions: the resume seed, and the
     /// fallback the progress APIs serve between sessions / after stop.
@@ -149,19 +151,19 @@ impl ReplicaSupervisor {
                 return false;
             }
             let slice = SLICE.min(deadline - now);
-            let waited = {
-                let guard = self.shared.replica.lock().expect("supervisor lock");
-                match guard.as_ref() {
-                    Some(r) => {
-                        r.wait_applied(lsn, slice);
-                        true
-                    }
-                    None => false,
+            let progress = self
+                .shared
+                .replica
+                .lock()
+                .expect("supervisor lock")
+                .as_ref()
+                .map(Replica::progress);
+            match progress {
+                Some(p) => {
+                    p.wait_applied(lsn, slice);
                 }
-            };
-            if !waited {
                 // Between sessions: poll gently while the dial loop works.
-                std::thread::sleep(slice.min(Duration::from_millis(5)));
+                None => std::thread::sleep(slice.min(Duration::from_millis(5))),
             }
         }
     }
@@ -234,21 +236,25 @@ impl ReplicaSupervisor {
 
     /// Snapshot the cumulative supervisor counters.
     pub fn stats(&self) -> SupervisorStats {
-        let (live, connected) = {
-            let guard = self.shared.replica.lock().expect("supervisor lock");
-            match guard.as_ref() {
-                Some(r) => (r.stats(), true),
-                None => (Default::default(), false),
-            }
+        // The harvest folds a finished session into the cumulative counters
+        // under this lock, so read both sides under it too.
+        let guard = self.shared.replica.lock().expect("supervisor lock");
+        let (live, connected) = match guard.as_ref() {
+            Some(r) => (r.stats(), true),
+            None => (Default::default(), false),
         };
+        let snapshots_installed =
+            self.shared.snapshots_cum.load(Ordering::Relaxed) + live.snapshots_installed;
+        let records_applied =
+            self.shared.records_cum.load(Ordering::Relaxed) + live.records_applied;
+        drop(guard);
         let connects = self.shared.connects.load(Ordering::Relaxed);
         SupervisorStats {
             connects,
             reconnects: connects.saturating_sub(1),
             sessions_lost: self.shared.sessions_lost.load(Ordering::Relaxed),
-            snapshots_installed: self.shared.snapshots_cum.load(Ordering::Relaxed)
-                + live.snapshots_installed,
-            records_applied: self.shared.records_cum.load(Ordering::Relaxed) + live.records_applied,
+            snapshots_installed,
+            records_applied,
             gave_up: self.shared.gave_up.load(Ordering::Acquire),
             connected,
         }
@@ -319,45 +325,49 @@ fn supervise(shared: &Arc<SupShared>, connector: &Connector, backoff: BackoffPol
         };
         attempt = 0;
         shared.connects.fetch_add(1, Ordering::Relaxed);
+        let progress = replica.progress();
         *shared.replica.lock().expect("supervisor lock") = Some(replica);
 
         // Watch the session in short slices so `stop` can interleave.
-        loop {
-            if shared.stopping.load(Ordering::SeqCst) {
-                break;
-            }
-            let over = {
-                let guard = shared.replica.lock().expect("supervisor lock");
-                match guard.as_ref() {
-                    Some(r) => r.wait_disconnected(SLICE),
-                    None => true,
-                }
-            };
-            if over {
+        while !shared.stopping.load(Ordering::SeqCst) {
+            if progress.wait_disconnected(SLICE) {
                 break;
             }
         }
 
-        // Harvest: join the reader (it applies its entire received prefix
-        // before exiting), fold its counters in, and keep its state as the
-        // next seed.
-        if let Some(mut r) = shared.replica.lock().expect("supervisor lock").take() {
-            r.stop();
-            let stats = r.stats();
-            shared
-                .records_cum
-                .fetch_add(stats.records_applied, Ordering::Relaxed);
-            shared
-                .snapshots_cum
-                .fetch_add(stats.snapshots_installed, Ordering::Relaxed);
-            if let Some(db) = r.snapshot_db() {
-                *shared.last_seed.lock().expect("seed lock") = ReplicaSeed {
-                    db,
-                    epoch: stats.epoch,
-                    applied_lsn: stats.applied_lsn,
-                };
-            }
+        // Harvest. End the session (a no-op if it already ended) and wait
+        // until the reader marks it disconnected, which it does only after
+        // applying its entire received prefix: from then on its state is
+        // final.
+        if let Some(r) = shared.replica.lock().expect("supervisor lock").as_ref() {
+            r.disconnect();
         }
+        while !progress.wait_disconnected(SLICE) {}
+        // Fold its counters in, keep its state as the next seed and take it
+        // out, all in one critical section, so the progress APIs see either
+        // the session or its harvest, never neither.
+        let finished = {
+            let mut guard = shared.replica.lock().expect("supervisor lock");
+            if let Some(r) = guard.as_ref() {
+                let stats = r.stats();
+                shared
+                    .records_cum
+                    .fetch_add(stats.records_applied, Ordering::Relaxed);
+                shared
+                    .snapshots_cum
+                    .fetch_add(stats.snapshots_installed, Ordering::Relaxed);
+                if let Some(db) = r.snapshot_db() {
+                    *shared.last_seed.lock().expect("seed lock") = ReplicaSeed {
+                        db,
+                        epoch: stats.epoch,
+                        applied_lsn: stats.applied_lsn,
+                    };
+                }
+            }
+            guard.take()
+        };
+        // Join the reader outside the lock.
+        drop(finished);
         if shared.stopping.load(Ordering::SeqCst) {
             return;
         }

@@ -42,7 +42,7 @@ pub mod proto;
 use gputx_exec::{PipelineError, SubmitHandle, Ticket};
 use gputx_txn::TxnOutcome;
 use proto::{
-    append_frame, decode_request, encode_response, read_frame, write_frame, FrameError, Request,
+    append_response_frame, decode_request, read_frame_into, write_frame, FrameError, Request,
     Response, MAX_FRAME_LEN,
 };
 use std::io::{self, BufReader, Read, Write};
@@ -597,13 +597,15 @@ fn reader_loop(
     activity: &AtomicU64,
 ) {
     // One socket read delivers every frame the peer has sent so far;
-    // `read_frame` then parses them out of the buffer.
+    // `read_frame_into` then parses them out of the buffer, each into the
+    // same payload buffer (never larger than `max_frame_len`).
     let mut stream = BufReader::with_capacity(READ_BUF_LEN, stream);
+    let mut payload = Vec::new();
     loop {
-        let payload = match read_frame(&mut stream, shared.max_frame_len) {
-            Ok(Some(p)) => p,
+        match read_frame_into(&mut stream, shared.max_frame_len, &mut payload) {
+            Ok(true) => {}
             // Clean EOF: the peer finished submitting and closed.
-            Ok(None) => return,
+            Ok(false) => return,
             Err(FrameError::Corrupt(msg)) => {
                 shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
                 let _ = tx.send(Outgoing::Immediate(Response::Error {
@@ -616,7 +618,7 @@ fn reader_loop(
                 shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
                 return;
             }
-        };
+        }
         let request = match decode_request(&payload) {
             Ok(r) => r,
             Err(e) => {
@@ -681,7 +683,8 @@ fn reader_loop(
 }
 
 /// What the responder has encoded but not yet written: whole response
-/// frames, handed to the socket in one `write_all`.
+/// frames, each encoded straight into `buf` and handed to the socket in one
+/// `write_all`.
 struct Burst<'a> {
     stream: Box<dyn Duplex>,
     stats: &'a StatCounters,
@@ -697,7 +700,7 @@ impl Burst<'_> {
         if !self.peer_alive {
             return;
         }
-        append_frame(&mut self.buf, &encode_response(response));
+        append_response_frame(&mut self.buf, response);
         self.frames += 1;
         if self.buf.len() >= FLUSH_CAP {
             self.flush();
@@ -785,7 +788,7 @@ fn responder_loop(stats: &StatCounters, stream: Box<dyn Duplex>, rx: Receiver<Ou
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proto::{decode_response, FRAME_HEADER_LEN};
+    use proto::{decode_response, encode_response, read_frame, FRAME_HEADER_LEN};
 
     #[derive(Default)]
     struct WriteLog {

@@ -197,9 +197,8 @@ fn payload_header(w: &mut WireWriter, kind: u8, request_id: u64) {
     w.put_u64(request_id);
 }
 
-/// Encode a request as a frame payload (header + body, no framing).
-pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut w = WireWriter::new();
+/// The one request encoder: writes the payload (header + body, no framing).
+fn put_request(w: &mut WireWriter, req: &Request) {
     match req {
         Request::Submit {
             request_id,
@@ -207,7 +206,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             params,
             no_wait,
         } => {
-            payload_header(&mut w, 0, *request_id);
+            payload_header(w, 0, *request_id);
             w.put_u8(u8::from(*no_wait));
             w.put_u32(*txn_type);
             w.put_len(params.len());
@@ -215,43 +214,41 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
                 w.put_value(p);
             }
         }
-        Request::Ping { request_id } => payload_header(&mut w, 1, *request_id),
-        Request::Health { request_id } => payload_header(&mut w, 2, *request_id),
+        Request::Ping { request_id } => payload_header(w, 1, *request_id),
+        Request::Health { request_id } => payload_header(w, 2, *request_id),
     }
-    w.into_bytes()
 }
 
-/// Encode a response as a frame payload (header + body, no framing).
-pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut w = WireWriter::new();
+/// The one response encoder: writes the payload (header + body, no framing).
+fn put_response(w: &mut WireWriter, resp: &Response) {
     match resp {
         Response::Committed { request_id, txn_id } => {
-            payload_header(&mut w, 0, *request_id);
+            payload_header(w, 0, *request_id);
             w.put_u64(*txn_id);
         }
         Response::Aborted { request_id, txn_id } => {
-            payload_header(&mut w, 1, *request_id);
+            payload_header(w, 1, *request_id);
             w.put_u64(*txn_id);
         }
-        Response::QueueFull { request_id } => payload_header(&mut w, 2, *request_id),
+        Response::QueueFull { request_id } => payload_header(w, 2, *request_id),
         Response::BulkFailed {
             request_id,
             message,
         } => {
-            payload_header(&mut w, 3, *request_id);
+            payload_header(w, 3, *request_id);
             w.put_str(message);
         }
-        Response::Disconnected { request_id } => payload_header(&mut w, 4, *request_id),
+        Response::Disconnected { request_id } => payload_header(w, 4, *request_id),
         Response::Error {
             request_id,
             message,
         } => {
-            payload_header(&mut w, 5, *request_id);
+            payload_header(w, 5, *request_id);
             w.put_str(message);
         }
-        Response::Pong { request_id } => payload_header(&mut w, 6, *request_id),
+        Response::Pong { request_id } => payload_header(w, 6, *request_id),
         Response::Health { request_id, report } => {
-            payload_header(&mut w, 7, *request_id);
+            payload_header(w, 7, *request_id);
             w.put_u8(report.wal.as_u8());
             w.put_u64(report.heals);
             w.put_u64(report.repl_followers);
@@ -261,7 +258,34 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             w.put_str(report.last_fault.as_deref().unwrap_or(""));
         }
     }
+}
+
+/// Encode a request as a frame payload (header + body, no framing).
+pub fn encode_request(req: &Request) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    put_request(&mut w, req);
     w.into_bytes()
+}
+
+/// Encode a response as a frame payload (header + body, no framing).
+pub fn encode_response(resp: &Response) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    put_response(&mut w, resp);
+    w.into_bytes()
+}
+
+/// Append `req` to `buf` as one whole frame, encoded in place: the same
+/// bytes as [`write_frame`] of [`encode_request`], with no intermediate
+/// buffer. A sender that clears and reuses `buf` allocates nothing per frame
+/// once it has grown to fit.
+pub fn append_request_frame(buf: &mut Vec<u8>, req: &Request) {
+    append_frame_with(buf, |w| put_request(w, req));
+}
+
+/// Append `resp` to `buf` as one whole frame, encoded in place (see
+/// [`append_request_frame`]).
+pub fn append_response_frame(buf: &mut Vec<u8>, resp: &Response) {
+    append_frame_with(buf, |w| put_response(w, resp));
 }
 
 fn decode_header(r: &mut WireReader<'_>) -> Result<(u8, u64), WireError> {
@@ -540,12 +564,24 @@ pub fn decode_repl(payload: &[u8]) -> Result<ReplMsg, WireError> {
     Ok(msg)
 }
 
+/// The one framing routine: reserve the header, let `body` encode the
+/// payload in place after it, then fill in the payload's length and CRC.
+fn append_frame_with(buf: &mut Vec<u8>, body: impl FnOnce(&mut WireWriter)) {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    let mut w = WireWriter::from_vec(std::mem::take(buf));
+    body(&mut w);
+    *buf = w.into_bytes();
+    let (header, payload) = buf[start..].split_at_mut(FRAME_HEADER_LEN);
+    let len = u32::try_from(payload.len()).expect("a frame payload is under 4 GiB");
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+}
+
 /// Append one frame (header + payload) to `buf` without writing anything:
 /// how a sender batches several frames into a single write.
 pub fn append_frame(buf: &mut Vec<u8>, payload: &[u8]) {
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&crc32(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
+    append_frame_with(buf, |w| w.put_bytes(payload));
 }
 
 /// Write one frame (header + payload) and flush.
@@ -556,16 +592,24 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-/// Read one frame's payload. Returns `Ok(None)` on a *clean* end of stream
-/// (the peer closed exactly at a frame boundary); a stream ending mid-frame
-/// is [`FrameError::Corrupt`] — a dirty disconnect, reported but never a
-/// panic and never a half-parsed message.
-pub fn read_frame(r: &mut impl Read, max_len: u32) -> Result<Option<Vec<u8>>, FrameError> {
+/// Read one frame's payload into `payload`, reusing its allocation: the
+/// buffer is resized to the frame's length, and only after that length
+/// passed the `max_len` cap, so a reused buffer never grows past the cap.
+/// Returns `Ok(false)` on a *clean* end of stream (the peer closed exactly at
+/// a frame boundary); a stream ending mid-frame is [`FrameError::Corrupt`] —
+/// a dirty disconnect, reported but never a panic and never a half-parsed
+/// message. After an error or a clean end `payload`'s contents are
+/// unspecified.
+pub fn read_frame_into(
+    r: &mut impl Read,
+    max_len: u32,
+    payload: &mut Vec<u8>,
+) -> Result<bool, FrameError> {
     let mut header = [0u8; FRAME_HEADER_LEN];
     let mut got = 0usize;
     while got < header.len() {
         match r.read(&mut header[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
+            Ok(0) if got == 0 => return Ok(false),
             Ok(0) => {
                 return Err(FrameError::Corrupt(format!(
                     "stream ended {got} bytes into a frame header"
@@ -583,8 +627,8 @@ pub fn read_frame(r: &mut impl Read, max_len: u32) -> Result<Option<Vec<u8>>, Fr
             "frame length {len} exceeds the {max_len}-byte cap"
         )));
     }
-    let mut payload = vec![0u8; len as usize];
-    if let Err(e) = r.read_exact(&mut payload) {
+    payload.resize(len as usize, 0);
+    if let Err(e) = r.read_exact(payload) {
         return if e.kind() == io::ErrorKind::UnexpectedEof {
             Err(FrameError::Corrupt(format!(
                 "stream ended inside a {len}-byte frame payload"
@@ -593,12 +637,19 @@ pub fn read_frame(r: &mut impl Read, max_len: u32) -> Result<Option<Vec<u8>>, Fr
             Err(e.into())
         };
     }
-    if crc32(&payload) != crc {
+    if crc32(payload) != crc {
         return Err(FrameError::Corrupt(
             "frame CRC mismatch (corrupted payload)".into(),
         ));
     }
-    Ok(Some(payload))
+    Ok(true)
+}
+
+/// Read one frame's payload into a fresh buffer (see [`read_frame_into`]).
+/// Returns `Ok(None)` on a clean end of stream.
+pub fn read_frame(r: &mut impl Read, max_len: u32) -> Result<Option<Vec<u8>>, FrameError> {
+    let mut payload = Vec::new();
+    Ok(read_frame_into(r, max_len, &mut payload)?.then_some(payload))
 }
 
 #[cfg(test)]
@@ -615,61 +666,143 @@ mod tests {
         assert_eq!(decode_response(&payload).unwrap(), resp);
     }
 
+    /// One of every request variant.
+    fn every_request() -> Vec<Request> {
+        vec![
+            Request::Submit {
+                request_id: 7,
+                txn_type: 3,
+                params: vec![
+                    Value::Int(-1),
+                    Value::Str("héllo".into()),
+                    Value::Null,
+                    Value::Double(0.25),
+                ],
+                no_wait: false,
+            },
+            Request::Submit {
+                request_id: u64::MAX,
+                txn_type: 0,
+                params: vec![],
+                no_wait: true,
+            },
+            Request::Ping { request_id: 99 },
+            Request::Health { request_id: 100 },
+        ]
+    }
+
+    /// One of every response variant.
+    fn every_response() -> Vec<Response> {
+        vec![
+            Response::Committed {
+                request_id: 1,
+                txn_id: 42,
+            },
+            Response::Aborted {
+                request_id: 2,
+                txn_id: 43,
+            },
+            Response::QueueFull { request_id: 3 },
+            Response::BulkFailed {
+                request_id: 4,
+                message: "worker panicked".into(),
+            },
+            Response::Disconnected { request_id: 5 },
+            Response::Error {
+                request_id: 0,
+                message: "bad frame".into(),
+            },
+            Response::Pong { request_id: 6 },
+            Response::Health {
+                request_id: 7,
+                report: gputx_faults::HealthReport::unwired(),
+            },
+            Response::Health {
+                request_id: 8,
+                report: gputx_faults::HealthReport {
+                    wal: gputx_faults::WalState::Healed,
+                    heals: 3,
+                    repl_followers: 2,
+                    repl_next_lsn: 100,
+                    repl_min_acked: 97,
+                    faults_injected: 12,
+                    last_fault: Some("wal/fsync-error#12".into()),
+                },
+            },
+        ]
+    }
+
     #[test]
     fn requests_round_trip() {
-        roundtrip_request(Request::Submit {
-            request_id: 7,
-            txn_type: 3,
-            params: vec![Value::Int(-1), Value::Str("héllo".into()), Value::Null],
-            no_wait: false,
-        });
-        roundtrip_request(Request::Submit {
-            request_id: u64::MAX,
-            txn_type: 0,
-            params: vec![],
-            no_wait: true,
-        });
-        roundtrip_request(Request::Ping { request_id: 99 });
-        roundtrip_request(Request::Health { request_id: 100 });
+        for req in every_request() {
+            roundtrip_request(req);
+        }
     }
 
     #[test]
     fn responses_round_trip() {
-        roundtrip_response(Response::Committed {
+        for resp in every_response() {
+            roundtrip_response(resp);
+        }
+    }
+
+    /// Encoding in place pins the wire format: every variant's frame is
+    /// byte for byte the framed payload of the allocating encoder, also
+    /// when appended after frames already in the buffer.
+    #[test]
+    fn frames_encoded_in_place_match_framed_payloads() {
+        let mut in_place = Vec::new();
+        let mut framed = Vec::new();
+        for req in every_request() {
+            append_request_frame(&mut in_place, &req);
+            write_frame(&mut framed, &encode_request(&req)).unwrap();
+            assert_eq!(in_place, framed, "{req:?}");
+        }
+        for resp in every_response() {
+            append_response_frame(&mut in_place, &resp);
+            write_frame(&mut framed, &encode_response(&resp)).unwrap();
+            assert_eq!(in_place, framed, "{resp:?}");
+        }
+    }
+
+    /// One payload buffer serves a long frame, then a short one (exact
+    /// payloads, no stale tail), then still reports a corrupted and a
+    /// truncated frame as `Corrupt`.
+    #[test]
+    fn read_frame_into_reuses_one_buffer() {
+        let long = encode_request(&Request::Submit {
             request_id: 1,
-            txn_id: 42,
+            txn_type: 2,
+            params: vec![Value::Str("x".repeat(300)); 4],
+            no_wait: false,
         });
-        roundtrip_response(Response::Aborted {
-            request_id: 2,
-            txn_id: 43,
-        });
-        roundtrip_response(Response::QueueFull { request_id: 3 });
-        roundtrip_response(Response::BulkFailed {
-            request_id: 4,
-            message: "worker panicked".into(),
-        });
-        roundtrip_response(Response::Disconnected { request_id: 5 });
-        roundtrip_response(Response::Error {
-            request_id: 0,
-            message: "bad frame".into(),
-        });
-        roundtrip_response(Response::Pong { request_id: 6 });
-        roundtrip_response(Response::Health {
-            request_id: 7,
-            report: gputx_faults::HealthReport::unwired(),
-        });
-        roundtrip_response(Response::Health {
-            request_id: 8,
-            report: gputx_faults::HealthReport {
-                wal: gputx_faults::WalState::Healed,
-                heals: 3,
-                repl_followers: 2,
-                repl_next_lsn: 100,
-                repl_min_acked: 97,
-                faults_injected: 12,
-                last_fault: Some("wal/fsync-error#12".into()),
-            },
-        });
+        let short = encode_request(&Request::Ping { request_id: 3 });
+        let mut stream = Vec::new();
+        write_frame(&mut stream, &long).unwrap();
+        write_frame(&mut stream, &short).unwrap();
+        let mut cursor = &stream[..];
+        let mut payload = Vec::new();
+        assert!(read_frame_into(&mut cursor, MAX_FRAME_LEN, &mut payload).unwrap());
+        assert_eq!(payload, long);
+        assert!(read_frame_into(&mut cursor, MAX_FRAME_LEN, &mut payload).unwrap());
+        assert_eq!(payload, short);
+        assert!(!read_frame_into(&mut cursor, MAX_FRAME_LEN, &mut payload).unwrap());
+
+        let mut corrupted = Vec::new();
+        write_frame(&mut corrupted, &long).unwrap();
+        let mid = corrupted.len() / 2;
+        corrupted[mid] ^= 0xA5;
+        assert!(matches!(
+            read_frame_into(&mut &corrupted[..], MAX_FRAME_LEN, &mut payload),
+            Err(FrameError::Corrupt(_))
+        ));
+        let mut truncated = Vec::new();
+        write_frame(&mut truncated, &short).unwrap();
+        truncated.pop();
+        assert!(matches!(
+            read_frame_into(&mut &truncated[..], MAX_FRAME_LEN, &mut payload),
+            Err(FrameError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -50,6 +50,13 @@ impl WireWriter {
         Self::default()
     }
 
+    /// A writer that keeps appending after `buf`'s existing bytes, so an
+    /// encoder can reuse a caller's buffer instead of growing a fresh one;
+    /// [`into_bytes`](WireWriter::into_bytes) hands the buffer back.
+    pub fn from_vec(buf: Vec<u8>) -> Self {
+        WireWriter { buf }
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -270,32 +277,64 @@ impl<'a> WireReader<'a> {
     }
 }
 
-/// CRC-32 (IEEE 802.3, the zlib polynomial) over `data`. Used by the WAL and
-/// checkpoint frames to detect torn or corrupted payloads.
-pub fn crc32(data: &[u8]) -> u32 {
-    const fn table() -> [u32; 256] {
-        let mut table = [0u32; 256];
+/// The reflected IEEE 802.3 CRC-32 polynomial (zlib's).
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables: `CRC32_TABLES[0]` is the classic bytewise table, and
+/// `CRC32_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so
+/// eight table lookups advance the CRC by eight input bytes at once.
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ CRC32_POLY
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut crc = i as u32;
-            let mut bit = 0;
-            while bit < 8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-                bit += 1;
-            }
-            table[i] = crc;
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
             i += 1;
         }
-        table
+        k += 1;
     }
-    const TABLE: [u32; 256] = table();
+    tables
+}
+
+/// CRC-32 (IEEE 802.3, the zlib polynomial) over `data`. Used by the WAL,
+/// checkpoint and wire frames to detect torn or corrupted payloads. Computed
+/// eight bytes per step (slicing-by-8); the value is the bytewise CRC's.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = !0u32;
-    for &byte in data {
-        crc = (crc >> 8) ^ TABLE[((crc ^ byte as u32) & 0xFF) as usize];
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -303,6 +342,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn primitives_round_trip() {
@@ -372,6 +412,36 @@ mod tests {
         let mut r = WireReader::new(&bytes);
         r.get_u8().unwrap();
         assert!(matches!(r.expect_end(), Err(WireError::Invalid(_))));
+    }
+
+    /// The bytewise table-driven CRC-32 the slicing-by-8 version replaces:
+    /// the reference it must match bit for bit.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &byte in data {
+            crc ^= byte as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xEDB8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    proptest! {
+        #[test]
+        fn crc32_matches_the_bytewise_reference(
+            data in prop::collection::vec(0u8..=255, 308),
+            len in 0usize..=300,
+        ) {
+            for offset in 0..8 {
+                let slice = &data[offset..offset + len];
+                prop_assert_eq!(crc32(slice), crc32_bytewise(slice), "len {} offset {}", len, offset);
+            }
+        }
     }
 
     #[test]

@@ -23,11 +23,21 @@ use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-/// Fresh scratch directory under the system temp dir.
-fn scratch_dir(name: &str) -> PathBuf {
+/// Removes its directory, and everything in it, when dropped.
+struct DirGuard(PathBuf);
+
+impl Drop for DirGuard {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Fresh scratch directory under the system temp dir, with the guard that
+/// removes it.
+fn scratch_dir(name: &str) -> (DirGuard, PathBuf) {
     let dir = std::env::temp_dir().join(format!("gputx-recovery-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    dir
+    (DirGuard(dir.clone()), dir)
 }
 
 /// Run `n_txns` of the bundle's workload through a durability-enabled
@@ -59,10 +69,15 @@ fn run_logged_bulks(
         next.apply_insert_buffers();
         states.push(next);
     }
-    let (live, _) = engine.finish().expect("pipeline finishes cleanly");
+    let (live, stats) = engine.finish().expect("pipeline finishes cleanly");
     assert!(
         live == *states.last().expect("non-empty"),
         "the live state is the serial replay of every bulk"
+    );
+    assert_eq!(
+        stats.bulks(),
+        states.len() as u64 - 1,
+        "one bulk per chunk, however it was cut"
     );
     (live, states)
 }
@@ -78,7 +93,7 @@ fn recovery_equals_live_state_on_tm1_and_micro() {
     ];
     for (name, mut bundle) in cases {
         bundle.reseed(7);
-        let dir = scratch_dir(&format!("equiv-{name}"));
+        let (_guard, dir) = scratch_dir(&format!("equiv-{name}"));
         let (live, _) = run_logged_bulks(&mut bundle, &dir, FsyncPolicy::PerBulk, 2048, 512);
         let recovery = recover(&dir).expect("recover");
         assert_eq!(recovery.replayed, 4, "{name}: one record per bulk");
@@ -93,7 +108,7 @@ fn recovery_equals_live_state_on_tm1_and_micro() {
 #[test]
 fn pipelined_engine_recovers_bit_identical_after_clean_shutdown() {
     let mut bundle = Tm1Config { scale_factor: 1 }.build();
-    let dir = scratch_dir("pipeline");
+    let (_guard, dir) = scratch_dir("pipeline");
     let engine = EngineBuilder::new(bundle.db.clone(), bundle.registry.clone())
         .with_strategy(StrategyChoice::ForceKset)
         .with_durability_config(DurabilityConfig::at(&dir).with_fsync(FsyncPolicy::EveryN(2)))
@@ -117,10 +132,12 @@ fn pipelined_engine_recovers_bit_identical_after_clean_shutdown() {
 }
 
 /// Shared fixture for the torn-tail property: one logged run of the micro
-/// workload, the per-bulk state snapshots, the raw WAL bytes and the byte
-/// offset where each record's frame ends.
+/// workload, the per-bulk state snapshots, the raw checkpoint and WAL bytes
+/// and the byte offset where each record's frame ends. It holds the files'
+/// bytes, not their directory: a static is never dropped, so nothing could
+/// remove one.
 struct TornFixture {
-    dir: PathBuf,
+    ckpt: Vec<u8>,
     wal: Vec<u8>,
     /// `boundaries[i]` = file offset after record `i` frames end;
     /// `boundaries[0]` = 8 (the header), so a cut at `boundaries[i]` keeps
@@ -135,9 +152,10 @@ fn torn_fixture() -> &'static TornFixture {
     FIXTURE.get_or_init(|| {
         let mut bundle =
             MicroWorkload::build(&MicroConfig::default().with_tuples(512).with_skew(0.3));
-        let dir = scratch_dir("torn-fixture");
+        let (_guard, dir) = scratch_dir("torn-fixture");
         let (_, states) = run_logged_bulks(&mut bundle, &dir, FsyncPolicy::PerBulk, 1536, 256);
         assert_eq!(states.len(), 7, "6 bulks + the initial state");
+        let ckpt = std::fs::read(dir.join("gputx.ckpt")).expect("checkpoint exists");
         let wal = std::fs::read(dir.join("gputx.wal")).expect("wal exists");
         // Walk the frames to find each record's end offset. The file header
         // is 16 bytes: 8-byte magic + 8-byte epoch.
@@ -151,7 +169,7 @@ fn torn_fixture() -> &'static TornFixture {
         }
         assert_eq!(boundaries.len(), 7, "one frame per bulk");
         TornFixture {
-            dir,
+            ckpt,
             wal,
             boundaries,
             states,
@@ -169,10 +187,9 @@ proptest! {
         let fx = torn_fixture();
         // Cuts range over everything past the 16-byte header (magic+epoch).
         let cut = 16 + ((fx.wal.len() - 16) as f64 * frac) as usize;
-        let case_dir = fx.dir.join("torn-case");
+        let (_guard, case_dir) = scratch_dir("torn-case");
         std::fs::create_dir_all(&case_dir).expect("mkdir");
-        std::fs::copy(fx.dir.join("gputx.ckpt"), case_dir.join("gputx.ckpt"))
-            .expect("copy checkpoint");
+        std::fs::write(case_dir.join("gputx.ckpt"), &fx.ckpt).expect("copy checkpoint");
         std::fs::write(case_dir.join("gputx.wal"), &fx.wal[..cut]).expect("truncate");
         let recovery = recover(&case_dir).expect("recover");
         let expected = fx.boundaries.iter().filter(|&&b| b <= cut).count() - 1;
