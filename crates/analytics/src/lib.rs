@@ -9,18 +9,17 @@
 //!
 //! * [`session`] — the [`AnalyticsSession`] an engine publishes committed
 //!   bulk records into ([`EngineBuilder::analytics`] in `gputx-core` wires it
-//!   to the group-commit point). Update propagation replays each record into
-//!   a private mirror database — the exact redo path crash recovery and
-//!   replication use — and marks which copy-on-write chunks the record
-//!   touched.
+//!   to the group-commit point). Update propagation folds each record's
+//!   net write-set straight into the store's column chunks — no second
+//!   copy of the database, no replay.
 //! * [`store`] — the chunked snapshot store behind the session: per-column
-//!   `Arc`'d chunks rebuilt lazily (only dirty chunks, only when a snapshot
-//!   is cut), so cut cost is proportional to data churned since the last
-//!   cut, not to database size.
+//!   `Arc`'d chunks that a record writes through `Arc::make_mut`, so a
+//!   chunk is copied only while a held snapshot shares it, and a cut is a
+//!   copy of the chunk pointers.
 //! * [`snapshot`] — the [`SnapshotHandle`]: an immutable committed-prefix
-//!   view made of shared chunks. Holding one costs nothing to the write
-//!   path; it stays readable after the engine shuts down or later snapshots
-//!   supersede it.
+//!   view made of shared chunks. Holding one never blocks the write path
+//!   (the next write to a chunk it shares copies that chunk once); it stays
+//!   readable after the engine shuts down or later snapshots supersede it.
 //! * [`ops`] — a small scan/aggregate operator set (predicate scan,
 //!   count/sum/group-by over the typed `get_i64`/`get_f64` accessors) over a
 //!   [`ScanSource`] abstraction, so the same scan runs against a local

@@ -8,47 +8,30 @@
 //! call [`snapshot`](AnalyticsSession::snapshot) whenever they want a fresh
 //! consistent cut.
 //!
-//! Update propagation (`publish`) runs inline at the group-commit point and
-//! only replays the redo record into the mirror plus marks dirty chunks;
-//! the chunk rebuild cost is paid by the *scanner* at cut time. Because the
-//! session is an `Arc` shared by engine and scanners, it — and every
-//! snapshot cut from it — outlives engine shutdown.
+//! `publish` runs inline at the group-commit point and folds the record
+//! straight into the store's copy-on-write chunks, copying a chunk only
+//! while a held snapshot shares it; `snapshot` copies the chunk pointers.
+//! Both hold the store mutex only that long. Because the session is an
+//! `Arc` shared by engine and scanners, it — and every snapshot cut from
+//! it — outlives engine shutdown.
 
 use crate::snapshot::SnapshotHandle;
-use crate::store::{SnapshotStore, StoreStats, DEFAULT_CHUNK_ROWS};
+use crate::store::{SnapshotStore, DEFAULT_CHUNK_ROWS};
 use gputx_durability::BulkLogRecord;
 use gputx_storage::Database;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for an [`AnalyticsSession`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AnalyticsConfig {
-    /// Rows per copy-on-write chunk (and snapshot access granularity).
-    /// Smaller chunks mean finer dirty tracking but more `Arc` overhead.
-    pub chunk_rows: usize,
     /// Keep a copy of every published record so verifiers can serially
     /// replay the exact committed prefix a snapshot froze. Off by default —
     /// it grows without bound and exists for tests and the HTAP harness.
     pub retain_records: bool,
 }
 
-impl Default for AnalyticsConfig {
-    fn default() -> Self {
-        AnalyticsConfig {
-            chunk_rows: DEFAULT_CHUNK_ROWS,
-            retain_records: false,
-        }
-    }
-}
-
 impl AnalyticsConfig {
-    /// Override the copy-on-write chunk size.
-    pub fn with_chunk_rows(mut self, chunk_rows: usize) -> Self {
-        self.chunk_rows = chunk_rows;
-        self
-    }
-
     /// Retain published records for serial-replay verification.
     pub fn with_retained_records(mut self) -> Self {
         self.retain_records = true;
@@ -56,35 +39,20 @@ impl AnalyticsConfig {
     }
 }
 
-/// Work counters of a session, in microseconds where timed. A thin
-/// published view over [`StoreStats`].
+/// Work counters of a session, in microseconds where timed.
 #[derive(Debug, Default, Clone)]
 pub struct AnalyticsStats {
-    /// Committed bulk records folded into the mirror.
+    /// Committed bulk records folded into the chunks.
     pub records_applied: u64,
     /// Snapshots cut so far.
     pub snapshots: u64,
-    /// Column/live chunks rebuilt across all cuts.
+    /// Chunks that records copied (because a snapshot shared them) or
+    /// started (appends past a full tail), across all records.
     pub chunks_rebuilt: u64,
     /// Cumulative update-propagation time in microseconds.
     pub apply_us: f64,
-    /// Cumulative chunk-rebuild time across cuts, in microseconds.
-    pub refresh_us: f64,
     /// Cost of the most recent snapshot cut, in microseconds.
     pub last_cut_us: f64,
-}
-
-impl From<StoreStats> for AnalyticsStats {
-    fn from(s: StoreStats) -> Self {
-        AnalyticsStats {
-            records_applied: s.records_applied,
-            snapshots: s.snapshots,
-            chunks_rebuilt: s.chunks_rebuilt,
-            apply_us: s.apply_nanos as f64 / 1_000.0,
-            refresh_us: s.refresh_nanos as f64 / 1_000.0,
-            last_cut_us: s.last_cut_nanos as f64 / 1_000.0,
-        }
-    }
 }
 
 struct Shared {
@@ -119,7 +87,7 @@ impl AnalyticsSession {
             shared: Arc::new(Shared {
                 store: Mutex::new(SnapshotStore::new(
                     seed,
-                    config.chunk_rows,
+                    DEFAULT_CHUNK_ROWS,
                     config.retain_records,
                 )),
                 applied: Condvar::new(),
@@ -192,7 +160,6 @@ impl AnalyticsSession {
             .lock()
             .expect("analytics store poisoned")
             .stats()
-            .into()
     }
 
     /// Copies of every published record (requires

@@ -6,9 +6,10 @@
 //! `Arc`s to fixed-size column chunks, so:
 //!
 //! * cutting it is O(number of chunks) pointer copies — the data itself is
-//!   shared with the store's cache and with other snapshots;
-//! * holding it never blocks the write path: the store rebuilds *new* chunks
-//!   for churned regions, old snapshots keep the old ones alive;
+//!   shared with the store and with other snapshots;
+//! * holding it never blocks the write path: a later record that writes a
+//!   shared chunk gives the store its own copy, and the snapshot keeps the
+//!   old one alive;
 //! * it stays valid after the engine, the session and the store are gone.
 
 use gputx_storage::catalog::TableId;
@@ -29,8 +30,8 @@ pub(crate) enum ColChunk {
 }
 
 /// The frozen image of one table: its chunked columns plus chunked live
-/// flags. Shared (as the element type of `Vec<Arc<_>>`) between the store's
-/// working cache and every snapshot cut from it.
+/// flags. The store's working copy, and what every snapshot cut from it
+/// shares chunk by chunk.
 #[derive(Debug, Clone)]
 pub(crate) struct FrozenTable {
     /// Table name, for name-based lookup on the handle.

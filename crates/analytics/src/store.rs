@@ -1,77 +1,46 @@
 //! The chunked copy-on-write snapshot store behind an analytics session.
 //!
-//! The store separates *update propagation* from *snapshot cutting*:
+//! The store keeps one copy of the committed prefix: per table, each column
+//! as a vector of `Arc`-shared chunks of `chunk_rows` values, plus chunked
+//! live flags. Every [`SnapshotHandle`] cut from the store shares them.
 //!
-//! 1. [`SnapshotStore::apply`] folds one committed [`BulkLogRecord`] into a
-//!    private mirror [`Database`] via the same
-//!    [`replay_into`](BulkLogRecord::replay_into) path crash recovery and
-//!    replication use, and marks the copy-on-write chunks the record's
-//!    write-set touched. This runs at the engine's group-commit point and is
-//!    cheap: a redo replay plus hash-set inserts.
-//! 2. [`SnapshotStore::freeze`] (called by a scanner, off the commit path)
-//!    first refreshes the chunk cache — rebuilding *only* chunks that are
-//!    dirty or extend past the previously frozen row count — then hands out
-//!    a [`SnapshotHandle`] sharing every chunk by `Arc`. Cut cost is
-//!    proportional to data churned since the last cut, not to database size.
+//! 1. [`SnapshotStore::apply`] folds one committed [`BulkLogRecord`] straight
+//!    into the chunks at the engine's group-commit point. Appended rows go
+//!    onto the tail chunks, column by column; field writes and delete flags
+//!    go into their chunk through [`Arc::make_mut`], which copies a chunk
+//!    only while a live snapshot still shares it.
+//! 2. [`SnapshotStore::freeze`] copies the chunk pointers into a
+//!    [`SnapshotHandle`]: `Arc` bumps, whatever the churn since the last cut.
 //!
-//! Insert handling needs no write-set introspection: `apply_insert_buffers`
-//! only appends rows at the table tail, so every chunk past the previously
-//! frozen row count is rebuilt anyway. Updates and deletes inside a bulk can
-//! only target rows that existed before the bulk (buffered inserts have no
-//! `RowId` until applied), so marking `row / chunk_rows` is always in range
-//! of the next refresh.
+//! Inside one record, appended rows land first, then field writes, then
+//! delete flags. Today no write or flag targets a row the same record
+//! appends (buffered inserts have no `RowId` until applied); with this order
+//! one that did would find its chunk in place.
 
+use crate::session::AnalyticsStats;
 use crate::snapshot::{ColChunk, FrozenTable, FrozenView, SnapshotHandle};
 use gputx_durability::BulkLogRecord;
-use gputx_storage::shard::FxHashSet;
-use gputx_storage::{DataType, Database, RowId, Table};
+use gputx_storage::shard::Cell;
+use gputx_storage::{DataType, Database, RowId, Table, Value};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Default rows per copy-on-write chunk (and per scan block).
 pub const DEFAULT_CHUNK_ROWS: usize = 1024;
 
-/// Dirty state accumulated for one table since the last refresh.
-#[derive(Debug, Default)]
-struct TableDirty {
-    /// `(col, chunk)` pairs whose data chunk must be rebuilt.
-    cells: FxHashSet<(u32, usize)>,
-    /// Chunk indexes whose live-flag chunk must be rebuilt.
-    live: FxHashSet<usize>,
-}
-
-/// Counters describing the work the store has done. Snapshot-cut cost is
-/// what the HTAP experiment reports; the rebuild counter is what the unit
-/// tests use to prove cuts are incremental.
-#[derive(Debug, Default, Clone)]
-pub struct StoreStats {
-    /// Committed bulk records folded into the mirror.
-    pub records_applied: u64,
-    /// Snapshots cut so far.
-    pub snapshots: u64,
-    /// Column/live chunks rebuilt across all refreshes.
-    pub chunks_rebuilt: u64,
-    /// Cumulative update-propagation time (mirror replay + dirty marking).
-    pub apply_nanos: u64,
-    /// Cumulative chunk-rebuild time across all snapshot cuts.
-    pub refresh_nanos: u64,
-    /// Refresh + freeze time of the most recent snapshot cut.
-    pub last_cut_nanos: u64,
-}
-
-/// Mirror database + chunked COW cache + dirty tracking. Owned by
+/// Copy-on-write column chunks of the committed prefix. Owned by
 /// [`AnalyticsSession`](crate::session::AnalyticsSession) behind a mutex;
 /// exposed for direct use in tests and single-threaded tools.
 #[derive(Debug)]
 pub struct SnapshotStore {
     chunk_rows: usize,
-    mirror: Database,
-    frozen: Vec<FrozenTable>,
-    dirty: Vec<TableDirty>,
-    records_applied: u64,
+    tables: Vec<FrozenTable>,
+    /// Declared column types per table: the variant a new chunk starts as.
+    types: Vec<Vec<DataType>>,
     last_lsn: Option<u64>,
     retained: Option<Vec<BulkLogRecord>>,
-    stats: StoreStats,
+    stats: AnalyticsStats,
 }
 
 impl SnapshotStore {
@@ -82,19 +51,18 @@ impl SnapshotStore {
     /// [`retained_records`](Self::retained_records)).
     pub fn new(seed: &Database, chunk_rows: usize, retain_records: bool) -> Self {
         assert!(chunk_rows > 0, "chunk_rows must be positive");
-        let mut store = SnapshotStore {
+        let tables = (0..seed.num_tables() as u32).map(|t| seed.table(t));
+        SnapshotStore {
             chunk_rows,
-            mirror: seed.clone(),
-            frozen: Vec::new(),
-            dirty: Vec::new(),
-            records_applied: 0,
+            types: tables
+                .clone()
+                .map(|tbl| tbl.schema().columns.iter().map(|c| c.data_type).collect())
+                .collect(),
+            tables: tables.map(|tbl| seed_table(tbl, chunk_rows)).collect(),
             last_lsn: None,
             retained: retain_records.then(Vec::new),
-            stats: StoreStats::default(),
-        };
-        store.sync_table_lists();
-        store.refresh();
-        store
+            stats: AnalyticsStats::default(),
+        }
     }
 
     /// Rows per chunk.
@@ -104,17 +72,17 @@ impl SnapshotStore {
 
     /// Committed bulk records folded in so far.
     pub fn records_applied(&self) -> u64 {
-        self.records_applied
+        self.stats.records_applied
     }
 
     /// The LSN the *next* published record is expected to carry, used when
     /// the analytics session is the engine's only log consumer.
     pub fn next_lsn(&self) -> u64 {
-        self.last_lsn.map_or(self.records_applied, |l| l + 1)
+        self.last_lsn.map_or(self.stats.records_applied, |l| l + 1)
     }
 
     /// Work counters.
-    pub fn stats(&self) -> StoreStats {
+    pub fn stats(&self) -> AnalyticsStats {
         self.stats.clone()
     }
 
@@ -126,138 +94,173 @@ impl SnapshotStore {
             .clone()
     }
 
-    /// Fold one committed bulk record into the mirror and mark the chunks it
-    /// dirtied. Must be called in commit order — the engine's group-commit
-    /// point guarantees that.
+    /// Fold one committed bulk record into the chunks. Must be called in
+    /// commit order — the engine's group-commit point guarantees that.
     pub fn apply(&mut self, record: &BulkLogRecord) {
         let t0 = Instant::now();
-        self.sync_table_lists();
-        // Mark dirty chunks from the write-set BEFORE replaying: replay
-        // consumes (drains) the record's delta, so it works on a clone.
         let chunk_rows = self.chunk_rows;
-        record.write_set.for_each_updated_field(|table, row, col| {
-            self.dirty[table as usize]
-                .cells
-                .insert((col, row as usize / chunk_rows));
+        let mut touched = 0;
+        record.write_set.for_each_table_inserts(|t, rows| {
+            let (table, types) = (&mut self.tables[t as usize], &self.types[t as usize]);
+            touched += append_rows(table, types, rows, chunk_rows);
         });
-        record.write_set.for_each_delete_flag(|table, row, _live| {
-            self.dirty[table as usize]
-                .live
-                .insert(row as usize / chunk_rows);
+        record.write_set.for_each_field_write(|t, row, col, cell| {
+            let (chunk, off) = split(row, chunk_rows);
+            let chunk = &mut self.tables[t as usize].cols[col as usize][chunk];
+            cow(chunk, &mut touched).set(off, cell);
+        });
+        record.write_set.for_each_delete_flag(|t, row, deleted| {
+            let (chunk, off) = split(row, chunk_rows);
+            cow(&mut self.tables[t as usize].live[chunk], &mut touched)[off] = !deleted;
         });
         if let Some(kept) = self.retained.as_mut() {
             kept.push(record.clone());
         }
-        record.clone().replay_into(&mut self.mirror);
-        self.records_applied += 1;
         self.last_lsn = Some(record.lsn);
-        self.stats.records_applied = self.records_applied;
-        self.stats.apply_nanos += t0.elapsed().as_nanos() as u64;
+        self.stats.records_applied += 1;
+        self.stats.chunks_rebuilt += touched;
+        self.stats.apply_us += t0.elapsed().as_secs_f64() * 1e6;
     }
 
-    /// Cut a consistent snapshot of the current committed prefix: refresh
-    /// dirty chunks, then freeze the cache into a [`SnapshotHandle`] of
-    /// shared `Arc` chunks.
+    /// Cut a consistent snapshot of the current committed prefix: a
+    /// [`SnapshotHandle`] sharing every chunk by `Arc`.
     pub fn freeze(&mut self) -> SnapshotHandle {
         let t0 = Instant::now();
-        self.refresh();
         let handle = SnapshotHandle::new(FrozenView {
-            tables: self.frozen.clone(),
+            tables: self.tables.clone(),
             chunk_rows: self.chunk_rows,
-            records_applied: self.records_applied,
+            records_applied: self.stats.records_applied,
             last_lsn: self.last_lsn,
         });
         self.stats.snapshots += 1;
-        self.stats.last_cut_nanos = t0.elapsed().as_nanos() as u64;
+        self.stats.last_cut_us = t0.elapsed().as_secs_f64() * 1e6;
         handle
-    }
-
-    /// A full copy of the mirror database — the committed prefix in its
-    /// native representation. Used by tests as a serial-replay reference.
-    pub fn mirror_clone(&self) -> Database {
-        self.mirror.clone()
-    }
-
-    fn sync_table_lists(&mut self) {
-        while self.frozen.len() < self.mirror.num_tables() {
-            let tbl = self.mirror.table(self.frozen.len() as u32);
-            self.frozen.push(FrozenTable {
-                name: tbl.schema().name.clone(),
-                rows: 0,
-                cols: vec![Vec::new(); tbl.schema().num_columns()],
-                live: Vec::new(),
-            });
-            self.dirty.push(TableDirty::default());
-        }
-    }
-
-    /// Rebuild exactly the chunks invalidated since the last refresh: chunks
-    /// marked dirty by [`apply`](Self::apply) and chunks extending past the
-    /// previously frozen row count (appended rows, including the old partial
-    /// tail chunk).
-    fn refresh(&mut self) {
-        let t0 = Instant::now();
-        self.sync_table_lists();
-        let mut rebuilt = 0u64;
-        for t in 0..self.frozen.len() {
-            let tbl = self.mirror.table(t as u32);
-            let frozen = &mut self.frozen[t];
-            let dirty = &mut self.dirty[t];
-            let rows = tbl.num_rows();
-            if rows == frozen.rows && dirty.cells.is_empty() && dirty.live.is_empty() {
-                continue;
-            }
-            let nchunks = rows.div_ceil(self.chunk_rows);
-            for (c, coldef) in tbl.schema().columns.iter().enumerate() {
-                let old = &frozen.cols[c];
-                let mut chunks = Vec::with_capacity(nchunks);
-                for i in 0..nchunks {
-                    let start = i * self.chunk_rows;
-                    let end = rows.min(start + self.chunk_rows);
-                    let clean = end <= frozen.rows
-                        && i < old.len()
-                        && !dirty.cells.contains(&(c as u32, i));
-                    if clean {
-                        chunks.push(old[i].clone());
-                    } else {
-                        rebuilt += 1;
-                        chunks.push(Arc::new(build_chunk(tbl, coldef.data_type, c, start, end)));
-                    }
-                }
-                frozen.cols[c] = chunks;
-            }
-            let mut live = Vec::with_capacity(nchunks);
-            for i in 0..nchunks {
-                let start = i * self.chunk_rows;
-                let end = rows.min(start + self.chunk_rows);
-                let clean = end <= frozen.rows && i < frozen.live.len() && !dirty.live.contains(&i);
-                if clean {
-                    live.push(frozen.live[i].clone());
-                } else {
-                    rebuilt += 1;
-                    live.push(Arc::new(
-                        (start..end).map(|r| !tbl.is_deleted(r as RowId)).collect(),
-                    ));
-                }
-            }
-            frozen.live = live;
-            frozen.rows = rows;
-            dirty.cells.clear();
-            dirty.live.clear();
-        }
-        self.stats.chunks_rebuilt += rebuilt;
-        self.stats.refresh_nanos += t0.elapsed().as_nanos() as u64;
     }
 }
 
-fn build_chunk(tbl: &Table, ty: DataType, col: usize, start: usize, end: usize) -> ColChunk {
-    match ty {
-        DataType::Int => {
-            ColChunk::Int((start..end).map(|r| tbl.get_i64(r as RowId, col)).collect())
-        }
-        DataType::Double => {
-            ColChunk::Double((start..end).map(|r| tbl.get_f64(r as RowId, col)).collect())
-        }
-        DataType::Str => ColChunk::Other((start..end).map(|r| tbl.get(r as RowId, col)).collect()),
+/// Chunk one seed table column by column, through the typed getters.
+fn seed_table(tbl: &Table, chunk_rows: usize) -> FrozenTable {
+    let rows = tbl.num_rows();
+    let ranges = || {
+        (0..rows)
+            .step_by(chunk_rows)
+            .map(move |s| s..rows.min(s + chunk_rows))
+    };
+    FrozenTable {
+        name: tbl.schema().name.clone(),
+        rows,
+        cols: (tbl.schema().columns.iter().enumerate())
+            .map(|(c, def)| {
+                ranges()
+                    .map(|r| Arc::new(build_chunk(tbl, def.data_type, c, r)))
+                    .collect()
+            })
+            .collect(),
+        live: ranges()
+            .map(|r| Arc::new(r.map(|row| !tbl.is_deleted(row as RowId)).collect()))
+            .collect(),
     }
+}
+
+fn build_chunk(tbl: &Table, ty: DataType, col: usize, rows: Range<usize>) -> ColChunk {
+    let rows = rows.map(|r| r as RowId);
+    match ty {
+        DataType::Int => ColChunk::Int(rows.map(|r| tbl.get_i64(r, col)).collect()),
+        DataType::Double => ColChunk::Double(rows.map(|r| tbl.get_f64(r, col)).collect()),
+        DataType::Str => ColChunk::Other(rows.map(|r| tbl.get(r, col)).collect()),
+    }
+}
+
+/// Append one table's inserted rows onto its tail chunks, column by column,
+/// taking each tail chunk once. Returns the chunks copied or started.
+fn append_rows(
+    table: &mut FrozenTable,
+    types: &[DataType],
+    rows: &[&[Value]],
+    chunk_rows: usize,
+) -> u64 {
+    let mut touched = 0;
+    let mut done = 0;
+    while done < rows.len() {
+        let at = table.rows + done;
+        let new = done..rows.len().min(done + chunk_rows - at % chunk_rows);
+        for (c, chunks) in table.cols.iter_mut().enumerate() {
+            let (values, empty) = (rows[new.clone()].iter(), || ColChunk::empty(types[c]));
+            tail(chunks, at, chunk_rows, empty, &mut touched)
+                .extend(values.map(|row| &row[c]), chunk_rows);
+        }
+        let live = tail(&mut table.live, at, chunk_rows, Vec::new, &mut touched);
+        extend_to(live, chunk_rows, std::iter::repeat(true).take(new.len()));
+        done = new.end;
+    }
+    table.rows += rows.len();
+    touched
+}
+
+/// The tail chunk that row `at` lands in, unshared: a new one from `empty`
+/// when `at` starts a chunk, else the old tail, copied while a snapshot
+/// shares it.
+fn tail<'c, T: Clone>(
+    chunks: &'c mut Vec<Arc<T>>,
+    at: usize,
+    chunk_rows: usize,
+    empty: impl FnOnce() -> T,
+    touched: &mut u64,
+) -> &'c mut T {
+    if at % chunk_rows == 0 {
+        chunks.push(Arc::new(empty()));
+        *touched += 1;
+    }
+    cow(chunks.last_mut().expect("a tail chunk"), touched)
+}
+
+/// [`Arc::make_mut`], counting the copy it makes while a snapshot shares
+/// `chunk`.
+fn cow<'c, T: Clone>(chunk: &'c mut Arc<T>, touched: &mut u64) -> &'c mut T {
+    *touched += u64::from(Arc::strong_count(chunk) > 1);
+    Arc::make_mut(chunk)
+}
+
+fn split(row: RowId, chunk_rows: usize) -> (usize, usize) {
+    (row as usize / chunk_rows, row as usize % chunk_rows)
+}
+
+impl ColChunk {
+    fn empty(ty: DataType) -> Self {
+        match ty {
+            DataType::Int => ColChunk::Int(Vec::new()),
+            DataType::Double => ColChunk::Double(Vec::new()),
+            DataType::Str => ColChunk::Other(Vec::new()),
+        }
+    }
+
+    /// Append inserted values; `Int` widens into a `Double` column. A
+    /// record's rows are read back from the engine's columns, so a numeric
+    /// column never holds NULL here.
+    fn extend<'v>(&mut self, values: impl Iterator<Item = &'v Value>, chunk_rows: usize) {
+        match self {
+            ColChunk::Int(v) => extend_to(v, chunk_rows, values.map(Value::as_int)),
+            ColChunk::Double(v) => extend_to(v, chunk_rows, values.map(Value::as_double)),
+            ColChunk::Other(v) => extend_to(v, chunk_rows, values.cloned()),
+        }
+    }
+
+    /// Overwrite the value at `off` with a field write's final value, as the
+    /// column layout's typed setters do.
+    fn set(&mut self, off: usize, cell: &Cell) {
+        match (self, cell) {
+            (ColChunk::Int(v), Cell::I64(x)) => v[off] = *x,
+            (ColChunk::Double(v), Cell::I64(x)) => v[off] = *x as f64,
+            (ColChunk::Double(v), Cell::F64(x)) => v[off] = *x,
+            (ColChunk::Other(v), Cell::Val(x)) => v[off] = x.clone(),
+            (_, cell) => panic!("field write {cell:?} does not match its column's type"),
+        }
+    }
+}
+
+/// Append to a chunk, keeping room for exactly `chunk_rows` values so a
+/// filled chunk (or a tail copied at any length) holds no slack.
+fn extend_to<T>(chunk: &mut Vec<T>, chunk_rows: usize, values: impl Iterator<Item = T>) {
+    chunk.reserve_exact(chunk_rows - chunk.len());
+    chunk.extend(values);
 }

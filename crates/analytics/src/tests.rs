@@ -6,6 +6,7 @@ use crate::store::SnapshotStore;
 use gputx_durability::{BulkLogRecord, WriteCapture};
 use gputx_storage::schema::{ColumnDef, TableSchema};
 use gputx_storage::{DataType, Database, Value};
+use proptest::prelude::*;
 use std::time::Duration;
 
 /// Two-table test database: an Int/Double "accounts" table plus a table
@@ -96,28 +97,37 @@ fn old_snapshots_are_immutable() {
 }
 
 #[test]
-fn cuts_rebuild_only_dirty_chunks() {
+fn held_snapshot_copies_only_the_chunks_it_shares() {
     let mut db = setup(1000);
     // 32-row chunks => accounts has ceil(1000/32) = 32 chunks per column.
     let mut store = SnapshotStore::new(&db, 32, false);
+    let copied = |store: &SnapshotStore| store.stats().chunks_rebuilt;
+    let held = store.freeze();
+    // A cut copies no chunk.
     let _ = store.freeze();
-    let baseline = store.stats().chunks_rebuilt;
+    assert_eq!(copied(&store), 0);
 
-    // An idle cut rebuilds nothing.
-    let _ = store.freeze();
-    assert_eq!(store.stats().chunks_rebuilt, baseline);
-
-    // One field write dirties one column chunk; the cut rebuilds exactly it.
-    let r0 = bulk(&mut db, 0, |db| db.table_mut(0).set_f64(5, 2, 7.0));
+    // One field write copies exactly the one column chunk the held
+    // snapshot shares.
+    let write = |db: &mut Database| db.table_mut(0).set_f64(5, 2, 7.0);
+    let r0 = bulk(&mut db, 0, write);
     store.apply(&r0);
-    let _ = store.freeze();
-    assert_eq!(store.stats().chunks_rebuilt, baseline + 1);
+    assert_eq!(copied(&store), 1);
 
-    // A delete dirties one live chunk only.
+    // A delete copies exactly one live chunk.
     let r1 = bulk(&mut db, 1, |db| db.table_mut(0).delete(999));
     store.apply(&r1);
+    assert_eq!(copied(&store), 2);
+    assert_eq!(held.get_f64(0, 5, 2), 100.0);
+    assert!(held.is_live(0, 999));
+
+    // With no snapshot held, the same write copies nothing.
+    drop(held);
     let _ = store.freeze();
-    assert_eq!(store.stats().chunks_rebuilt, baseline + 2);
+    let r2 = bulk(&mut db, 2, write);
+    store.apply(&r2);
+    assert_eq!(copied(&store), 2);
+    store.freeze().check_against(&db).unwrap();
 }
 
 #[test]
@@ -254,12 +264,8 @@ fn group_by_shape() {
 fn session_publish_wait_and_replay() {
     let mut db = setup(200);
     let seed = db.clone();
-    let session = AnalyticsSession::with_config(
-        &seed,
-        AnalyticsConfig::default()
-            .with_chunk_rows(64)
-            .with_retained_records(),
-    );
+    let session =
+        AnalyticsSession::with_config(&seed, AnalyticsConfig::default().with_retained_records());
     assert_eq!(session.next_lsn(), 0);
 
     for lsn in 0..3u64 {
@@ -294,4 +300,100 @@ fn snapshot_outlives_session() {
     drop(session);
     assert_eq!(snap.get_i64(0, 10, 1), 99);
     snap.check_against(&db).unwrap();
+}
+
+/// A row of the property test's tables, derived from one integer.
+fn prop_row(v: i64) -> Vec<Value> {
+    vec![
+        Value::Int(v),
+        Value::Double(v as f64 * 0.5),
+        Value::Str(format!("s{v}")),
+    ]
+}
+
+/// One random mutation inside a bulk: `(kind, table, pick, value)`. `pick`
+/// chooses the row (among the `base` rows that existed when the bulk began,
+/// as in an engine-made record), the column, or the number of appended rows.
+fn prop_mutate(db: &mut Database, (kind, t, pick, v): (u8, u32, u64, i64), base: &[usize]) {
+    let table = db.table_mut(t);
+    let rows = base[t as usize] as u64;
+    match kind {
+        0..=2 if rows == 0 => {}
+        0 => match (pick / 100) % 3 {
+            0 => table.set_i64(pick % rows, 0, v),
+            1 => table.set_f64(pick % rows, 1, v as f64 * 0.25),
+            _ => table.set(pick % rows, 2, &Value::Str(format!("w{v}"))),
+        },
+        1 => table.delete(pick % rows),
+        2 => table.undelete(pick % rows),
+        _ => {
+            for i in 0..pick as i64 % 9 {
+                table.insert(prop_row(v + i));
+            }
+        }
+    }
+}
+
+proptest! {
+    /// Random bulks of writes, deletes, undeletes and appends that cross
+    /// chunk boundaries, with snapshots cut and held at random points: every
+    /// held snapshot still equals a serial replay of its own prefix, and the
+    /// final cut equals the final replay.
+    #[test]
+    fn held_snapshots_stay_frozen(
+        seed_rows in (0usize..10, 0usize..10),
+        seven in prop::bool::ANY,
+        bulks in prop::collection::vec(
+            (
+                prop::bool::ANY,
+                prop::collection::vec((0u8..4, 0u32..2, 0u64..1000, -50i64..50), 0..6),
+            ),
+            1..16,
+        ),
+    ) {
+        let mut seed = Database::column_store();
+        for (name, rows) in [("left", seed_rows.0), ("right", seed_rows.1)] {
+            let t = seed.create_table(TableSchema::new(
+                name,
+                vec![
+                    ColumnDef::new("n", DataType::Int),
+                    ColumnDef::new("x", DataType::Double),
+                    ColumnDef::host_only("s", DataType::Str),
+                ],
+                vec![0],
+            ));
+            for i in 0..rows as i64 {
+                seed.table_mut(t).insert(prop_row(i));
+            }
+        }
+        let mut db = seed.clone();
+        let mut store = SnapshotStore::new(&seed, if seven { 7 } else { 4 }, false);
+        let mut held = vec![store.freeze()];
+        let mut records = Vec::new();
+        for (cut, ops) in bulks {
+            let base: Vec<usize> = (0..2).map(|t| db.table(t).num_rows()).collect();
+            let record = bulk(&mut db, records.len() as u64, |db| {
+                for op in ops {
+                    prop_mutate(db, op, &base);
+                }
+            });
+            store.apply(&record);
+            records.push(record);
+            if cut {
+                held.push(store.freeze());
+            }
+        }
+        held.push(store.freeze());
+        for snap in &held {
+            let mut reference = seed.clone();
+            for record in &records[..snap.records_applied() as usize] {
+                record.clone().replay_into(&mut reference);
+            }
+            let frozen = snap.check_against(&reference);
+            prop_assert!(frozen.is_ok(), "after {} records: {frozen:?}", snap.records_applied());
+        }
+        let last = held.last().expect("the final cut");
+        prop_assert_eq!(last.records_applied(), records.len() as u64);
+        prop_assert!(last.check_against(&db).is_ok());
+    }
 }

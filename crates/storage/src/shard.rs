@@ -109,9 +109,12 @@ pub type FxHashSet<K> = std::collections::HashSet<K, BuildHasherDefault<FxHasher
 /// workloads) never clones a [`Value`]; strings and NULLs keep the general
 /// representation.
 #[derive(Debug, Clone, PartialEq)]
-enum Cell {
+pub enum Cell {
+    /// An integer write (widened when the column is `Double`).
     I64(i64),
+    /// A double write.
     F64(f64),
+    /// Any other value: strings and NULL.
     Val(Value),
 }
 
@@ -333,14 +336,27 @@ impl ShardDelta {
         Ok(delta)
     }
 
-    /// Visit the coordinates of every distinct field the delta writes — the
-    /// last-writer cells a bulk log record scatters. Consumers that mirror
-    /// the database at a coarser granularity (the analytics engine's chunked
-    /// snapshot store marks copy-on-write chunks this way) learn what a
-    /// record touches without decoding values or replaying it twice.
-    pub fn for_each_updated_field(&self, mut f: impl FnMut(TableId, RowId, u32)) {
+    /// Visit the final value of every distinct field the delta writes, in
+    /// first-write order, scalars unboxed: a consumer with its own copy of
+    /// the columns (the analytics engine's copy-on-write chunks) folds a
+    /// record in without replaying it or building a [`Value`] per field.
+    pub fn for_each_field_write(&self, mut f: impl FnMut(TableId, RowId, u32, &Cell)) {
         for slot in &self.slots {
-            f(slot.table, slot.row, slot.col);
+            f(slot.table, slot.row, slot.col, &slot.cell);
+        }
+    }
+
+    /// Visit each table's buffered inserts in ascending tag order, the order
+    /// [`Table::apply_insert_buffer`](crate::table::Table::apply_insert_buffer)
+    /// appends them in: row `i` of the batch becomes the table's row
+    /// `num_rows() + i`. Tables come in unspecified order; a pooled delta
+    /// may hand out a table with no rows.
+    pub fn for_each_table_inserts(&self, mut f: impl FnMut(TableId, &[&[Value]])) {
+        for (&table, buffered) in &self.inserts {
+            let mut tagged: Vec<&(u64, Vec<Value>)> = buffered.iter().collect();
+            tagged.sort_by_key(|(tag, _)| *tag);
+            let rows: Vec<&[Value]> = tagged.into_iter().map(|(_, row)| &row[..]).collect();
+            f(table, &rows);
         }
     }
 
