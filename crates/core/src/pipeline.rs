@@ -8,7 +8,7 @@
 //!   receive [`Ticket`] handles; bulks close at `max_bulk_size` or
 //!   `max_wait` and fill *while the previous bulk executes* on one
 //!   execution thread, which runs each in timestamp order, group-commits it
-//!   and resolves its tickets in submission order. This is the paper's
+//!   and delivers its results in submission order. This is the paper's
 //!   formation/execution pipelining (§3.2) turned into an actual
 //!   multi-threaded engine, configured by [`PipelineConfig`].
 //! * [`simulate_pipeline`] — the original arrival/response-time *simulation*

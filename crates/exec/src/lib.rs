@@ -62,5 +62,5 @@ pub use executor::{
 pub use parallel::{partition_ranges, ParallelExecutor};
 pub use pipeline::{
     BulkCloseCounts, BulkRunner, PipelineError, PipelineOptions, PipelineStats, PipelinedEngine,
-    StageBusy, SubmitHandle, Ticket, TicketResult,
+    ReplyQueue, StageBusy, Submission, SubmitHandle, Ticket, TicketResult,
 };

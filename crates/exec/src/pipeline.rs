@@ -7,31 +7,41 @@
 //! with the submitters themselves forming bulks and one execution thread:
 //!
 //! ```text
-//!  clients ──submit()──▶ open bulk ──close──▶ closed bulks ──▶ [execution thread]
+//!  submitters ──batch──▶ open bulk ──close──▶ closed bulks ──▶ [execution thread]
 //!            one Mutex:   at max_bulk_size,    FIFO            runs bulk N in
-//!            id + append  or at max_wait once                  timestamp order,
+//!            ids + append or at max_wait once                  timestamp order,
 //!            (queue_depth the executor is free                 group-commits it,
-//!             backpressure)                                    resolves its tickets
+//!             backpressure)                                    delivers one run
+//!                                                              per reply queue
 //! ```
 //!
-//! * **formation** — `submit` assigns the monotone transaction id (the
-//!   submission timestamp) and appends to the open bulk under one mutex. A
-//!   bulk closes when it reaches `max_bulk_size`, or when the execution
-//!   thread is free and the bulk's oldest transaction has waited
-//!   `max_wait`. A bulk whose deadline passes while the executor is busy
-//!   keeps admitting until the executor takes it: bulk `N+1` forms while
-//!   bulk `N` runs.
+//! * **formation** — a submitter hands over a *batch* of transactions
+//!   (in-process `submit` is a batch of one) under one mutex: each gets the
+//!   monotone transaction id (the submission timestamp) and is appended to
+//!   the open bulk. A bulk closes when it reaches `max_bulk_size`, or when
+//!   the execution thread is free and the bulk's oldest transaction has
+//!   waited `max_wait`. A bulk whose deadline passes while the executor is
+//!   busy keeps admitting until the executor takes it: bulk `N+1` forms
+//!   while bulk `N` runs.
 //! * **execution** — one thread takes each closed bulk in order, runs the
 //!   [`BulkRunner`] (the owner of the database, which also group-commits
-//!   the bulk) and then resolves the bulk's [`Ticket`]s in submission order.
+//!   the bulk) and then delivers the results.
+//! * **delivery** — every submitter owns a [`ReplyQueue`] that receives its
+//!   results in submission order. A submitter's consecutive transactions in
+//!   one bulk form a *run*, and each run is delivered under one lock with
+//!   at most one wake-up, so a network connection pays per (bulk,
+//!   connection) what a ticket per transaction paid per transaction. A
+//!   [`Ticket`] is a reply queue that receives one result.
 //!
 //! `queue_depth` bounds the transactions admitted but not yet taken by the
-//! executor: a full queue blocks `submit` and fails `try_submit`. No ticket
-//! is ever dropped: if a bulk fails or is abandoned, its tickets resolve
-//! with an error instead of hanging their waiters.
+//! executor: a full queue parks a blocking submission and refuses a no-wait
+//! one. No result is ever lost: if a bulk fails its runs receive
+//! [`PipelineError::BulkFailed`], and a run dropped unresolved (its bulk
+//! abandoned, the execution thread dead) receives
+//! [`PipelineError::Disconnected`] for each of its transactions.
 //!
 //! This module is deliberately generic: it knows about bulk formation,
-//! tickets, timing and failure containment, but not about strategies or
+//! delivery, timing and failure containment, but not about strategies or
 //! databases. The GPUTx runner over the real database lives in
 //! `gputx-core`'s `pipeline` module.
 
@@ -53,7 +63,7 @@ pub trait BulkRunner: Send + 'static {
 
     /// Execute one bulk, sorted by ascending id (submission order). Must
     /// return exactly one `(id, outcome)` per transaction, sorted by
-    /// ascending id. A [`ExecError`] fails the whole bulk (its tickets
+    /// ascending id. A [`ExecError`] fails the whole bulk (its transactions
     /// resolve with [`PipelineError::BulkFailed`]) but the pipeline keeps
     /// running.
     fn run(&mut self, bulk: Vec<TxnSignature>) -> Result<Vec<(TxnId, TxnOutcome)>, ExecError>;
@@ -67,12 +77,12 @@ pub trait BulkRunner: Send + 'static {
 pub enum PipelineError {
     /// The engine has been shut down; no further submissions are accepted.
     ShutDown,
-    /// `try_submit` found the bounded admission queue full.
+    /// A no-wait submission found the bounded admission queue full.
     QueueFull,
     /// The bulk containing this transaction failed (runner error or panic);
     /// the message describes the cause.
     BulkFailed(String),
-    /// The execution thread terminated before resolving this ticket.
+    /// The execution thread terminated before delivering this result.
     Disconnected,
 }
 
@@ -89,102 +99,175 @@ impl std::fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {}
 
-/// What a resolved ticket carries: the assigned transaction id (submission
-/// timestamp) and the commit/abort outcome.
+/// What one transaction resolves to: the assigned transaction id
+/// (submission timestamp) and the commit/abort outcome.
 pub type TicketResult = Result<(TxnId, TxnOutcome), PipelineError>;
 
+/// Delivered results not yet taken, in submission order.
 #[derive(Debug, Default)]
-struct TicketCell {
-    result: Option<TicketResult>,
-    /// Set by a [`Ticket::wait`] about to park: only then does resolving
-    /// the ticket pay for a wake-up.
+struct ReplyCell {
+    /// The oldest result, kept inline: a queue that holds one result at a
+    /// time (a [`Ticket`]) never allocates, and delivering to it touches
+    /// one allocation, not two.
+    head: Option<TicketResult>,
+    /// The results after `head`; empty while `head` is `None`.
+    tail: VecDeque<TicketResult>,
+    /// Set by a waiter about to park: only then does a delivery pay for a
+    /// wake-up.
     waiting: bool,
 }
 
+impl ReplyCell {
+    fn push(&mut self, result: TicketResult) {
+        if self.head.is_none() {
+            self.head = Some(result);
+        } else {
+            self.tail.push_back(result);
+        }
+    }
+
+    /// Move every result to the back of `out`; returns how many moved.
+    fn move_into(&mut self, out: &mut VecDeque<TicketResult>) -> usize {
+        let Some(head) = self.head.take() else {
+            return 0;
+        };
+        let moved = 1 + self.tail.len();
+        out.push_back(head);
+        out.append(&mut self.tail);
+        moved
+    }
+}
+
 #[derive(Debug, Default)]
-struct TicketState {
-    cell: Mutex<TicketCell>,
+struct ReplyState {
+    cell: Mutex<ReplyCell>,
     cond: Condvar,
 }
 
+/// Where one submitter's results arrive, in its submission order.
+///
+/// Hand the same queue to every [`SubmitHandle::submit_batch`] of one
+/// submitter (a network connection, say): the execution thread delivers
+/// each bulk's results for it as one run, under one lock and with at most
+/// one wake-up. Only transactions the batch call admitted (answered
+/// `Ok(())`) produce a result here. Clones share the queue.
+#[derive(Debug, Clone, Default)]
+pub struct ReplyQueue {
+    state: Arc<ReplyState>,
+}
+
+impl ReplyQueue {
+    /// An empty queue.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, ReplyCell> {
+        self.state.cell.lock().expect("reply queue poisoned")
+    }
+
+    /// Move every result delivered so far to the back of `out`, without
+    /// blocking. Returns how many moved.
+    pub fn take_ready(&self, out: &mut VecDeque<TicketResult>) -> usize {
+        self.lock().move_into(out)
+    }
+
+    /// [`ReplyQueue::take_ready`], first blocking until at least one
+    /// result is there.
+    pub fn wait_ready(&self, out: &mut VecDeque<TicketResult>) {
+        let mut cell = self.lock();
+        while cell.head.is_none() {
+            cell = self.park(cell);
+        }
+        cell.move_into(out);
+    }
+
+    fn park<'a>(&'a self, mut cell: MutexGuard<'a, ReplyCell>) -> MutexGuard<'a, ReplyCell> {
+        cell.waiting = true;
+        self.state.cond.wait(cell).expect("reply queue poisoned")
+    }
+
+    /// Append `results` under one lock and wake a parked waiter. A waiter
+    /// marks itself under this lock before parking, so one that is not
+    /// marked here has not parked yet and sees the results when it takes
+    /// the lock: no wake-up is lost.
+    fn deliver(&self, results: impl Iterator<Item = TicketResult>) {
+        let mut cell = self.lock();
+        results.for_each(|result| cell.push(result));
+        let wake = std::mem::take(&mut cell.waiting);
+        drop(cell);
+        if wake {
+            self.state.cond.notify_all();
+        }
+    }
+}
+
 /// A future-style handle returned by [`PipelinedEngine::submit`]: resolves to
-/// the transaction's id and outcome once its bulk commits.
+/// the transaction's id and outcome once its bulk commits. It is a
+/// [`ReplyQueue`] that receives one result.
 #[derive(Debug)]
 pub struct Ticket {
-    state: Arc<TicketState>,
+    replies: ReplyQueue,
 }
 
 impl Ticket {
     /// Block until the transaction's bulk is committed (or failed) and return
     /// the result. Can be called repeatedly; later calls return immediately.
     pub fn wait(&self) -> TicketResult {
-        let mut cell = self.state.cell.lock().expect("ticket mutex poisoned");
-        while cell.result.is_none() {
-            cell.waiting = true;
-            cell = self.state.cond.wait(cell).expect("ticket mutex poisoned");
+        let mut cell = self.replies.lock();
+        loop {
+            if let Some(result) = &cell.head {
+                return result.clone();
+            }
+            cell = self.replies.park(cell);
         }
-        cell.result.clone().expect("checked above")
     }
 
     /// Non-blocking poll: `None` while the transaction is still in flight.
     pub fn try_get(&self) -> Option<TicketResult> {
-        self.state
-            .cell
-            .lock()
-            .expect("ticket mutex poisoned")
-            .result
-            .clone()
+        self.replies.lock().head.clone()
     }
 }
 
-/// The resolver half of a ticket. Travels with its bulk; if it is dropped
-/// unresolved (the execution thread died, a bulk was abandoned), the waiter
-/// wakes up with [`PipelineError::Disconnected`] instead of hanging.
+/// One submitter's consecutive transactions in one bulk: the execution
+/// thread delivers their results to `replies` together. If a run is dropped
+/// undelivered (the execution thread died, a bulk was abandoned), each of
+/// its transactions receives [`PipelineError::Disconnected`] instead of
+/// hanging its waiter.
 #[derive(Debug)]
-struct TicketSlot {
-    state: Arc<TicketState>,
-    resolved: bool,
+struct Run {
+    replies: ReplyQueue,
+    len: usize,
 }
 
-impl TicketSlot {
-    fn new() -> (Ticket, TicketSlot) {
-        let state = Arc::new(TicketState::default());
-        (
-            Ticket {
-                state: Arc::clone(&state),
-            },
-            TicketSlot {
-                state,
-                resolved: false,
-            },
-        )
-    }
-
-    fn resolve(mut self, result: TicketResult) {
-        self.fill(result);
-    }
-
-    fn fill(&mut self, result: TicketResult) {
-        // The waiter marks itself under this mutex before parking, so a
-        // waiter that is not marked here has not parked yet and will see
-        // the result when it takes the lock: no wake-up is lost.
-        let mut cell = self.state.cell.lock().expect("ticket mutex poisoned");
-        if cell.result.is_none() {
-            cell.result = Some(result);
-            if cell.waiting {
-                self.state.cond.notify_all();
-            }
-        }
-        self.resolved = true;
+impl Run {
+    /// Deliver the run's `len` results, the next ones of `results`.
+    fn deliver(mut self, results: &mut impl Iterator<Item = TicketResult>) {
+        let len = std::mem::take(&mut self.len);
+        self.replies.deliver(results.take(len));
     }
 }
 
-impl Drop for TicketSlot {
+impl Drop for Run {
     fn drop(&mut self) {
-        if !self.resolved {
-            self.fill(Err(PipelineError::Disconnected));
+        if self.len > 0 {
+            let len = std::mem::take(&mut self.len);
+            self.replies
+                .deliver(std::iter::repeat_with(|| Err(PipelineError::Disconnected)).take(len));
         }
     }
+}
+
+/// One transaction of a batch handed to [`SubmitHandle::submit_batch`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Submission {
+    /// The procedure to run.
+    pub ty: TxnTypeId,
+    /// Its parameters.
+    pub params: Vec<Value>,
+    /// Park while the admission queue is full (backpressure) instead of
+    /// being answered [`PipelineError::QueueFull`].
+    pub block: bool,
 }
 
 /// Knobs of the pipelined engine (see `gputx-core`'s `PipelineConfig` for the
@@ -197,8 +280,8 @@ pub struct PipelineOptions {
     /// long and the execution thread is free to take it.
     pub max_wait: Duration,
     /// Most transactions admitted but not yet taken by the execution
-    /// thread (so also a cap on a bulk's size); at this bound `submit`
-    /// blocks (backpressure) and `try_submit` fails.
+    /// thread (so also a cap on a bulk's size); at this bound a blocking
+    /// submission parks (backpressure) and a no-wait one fails.
     pub queue_depth: usize,
 }
 
@@ -243,7 +326,7 @@ pub struct StageBusy {
     pub grouping_secs: f64,
     /// Execution thread: bulk run plus group commit.
     pub execution_secs: f64,
-    /// Execution thread: ticket resolution.
+    /// Execution thread: delivering results to the reply queues.
     pub commit_secs: f64,
 }
 
@@ -288,29 +371,44 @@ impl PipelineStats {
     }
 }
 
-/// Transactions of one bulk with their tickets' resolver halves, in
-/// submission order.
+/// Transactions of one bulk in submission order, with the runs their
+/// results go to (the runs' lengths sum to the bulk's).
 #[derive(Debug, Default)]
 struct Bulk {
     sigs: Vec<TxnSignature>,
-    slots: Vec<TicketSlot>,
+    runs: Vec<Run>,
 }
 
 impl Bulk {
     fn with_capacity(n: usize) -> Self {
         Bulk {
             sigs: Vec::with_capacity(n),
-            slots: Vec::with_capacity(n),
+            runs: Vec::with_capacity(n),
+        }
+    }
+
+    /// Append `sig`, extending the last run if it goes to `replies` too.
+    /// A new run takes `spare`, a clone of `replies` made before the lock,
+    /// while there is one.
+    fn push(&mut self, sig: TxnSignature, replies: &ReplyQueue, spare: &mut Option<ReplyQueue>) {
+        self.sigs.push(sig);
+        match self.runs.last_mut() {
+            Some(run) if Arc::ptr_eq(&run.replies.state, &replies.state) => run.len += 1,
+            _ => self.runs.push(Run {
+                replies: spare.take().unwrap_or_else(|| replies.clone()),
+                len: 1,
+            }),
         }
     }
 }
 
-/// A closed bulk waiting for the execution thread; a flush adds a barrier
-/// that resolves once the bulk (possibly empty) has committed.
+/// A closed bulk waiting for the execution thread; a flush adds a barrier,
+/// a one-transaction run that resolves once the bulk (possibly empty) has
+/// committed.
 #[derive(Debug)]
 struct ClosedBulk {
     bulk: Bulk,
-    barrier: Option<TicketSlot>,
+    barrier: Option<Run>,
 }
 
 /// Everything submitters and the execution thread share, behind one mutex.
@@ -337,7 +435,7 @@ struct State {
 
 impl State {
     /// Queue the open bulk (with `barrier`, if a flush closes it).
-    fn close(&mut self, barrier: Option<TicketSlot>) {
+    fn close(&mut self, barrier: Option<Run>) {
         let bulk = if self.open.sigs.is_empty() {
             Bulk::default()
         } else {
@@ -370,54 +468,90 @@ impl Shared {
         self.state.lock().expect("pipeline state poisoned")
     }
 
-    fn submit(
+    /// Admit `batch` in order for `replies`, answering each submission
+    /// through `answer` at its own position: `Ok(())` once admitted (its
+    /// result will arrive in `replies`), or the error that refused it. The
+    /// whole batch takes the lock once, unless a blocking submission parks
+    /// on a full queue; a size cut inside the batch splits its run between
+    /// the two bulks.
+    fn submit_batch(
+        &self,
+        replies: &ReplyQueue,
+        batch: impl IntoIterator<Item = Submission>,
+        mut answer: impl FnMut(Result<(), PipelineError>),
+    ) {
+        // The reference count of the batch's first run is taken outside the
+        // lock, which every submitter and the execution thread contend for.
+        let mut spare = Some(replies.clone());
+        let mut state = self.lock();
+        // A parked executor needs the first transaction of a bulk (to start
+        // the deadline) and a bulk closed by size; nothing else wakes it.
+        let mut wake = false;
+        for Submission { ty, params, block } in batch {
+            let admitted = loop {
+                if state.shut {
+                    break Err(PipelineError::ShutDown);
+                }
+                if state.pending < self.opts.queue_depth {
+                    break Ok(());
+                }
+                if !block {
+                    break Err(PipelineError::QueueFull);
+                }
+                // Room comes only from the executor taking a bulk, which
+                // may be the one this batch started or closed.
+                if std::mem::take(&mut wake) && state.wake_executor() {
+                    self.work.notify_one();
+                }
+                state.submitter_parked = true;
+                state = self.room.wait(state).expect("pipeline state poisoned");
+            };
+            if admitted.is_ok() {
+                let id = state.next_id;
+                state.next_id += 1;
+                state.pending += 1;
+                state
+                    .open
+                    .push(TxnSignature::new(id, ty, params), replies, &mut spare);
+                let len = state.open.sigs.len();
+                if len == 1 {
+                    state.deadline = Some(Instant::now() + self.opts.max_wait);
+                    wake = true;
+                }
+                if len >= self.opts.max_bulk_size {
+                    state.closes.by_size += 1;
+                    state.close(None);
+                    wake = true;
+                }
+            }
+            answer(admitted);
+        }
+        let wake = wake && state.wake_executor();
+        drop(state);
+        if wake {
+            self.work.notify_one();
+        }
+    }
+
+    /// A batch of one, answered with a [`Ticket`].
+    fn submit_one(
         &self,
         ty: TxnTypeId,
         params: Vec<Value>,
         block: bool,
     ) -> Result<Ticket, PipelineError> {
-        let mut sig = TxnSignature::new(0, ty, params);
-        let (ticket, slot) = TicketSlot::new();
-        let mut state = self.lock();
-        loop {
-            if state.shut {
-                return Err(PipelineError::ShutDown);
-            }
-            if state.pending < self.opts.queue_depth {
-                break;
-            }
-            if !block {
-                return Err(PipelineError::QueueFull);
-            }
-            state.submitter_parked = true;
-            state = self.room.wait(state).expect("pipeline state poisoned");
-        }
-        sig.id = state.next_id;
-        state.next_id += 1;
-        state.pending += 1;
-        state.open.sigs.push(sig);
-        state.open.slots.push(slot);
-        let len = state.open.sigs.len();
-        if len == 1 {
-            state.deadline = Some(Instant::now() + self.opts.max_wait);
-        }
-        let closed = len >= self.opts.max_bulk_size;
-        if closed {
-            state.closes.by_size += 1;
-            state.close(None);
-        }
-        // A parked executor needs the first transaction (to start the
-        // deadline) and a bulk closed by size; nothing else wakes it.
-        let wake = (len == 1 || closed) && state.wake_executor();
-        drop(state);
-        if wake {
-            self.work.notify_one();
-        }
-        Ok(ticket)
+        let replies = ReplyQueue::new();
+        let mut admitted = None;
+        self.submit_batch(&replies, [Submission { ty, params, block }], |a| {
+            admitted = Some(a);
+        });
+        admitted
+            .expect("a batch answers each submission")
+            .map(|()| Ticket { replies })
     }
 
     fn flush(&self) -> Result<(), PipelineError> {
-        let (ticket, barrier) = TicketSlot::new();
+        let replies = ReplyQueue::new();
         let mut state = self.lock();
         if state.shut {
             return Err(PipelineError::ShutDown);
@@ -425,13 +559,16 @@ impl Shared {
         if !state.open.sigs.is_empty() {
             state.closes.by_flush += 1;
         }
-        state.close(Some(barrier));
+        state.close(Some(Run {
+            replies: replies.clone(),
+            len: 1,
+        }));
         let wake = state.wake_executor();
         drop(state);
         if wake {
             self.work.notify_one();
         }
-        ticket.wait().map(|_| ())
+        Ticket { replies }.wait().map(|_| ())
     }
 
     /// The execution thread's next bulk, in close order; `None` once the
@@ -489,8 +626,8 @@ impl Shared {
 /// (a network server's connection handlers, stream drivers) that must outlive
 /// or race the engine's shutdown. Unlike a shared `&PipelinedEngine`, a
 /// handle never blocks the engine's drop: once the engine shuts down, every
-/// handle call fails fast with [`PipelineError::ShutDown`], and tickets
-/// already obtained still resolve (committed, or `Disconnected` if their bulk
+/// handle call fails fast with [`PipelineError::ShutDown`], and transactions
+/// already admitted still resolve (committed, or `Disconnected` if their bulk
 /// never ran).
 #[derive(Debug, Clone)]
 pub struct SubmitHandle {
@@ -502,14 +639,31 @@ impl SubmitHandle {
     /// (backpressure). Fails with [`PipelineError::ShutDown`] once the engine
     /// shut down. See [`PipelinedEngine::submit`].
     pub fn submit(&self, ty: TxnTypeId, params: Vec<Value>) -> Result<Ticket, PipelineError> {
-        self.shared.submit(ty, params, true)
+        self.shared.submit_one(ty, params, true)
     }
 
     /// Non-blocking [`SubmitHandle::submit`]: fails with
     /// [`PipelineError::QueueFull`] instead of blocking when the admission
     /// queue is full.
     pub fn try_submit(&self, ty: TxnTypeId, params: Vec<Value>) -> Result<Ticket, PipelineError> {
-        self.shared.submit(ty, params, false)
+        self.shared.submit_one(ty, params, false)
+    }
+
+    /// Admit a burst of submissions under one lock, in order, for one
+    /// submitter whose results arrive in `replies`. `answer` is called once
+    /// per submission, in order: `Ok(())` when it was admitted (its result
+    /// follows, in submission order, in `replies`), or the error that
+    /// refused it — [`PipelineError::QueueFull`] for a no-wait submission
+    /// at a full queue, [`PipelineError::ShutDown`] once the engine shut
+    /// down. A blocking submission at a full queue parks first, which may
+    /// let other submitters' transactions in between.
+    pub fn submit_batch(
+        &self,
+        replies: &ReplyQueue,
+        batch: impl IntoIterator<Item = Submission>,
+        answer: impl FnMut(Result<(), PipelineError>),
+    ) {
+        self.shared.submit_batch(replies, batch, answer);
     }
 
     /// Close the currently open partial bulk and block until everything
@@ -611,14 +765,15 @@ impl<R: BulkRunner> PipelinedEngine<R> {
     /// assert_eq!(stats.committed, 1);
     /// ```
     pub fn submit(&self, ty: TxnTypeId, params: Vec<Value>) -> Result<Ticket, PipelineError> {
-        self.shared.submit(ty, params, true)
+        self.shared.submit_one(ty, params, true)
     }
 
     /// Non-blocking [`PipelinedEngine::submit`]: fails with
     /// [`PipelineError::QueueFull`] instead of blocking when the admission
-    /// queue is full (the shed-load policy of an open-loop client).
+    /// queue is full (the shed-load policy of an open-loop client). Both are
+    /// a batch of one through [`SubmitHandle::submit_batch`].
     pub fn try_submit(&self, ty: TxnTypeId, params: Vec<Value>) -> Result<Ticket, PipelineError> {
-        self.shared.submit(ty, params, false)
+        self.shared.submit_one(ty, params, false)
     }
 
     /// Close the currently open (partial) bulk immediately and block until
@@ -668,8 +823,8 @@ impl<R: BulkRunner> PipelinedEngine<R> {
             }
             _ => Err(PipelineError::Disconnected),
         };
-        // Whatever a dead execution thread left queued resolves
-        // `Disconnected` as it drops here.
+        // Whatever a dead execution thread left queued delivers
+        // `Disconnected` as its runs drop here.
         let (open, closed) = {
             let mut state = self.shared.lock();
             stats.closes = state.closes;
@@ -708,7 +863,7 @@ fn execution_loop<R: BulkRunner>(mut runner: R, shared: &Shared) -> (R, ExecStat
     let spare_cap = shared.opts.max_bulk_size.min(shared.opts.queue_depth);
     let mut spare = None;
     while let Some(ClosedBulk { bulk, barrier }) = shared.next_bulk(&mut spare) {
-        let Bulk { sigs, slots } = bulk;
+        let Bulk { sigs, runs } = bulk;
         let len = sigs.len();
         let t0 = Instant::now();
         let outcomes = if sigs.is_empty() {
@@ -726,7 +881,7 @@ fn execution_loop<R: BulkRunner>(mut runner: R, shared: &Shared) -> (R, ExecStat
         };
         let t1 = Instant::now();
         stats.execution_secs += (t1 - t0).as_secs_f64();
-        resolve(&mut stats, slots, barrier, outcomes);
+        deliver(&mut stats, runs, barrier, outcomes);
         stats.commit_secs += t1.elapsed().as_secs_f64();
         if spare.is_none() {
             // Sized for a bulk like this one, outside the lock.
@@ -736,38 +891,42 @@ fn execution_loop<R: BulkRunner>(mut runner: R, shared: &Shared) -> (R, ExecStat
     (runner, stats)
 }
 
-/// Resolve a bulk's tickets in submission order, then its barrier.
-fn resolve(
+/// Deliver a bulk's results run by run, then its barrier's.
+fn deliver(
     stats: &mut ExecStats,
-    slots: Vec<TicketSlot>,
-    barrier: Option<TicketSlot>,
+    runs: Vec<Run>,
+    barrier: Option<Run>,
     outcomes: Result<Vec<(TxnId, TxnOutcome)>, String>,
 ) {
     match outcomes {
         Ok(outcomes) => {
-            // Ids ascend in submission order, so slots and the id-sorted
-            // outcomes line up 1:1.
-            for (slot, (id, outcome)) in slots.into_iter().zip(outcomes) {
+            // Ids ascend in submission order, so the runs, in order, take
+            // the id-sorted outcomes 1:1.
+            let mut results = outcomes.into_iter().map(|(id, outcome)| {
                 if outcome.is_committed() {
                     stats.committed += 1;
                 } else {
                     stats.aborted += 1;
                 }
-                slot.resolve(Ok((id, outcome)));
+                Ok((id, outcome))
+            });
+            for run in runs {
+                run.deliver(&mut results);
             }
             if let Some(barrier) = barrier {
-                barrier.resolve(Ok((0, TxnOutcome::Committed)));
+                barrier.deliver(&mut std::iter::once(Ok((0, TxnOutcome::Committed))));
             }
         }
         Err(msg) => {
             stats.bulks_failed += 1;
-            stats.failed += slots.len() as u64;
             let err = PipelineError::BulkFailed(msg);
-            for slot in slots {
-                slot.resolve(Err(err.clone()));
+            let mut failed = std::iter::repeat_with(|| Err(err.clone()));
+            for run in runs {
+                stats.failed += run.len as u64;
+                run.deliver(&mut failed);
             }
             if let Some(barrier) = barrier {
-                barrier.resolve(Err(err));
+                barrier.deliver(&mut failed);
             }
         }
     }
@@ -786,13 +945,25 @@ mod tests {
         release: Receiver<()>,
     }
 
-    /// Toy runner: counts per key and records each bulk's size; type 9
-    /// fails the bulk, type 8 panics, type 7 sleeps and type 6 stops at the
-    /// gate.
+    /// A panic payload whose drop panics again: the second panic escapes
+    /// the runner's `catch_unwind` and kills the execution thread.
+    struct Explosive;
+
+    impl Drop for Explosive {
+        fn drop(&mut self) {
+            panic!("the execution thread dies");
+        }
+    }
+
+    /// Toy runner: counts per key and records each bulk's size and each
+    /// transaction's `(id, key)`; type 9 fails the bulk, type 8 panics,
+    /// type 7 sleeps, type 6 stops at the gate and type 5 kills the
+    /// execution thread.
     #[derive(Default)]
     struct CountRunner {
         counts: HashMap<i64, i64>,
         sizes: Vec<usize>,
+        keys: Vec<(TxnId, i64)>,
         gate: Option<Gate>,
     }
     impl BulkRunner for CountRunner {
@@ -807,6 +978,9 @@ mod tests {
             if bulk.iter().any(|s| s.ty == 8) {
                 panic!("injected runner panic");
             }
+            if bulk.iter().any(|s| s.ty == 5) {
+                std::panic::panic_any(Explosive);
+            }
             if bulk.iter().any(|s| s.ty == 7) {
                 std::thread::sleep(Duration::from_millis(20));
             }
@@ -817,7 +991,9 @@ mod tests {
                 }
             }
             for s in &bulk {
-                *self.counts.entry(s.params[0].as_int()).or_insert(0) += 1;
+                let key = s.params[0].as_int();
+                *self.counts.entry(key).or_insert(0) += 1;
+                self.keys.push((s.id, key));
             }
             self.sizes.push(bulk.len());
             Ok(bulk.iter().map(|s| (s.id, TxnOutcome::Committed)).collect())
@@ -1171,24 +1347,231 @@ mod tests {
     /// that arrives after it and a poller, whether or not anyone parked.
     #[test]
     fn every_ticket_reader_sees_the_result() {
-        let (ticket, slot) = TicketSlot::new();
-        let ticket = Arc::new(ticket);
+        let one = |replies: &ReplyQueue| Run {
+            replies: replies.clone(),
+            len: 1,
+        };
+        let ticket = Arc::new(Ticket {
+            replies: ReplyQueue::new(),
+        });
+        let run = one(&ticket.replies);
         let parked = {
             let ticket = Arc::clone(&ticket);
             std::thread::spawn(move || ticket.wait())
         };
-        while !ticket.state.cell.lock().unwrap().waiting {
+        while !ticket.replies.lock().waiting {
             std::thread::yield_now();
         }
-        slot.resolve(Ok((7, TxnOutcome::Committed)));
+        run.deliver(&mut std::iter::once(Ok((7, TxnOutcome::Committed))));
         assert_eq!(parked.join().unwrap(), Ok((7, TxnOutcome::Committed)));
         assert_eq!(ticket.wait(), Ok((7, TxnOutcome::Committed)));
         assert_eq!(ticket.try_get(), Some(Ok((7, TxnOutcome::Committed))));
 
-        let (unwatched, slot) = TicketSlot::new();
-        slot.resolve(Ok((8, TxnOutcome::Committed)));
-        assert!(!unwatched.state.cell.lock().unwrap().waiting);
+        let unwatched = Ticket {
+            replies: ReplyQueue::new(),
+        };
+        one(&unwatched.replies).deliver(&mut std::iter::once(Ok((8, TxnOutcome::Committed))));
+        assert!(!unwatched.replies.lock().waiting);
         assert_eq!(unwatched.try_get(), Some(Ok((8, TxnOutcome::Committed))));
         assert_eq!(unwatched.wait(), Ok((8, TxnOutcome::Committed)));
+
+        // A run dropped undelivered still resolves its ticket.
+        let orphaned = Ticket {
+            replies: ReplyQueue::new(),
+        };
+        drop(one(&orphaned.replies));
+        assert_eq!(orphaned.wait(), Err(PipelineError::Disconnected));
+    }
+
+    fn blocking(key: i64) -> Submission {
+        Submission {
+            ty: 0,
+            params: vec![Value::Int(key)],
+            block: true,
+        }
+    }
+
+    /// Admit `batch` for `replies` and return each submission's answer.
+    fn submit_batch(
+        handle: &SubmitHandle,
+        replies: &ReplyQueue,
+        batch: Vec<Submission>,
+    ) -> Vec<Result<(), PipelineError>> {
+        let mut answers = Vec::new();
+        handle.submit_batch(replies, batch, |a| answers.push(a));
+        answers
+    }
+
+    /// Take `n` results from `replies`, blocking as needed.
+    fn take(replies: &ReplyQueue, n: usize) -> Vec<TicketResult> {
+        let mut got = VecDeque::new();
+        while got.len() < n {
+            replies.wait_ready(&mut got);
+        }
+        assert_eq!(got.len(), n, "no result beyond the admitted ones");
+        got.into()
+    }
+
+    /// Two submitters interleave batches of random sizes across size and
+    /// timer cuts: each receives every one of its results exactly once, in
+    /// its own submission order, with ascending ids.
+    #[test]
+    fn two_submitters_see_their_own_results_in_order() {
+        const PER_SUBMITTER: i64 = 2_000;
+        let eng = engine(PipelineOptions {
+            max_bulk_size: 7,
+            max_wait: Duration::from_micros(200),
+            queue_depth: 16,
+        });
+        let submitters: Vec<_> = (0..2i64)
+            .map(|s| {
+                let handle = eng.handle();
+                std::thread::spawn(move || {
+                    let replies = ReplyQueue::new();
+                    let mut rng = 0x5EED_u64 + s as u64;
+                    let mut next = 0;
+                    while next < PER_SUBMITTER {
+                        rng = rng
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        let size = ((rng >> 33) % 23 + 1).min((PER_SUBMITTER - next) as u64) as i64;
+                        let batch = (next..next + size)
+                            .map(|i| blocking(s * 1_000_000 + i))
+                            .collect();
+                        assert!(submit_batch(&handle, &replies, batch)
+                            .iter()
+                            .all(Result::is_ok));
+                        next += size;
+                        if (rng >> 40) % 8 == 0 {
+                            // Let the open bulk's deadline pass.
+                            std::thread::sleep(Duration::from_micros(500));
+                        }
+                    }
+                    take(&replies, PER_SUBMITTER as usize)
+                })
+            })
+            .collect();
+        let results: Vec<_> = submitters
+            .into_iter()
+            .map(|t| t.join().expect("submitter"))
+            .collect();
+        let (out, stats) = eng.finish().unwrap();
+        let key_of: HashMap<TxnId, i64> = out.keys.iter().copied().collect();
+        assert_eq!(key_of.len(), 2 * PER_SUBMITTER as usize);
+        for (s, results) in results.iter().enumerate() {
+            let ids: Vec<TxnId> = results
+                .iter()
+                .map(|r| r.as_ref().expect("committed").0)
+                .collect();
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "ascending ids");
+            for (i, id) in ids.iter().enumerate() {
+                assert_eq!(key_of[id], s as i64 * 1_000_000 + i as i64);
+            }
+        }
+        assert!(stats.closes.by_size > 0 && stats.closes.by_timer > 0);
+        assert_eq!(stats.committed, 2 * PER_SUBMITTER as u64);
+    }
+
+    /// A no-wait submission at a full queue is answered `QueueFull` at its
+    /// own position; the admitted ones around it resolve in order.
+    #[test]
+    fn no_wait_item_at_a_full_queue_is_refused_in_place() {
+        let (eng, release) = gated(PipelineOptions {
+            max_bulk_size: 1_000,
+            max_wait: Duration::from_millis(1),
+            queue_depth: 3,
+        });
+        let handle = eng.handle();
+        let replies = ReplyQueue::new();
+        let no_wait = |key| Submission {
+            block: false,
+            ..blocking(key)
+        };
+        let answers = submit_batch(&handle, &replies, vec![blocking(1), no_wait(2)]);
+        assert_eq!(answers, [Ok(()), Ok(())]);
+        let answers = submit_batch(
+            &handle,
+            &replies,
+            vec![no_wait(3), no_wait(4), no_wait(5), no_wait(6)],
+        );
+        assert_eq!(
+            answers,
+            [
+                Ok(()),
+                Err(PipelineError::QueueFull),
+                Err(PipelineError::QueueFull),
+                Err(PipelineError::QueueFull)
+            ]
+        );
+        release.send(()).expect("runner waits at the gate");
+        let ids: Vec<TxnId> = take(&replies, 3)
+            .into_iter()
+            .map(|r| r.expect("committed").0)
+            .collect();
+        assert_eq!(ids, [1, 2, 3]);
+        let (out, _) = eng.finish().unwrap();
+        assert_eq!(out.keys, [(0, 0), (1, 1), (2, 2), (3, 3)]);
+    }
+
+    /// Every run of a failed bulk receives `BulkFailed` for each of its
+    /// transactions; a later bulk of the same submitters commits.
+    #[test]
+    fn a_failed_bulk_fails_every_run() {
+        let eng = engine(PipelineOptions {
+            max_bulk_size: 6,
+            max_wait: Duration::from_secs(10),
+            queue_depth: 64,
+        });
+        let (a, b) = (eng.handle(), eng.handle());
+        let (qa, qb) = (ReplyQueue::new(), ReplyQueue::new());
+        let poisoned = Submission {
+            ty: 9,
+            ..blocking(0)
+        };
+        submit_batch(&a, &qa, vec![blocking(1), blocking(2)]);
+        submit_batch(&b, &qb, vec![blocking(3), poisoned]);
+        submit_batch(&a, &qa, vec![blocking(4), blocking(5)]);
+        submit_batch(&b, &qb, (0..6).map(blocking).collect());
+        let mut b_results = take(&qb, 8);
+        let b_later = b_results.split_off(2);
+        for r in take(&qa, 4).into_iter().chain(b_results) {
+            assert!(
+                matches!(r, Err(PipelineError::BulkFailed(msg)) if msg.contains("injected failure"))
+            );
+        }
+        assert!(b_later.iter().all(Result::is_ok));
+        let (_, stats) = eng.finish().unwrap();
+        assert_eq!(
+            (stats.bulks_failed, stats.failed, stats.committed),
+            (1, 6, 6)
+        );
+    }
+
+    /// When the execution thread dies, the bulk it was running and every
+    /// batch admitted but not yet taken deliver `Disconnected` to each of
+    /// their transactions as the engine drops.
+    #[test]
+    fn dropping_a_dead_engine_disconnects_every_untaken_run() {
+        let (eng, release) = gated(PipelineOptions {
+            max_bulk_size: 2,
+            max_wait: Duration::from_millis(1),
+            queue_depth: 64,
+        });
+        let (a, b) = (eng.handle(), eng.handle());
+        let (qa, qb) = (ReplyQueue::new(), ReplyQueue::new());
+        let fatal = Submission {
+            ty: 5,
+            ..blocking(0)
+        };
+        // Closed behind the gate: [fatal, a1], [b1, b2], [a2, a3], then
+        // the open [b3].
+        submit_batch(&a, &qa, vec![fatal, blocking(1)]);
+        submit_batch(&b, &qb, vec![blocking(2), blocking(3)]);
+        submit_batch(&a, &qa, vec![blocking(4), blocking(5)]);
+        submit_batch(&b, &qb, vec![blocking(6)]);
+        release.send(()).expect("runner waits at the gate");
+        drop(eng);
+        assert_eq!(take(&qa, 4), vec![Err(PipelineError::Disconnected); 4]);
+        assert_eq!(take(&qb, 3), vec![Err(PipelineError::Disconnected); 3]);
     }
 }

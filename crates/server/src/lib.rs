@@ -4,32 +4,35 @@
 //! through in-process [`SubmitHandle`]s. This crate puts a real wire in front
 //! of it: a [`Server`] accepts TCP connections (or in-process socket pairs,
 //! for CI and offline runs) speaking the compact length-framed binary
-//! protocol of [`proto`], forwards each request into the pipeline, and
-//! resolves the engine's `Ticket`s back into response frames — asynchronously,
-//! so one connection multiplexes many in-flight submits while bulks form and
-//! commit behind it. A submit appends to the engine's open bulk under one
-//! lock and returns; the engine's one execution thread runs and commits the
-//! bulk and resolves its tickets.
+//! protocol of [`proto`], forwards requests into the pipeline, and turns the
+//! engine's results back into response frames — asynchronously, so one
+//! connection multiplexes many in-flight submits while bulks form and commit
+//! behind it.
 //!
-//! Per connection the server runs two threads:
+//! Each connection owns one [`ReplyQueue`]: the engine's execution thread
+//! delivers that connection's results of a bulk as one run, under one lock,
+//! in submission order. Per connection the server runs two threads:
 //!
-//! * a **reader** that parses frames, submits into the pipeline, and enqueues
-//!   the resulting ticket (or an immediate response) to the responder in
-//!   request order;
-//! * a **responder** that resolves tickets FIFO and writes response frames.
-//!   Because a single connection's submissions enter admission in frame
-//!   order, its responses also come back in frame order — which is what makes
-//!   a single-connection run bit-reproducible against an in-process run of
-//!   the same stream.
+//! * a **reader** that parses frames and admits the submits among them into
+//!   the pipeline as one batch under one lock, then hands the responder, in
+//!   request order, the request ids of the admitted submits and the
+//!   immediate responses (Pong, Health, QueueFull, …);
+//! * a **responder** that pairs those ids FIFO with the results arriving in
+//!   the reply queue and writes response frames. Because a single
+//!   connection's submissions enter admission in frame order, its responses
+//!   also come back in frame order — which is what makes a single-connection
+//!   run bit-reproducible against an in-process run of the same stream.
 //!
-//! Both pay their syscall per *burst*, not per frame: the reader parses every
-//! complete frame one socket read delivered, and the responder writes every
-//! already-resolved response in one call, flushing before it would block —
-//! so no response ever waits on a later one.
+//! Both pay per *burst*, not per frame. The reader admits what it decoded
+//! before any socket read that can block: once its buffer holds no complete
+//! frame. The responder writes every ready response in one call, flushing
+//! before it would block — so no response ever waits on a later one. A Ping
+//! or Health request admits the submits before it first, so its answer stays
+//! a barrier behind their outcomes.
 //!
 //! Failure is data, not a panic: a malformed frame gets a
 //! [`proto::Response::Error`] and a connection close, an engine shutdown
-//! resolves outstanding tickets as `Disconnected`, and a peer that vanishes
+//! resolves outstanding submits as `Disconnected`, and a peer that vanishes
 //! mid-bulk simply stops receiving responses while its already-admitted
 //! transactions commit normally (the responder drains its queue so the
 //! pipeline never blocks on a dead connection).
@@ -39,18 +42,18 @@
 
 pub mod proto;
 
-use gputx_exec::{PipelineError, SubmitHandle, Ticket};
+use gputx_exec::{PipelineError, ReplyQueue, Submission, SubmitHandle, TicketResult};
 use gputx_txn::TxnOutcome;
 use proto::{
     append_response_frame, decode_request, read_frame_into, write_frame, FrameError, Request,
-    Response, MAX_FRAME_LEN,
+    Response, FRAME_HEADER_LEN, MAX_FRAME_LEN,
 };
+use std::collections::VecDeque;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 /// A bidirectional byte stream the server can serve: both halves of the
@@ -211,7 +214,7 @@ pub struct ServerStats {
     /// Connections ever attached (accepted or [`Server::attach`]ed).
     pub connections: u64,
     /// Well-formed requests parsed off the wire, each counted once the
-    /// reader has handled it (for a submit: once `submit` returned).
+    /// reader has handled it (for a submit: once its batch was admitted).
     pub requests: u64,
     /// Response frames in bursts whose write succeeded (excludes
     /// drained-after-disconnect ones).
@@ -261,12 +264,163 @@ const READ_BUF_LEN: usize = 64 * 1024;
 /// to block — a bound on the out-buffer, not a batching target.
 const FLUSH_CAP: usize = 32 * 1024;
 
+/// Most responses of one connection that its reader may have decoded but
+/// its responder not yet written: a peer that submits but never reads stalls
+/// its own reader here instead of buffering without bound.
+const MAX_UNANSWERED: usize = 1024;
+
 /// What the reader hands the responder, in request order.
 enum Outgoing {
-    /// A response that needs no pipeline resolution (Pong, QueueFull, …).
+    /// A response that needs no pipeline result (Pong, QueueFull, …).
     Immediate(Response),
-    /// A submitted transaction: resolve the ticket, then respond.
-    Pending { request_id: u64, ticket: Ticket },
+    /// An admitted submit, by request id: its result is the next one the
+    /// connection's reply queue delivers.
+    Pending(u64),
+}
+
+/// The reader → responder hand-over of one connection.
+#[derive(Default)]
+struct Outbox {
+    state: Mutex<OutboxState>,
+    /// The responder waits here for entries.
+    ready: Condvar,
+    /// The reader waits here for room.
+    room: Condvar,
+}
+
+struct OutboxState {
+    entries: Vec<Outgoing>,
+    /// How many more requests the reader may take in: `MAX_UNANSWERED`
+    /// less the ones it took whose response is not yet written.
+    room: usize,
+    /// The reader exited: no entry follows the ones queued.
+    reader_done: bool,
+    /// The responder exited: nothing will be written any more.
+    responder_done: bool,
+    /// A side waits on its condvar and no wake-up is on its way.
+    reader_parked: bool,
+    responder_parked: bool,
+}
+
+impl Default for OutboxState {
+    fn default() -> Self {
+        OutboxState {
+            entries: Vec::new(),
+            room: MAX_UNANSWERED,
+            reader_done: false,
+            responder_done: false,
+            reader_parked: false,
+            responder_parked: false,
+        }
+    }
+}
+
+impl Outbox {
+    fn lock(&self) -> MutexGuard<'_, OutboxState> {
+        self.state.lock().expect("outbox poisoned")
+    }
+
+    /// Reader side: queue `out` (leaving it empty) for the responder.
+    fn hand_over(&self, out: &mut Vec<Outgoing>) {
+        if out.is_empty() {
+            return;
+        }
+        let mut state = self.lock();
+        state.entries.append(out);
+        let wake = std::mem::take(&mut state.responder_parked);
+        drop(state);
+        if wake {
+            self.ready.notify_one();
+        }
+    }
+
+    /// Reader side: wait for room, then take all of it. 0 once the
+    /// responder is gone.
+    fn wait_room(&self) -> usize {
+        let mut state = self.lock();
+        while state.room == 0 && !state.responder_done {
+            state.reader_parked = true;
+            state = self.room.wait(state).expect("outbox poisoned");
+        }
+        std::mem::take(&mut state.room)
+    }
+
+    /// Responder side: swap the queued entries into the empty `into`;
+    /// blocks while there are none unless `block` is false. False when
+    /// there were none to take: not blocking, or the reader is done.
+    fn take(&self, into: &mut Vec<Outgoing>, block: bool) -> bool {
+        let mut state = self.lock();
+        while state.entries.is_empty() {
+            if !block || state.reader_done {
+                return false;
+            }
+            state.responder_parked = true;
+            state = self.ready.wait(state).expect("outbox poisoned");
+        }
+        std::mem::swap(into, &mut state.entries);
+        true
+    }
+
+    /// Responder side: `n` more responses written (or dropped for a dead
+    /// peer), so the reader may take in `n` more requests.
+    fn answered(&self, n: usize) {
+        let mut state = self.lock();
+        state.room += n;
+        let wake = std::mem::take(&mut state.reader_parked);
+        drop(state);
+        if wake {
+            self.room.notify_one();
+        }
+    }
+
+    fn close(&self, reader: bool) {
+        let mut state = self.lock();
+        if reader {
+            state.reader_done = true;
+        } else {
+            state.responder_done = true;
+        }
+        drop(state);
+        self.ready.notify_one();
+        self.room.notify_one();
+    }
+}
+
+/// One side's handle on the outbox; dropping it (the thread returned or
+/// unwound) tells the other side it is gone, as dropping one end of a
+/// channel does.
+struct OutboxEnd {
+    outbox: Arc<Outbox>,
+    reader: bool,
+}
+
+impl std::ops::Deref for OutboxEnd {
+    type Target = Outbox;
+    fn deref(&self) -> &Outbox {
+        &self.outbox
+    }
+}
+
+impl Drop for OutboxEnd {
+    fn drop(&mut self) {
+        self.outbox.close(self.reader);
+    }
+}
+
+/// A connection's two ends of the hand-over.
+fn outbox() -> (OutboxEnd, OutboxEnd) {
+    let outbox = Arc::new(Outbox::default());
+    let reader = OutboxEnd {
+        outbox: Arc::clone(&outbox),
+        reader: true,
+    };
+    (
+        reader,
+        OutboxEnd {
+            outbox,
+            reader: false,
+        },
+    )
 }
 
 struct Connection {
@@ -303,7 +457,7 @@ impl Shared {
 ///
 /// The server holds only a handle, never the engine itself — so the engine's
 /// owner decides its lifetime, and an engine dropped while connections are
-/// live resolves their in-flight tickets as `Disconnected` instead of
+/// live resolves their in-flight submits as `Disconnected` instead of
 /// deadlocking (see `SubmitHandle`'s contract).
 ///
 /// ```no_run
@@ -419,7 +573,7 @@ impl Server {
 
     /// Stop accepting, close every live connection, and join all server
     /// threads. Idempotent; also run by `Drop`. It blocks until each
-    /// connection's admitted tickets resolve, which can take up to the
+    /// connection's admitted submits resolve, which can take up to the
     /// engine's `max_wait` while their bulk is still open.
     pub fn stop(&self) {
         self.shared.stopping.store(true, Ordering::Release);
@@ -436,7 +590,7 @@ impl Server {
             let _ = reaper.join();
         }
         // Force readers to EOF, then join both per-connection threads. The
-        // responders finish on their own: every queued ticket resolves
+        // responders finish on their own: every admitted submit resolves
         // (engine alive → outcome, engine gone → Disconnected).
         let mut conns = self.shared.conns.lock().expect("connection list poisoned");
         for conn in conns.iter() {
@@ -496,23 +650,23 @@ fn attach_to<S: Duplex>(shared: &Arc<Shared>, stream: S) -> io::Result<()> {
         }
     }
     let conn_id = shared.stats.connections.fetch_add(1, Ordering::Relaxed) + 1;
-    // Bounded queue: a peer that stops reading responses eventually
-    // backpressures its own reader thread instead of buffering unboundedly.
-    let (tx, rx) = sync_channel::<Outgoing>(1024);
+    let (to_responder, from_reader) = outbox();
+    let replies = ReplyQueue::new();
     let last_activity_ms = Arc::new(AtomicU64::new(shared.now_ms()));
     let reader = {
         let shared = Arc::clone(shared);
         let activity = Arc::clone(&last_activity_ms);
+        let replies = replies.clone();
         std::thread::Builder::new()
             .name(format!("gputx-conn-{conn_id}-reader"))
-            .spawn(move || reader_loop(&shared, read_half, &tx, &activity))
+            .spawn(move || reader_loop(&shared, read_half, &to_responder, &replies, &activity))
             .map_err(io::Error::other)?
     };
     let responder = {
         let shared = Arc::clone(shared);
         std::thread::Builder::new()
             .name(format!("gputx-conn-{conn_id}-responder"))
-            .spawn(move || responder_loop(&shared.stats, write_half, rx))
+            .spawn(move || responder_loop(&shared.stats, write_half, &from_reader, &replies))
     };
     let responder = match responder {
         Ok(handle) => handle,
@@ -543,7 +697,7 @@ fn conn_live(conn: &Connection) -> bool {
 /// Periodically close connections idle past `timeout` and prune finished
 /// ones from the registry (so a capped server frees slots without waiting
 /// for `stop`). Joining finished threads here is cheap; the shutdown of an
-/// idle socket unblocks its reader, which drops the queue, which lets the
+/// idle socket unblocks its reader, which closes the outbox, which lets the
 /// responder drain and exit.
 fn reaper_loop(shared: &Shared, timeout: std::time::Duration) {
     let timeout_ms = timeout.as_millis().max(1) as u64;
@@ -587,13 +741,65 @@ fn reaper_loop(shared: &Shared, timeout: std::time::Duration) {
     }
 }
 
+/// Whether `buf` starts with a whole frame, or with a header whose length
+/// is already refused: either way, reading the next frame cannot block.
+fn frame_buffered(buf: &[u8], max_len: u32) -> bool {
+    buf.len() >= FRAME_HEADER_LEN && {
+        let len = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes"));
+        len > max_len || buf.len() - FRAME_HEADER_LEN >= len as usize
+    }
+}
+
+/// What the reader has decoded but not yet handed to the responder.
+#[derive(Default)]
+struct Decoded {
+    /// Submits not yet admitted, with their request ids.
+    submits: Vec<Submission>,
+    request_ids: Vec<u64>,
+    /// Entries for the responder, in request order, ending before the
+    /// first submit not yet admitted.
+    out: Vec<Outgoing>,
+}
+
+impl Decoded {
+    /// Admit the pending submits as one batch; each becomes `Pending` or,
+    /// if refused, its immediate answer, at its own position.
+    fn admit(&mut self, shared: &Shared, replies: &ReplyQueue) {
+        if self.submits.is_empty() {
+            return;
+        }
+        let n = self.submits.len() as u64;
+        let mut ids = self.request_ids.drain(..);
+        let out = &mut self.out;
+        shared
+            .handle
+            .submit_batch(replies, self.submits.drain(..), |admitted| {
+                let request_id = ids.next().expect("one request id per submit");
+                out.push(match admitted {
+                    Ok(()) => Outgoing::Pending(request_id),
+                    Err(e) => Outgoing::Immediate(response_for(request_id, Err(e))),
+                });
+            });
+        // Counted once admitted: a caller that sees the count can flush and
+        // know the transaction is in a closed bulk.
+        shared.stats.requests.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Admit, then queue everything for the responder.
+    fn hand_over(&mut self, shared: &Shared, replies: &ReplyQueue, outbox: &Outbox) {
+        self.admit(shared, replies);
+        outbox.hand_over(&mut self.out);
+    }
+}
+
 /// Parse frames and feed the pipeline until EOF, a malformed frame, or a
-/// transport error. Dropping `tx` at the end is what lets the responder
+/// transport error. Dropping `outbox` at the end is what lets the responder
 /// finish draining and close the connection.
 fn reader_loop(
     shared: &Shared,
     stream: Box<dyn Duplex>,
-    tx: &SyncSender<Outgoing>,
+    outbox: &OutboxEnd,
+    replies: &ReplyQueue,
     activity: &AtomicU64,
 ) {
     // One socket read delivers every frame the peer has sent so far;
@@ -601,38 +807,55 @@ fn reader_loop(
     // same payload buffer (never larger than `max_frame_len`).
     let mut stream = BufReader::with_capacity(READ_BUF_LEN, stream);
     let mut payload = Vec::new();
-    loop {
+    let mut decoded = Decoded::default();
+    // Requests this reader may still take in before its responder writes.
+    let mut room = 0;
+    let error = loop {
+        // Admit before blocking: once no complete frame is buffered, the
+        // next read may wait on the peer.
+        if !frame_buffered(stream.buffer(), shared.max_frame_len) {
+            decoded.hand_over(shared, replies, outbox);
+        }
+        if room == 0 {
+            decoded.hand_over(shared, replies, outbox);
+            room = outbox.wait_room();
+            if room == 0 {
+                // The responder is gone: the connection is being torn down.
+                break None;
+            }
+        }
         match read_frame_into(&mut stream, shared.max_frame_len, &mut payload) {
             Ok(true) => {}
             // Clean EOF: the peer finished submitting and closed.
-            Ok(false) => return,
-            Err(FrameError::Corrupt(msg)) => {
-                shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send(Outgoing::Immediate(Response::Error {
-                    request_id: 0,
-                    message: msg,
-                }));
-                return;
-            }
+            Ok(false) => break None,
+            Err(FrameError::Corrupt(message)) => break Some(message),
             Err(FrameError::Io(_)) => {
                 shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                return;
+                break None;
             }
         }
         let request = match decode_request(&payload) {
             Ok(r) => r,
-            Err(e) => {
-                shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send(Outgoing::Immediate(Response::Error {
-                    request_id: 0,
-                    message: e.to_string(),
-                }));
-                return;
-            }
+            Err(e) => break Some(e.to_string()),
         };
         activity.store(shared.now_ms(), Ordering::Relaxed);
-        let out = match request {
-            Request::Ping { request_id } => Outgoing::Immediate(Response::Pong { request_id }),
+        room -= 1;
+        let immediate = match request {
+            Request::Submit {
+                request_id,
+                txn_type,
+                params,
+                no_wait,
+            } => {
+                decoded.request_ids.push(request_id);
+                decoded.submits.push(Submission {
+                    ty: txn_type,
+                    params,
+                    block: !no_wait,
+                });
+                continue;
+            }
+            Request::Ping { request_id } => Response::Pong { request_id },
             Request::Health { request_id } => {
                 let report = shared
                     .health
@@ -641,43 +864,38 @@ fn reader_loop(
                     .as_ref()
                     .map(|h| h.report())
                     .unwrap_or_else(gputx_faults::HealthReport::unwired);
-                Outgoing::Immediate(Response::Health { request_id, report })
-            }
-            Request::Submit {
-                request_id,
-                txn_type,
-                params,
-                no_wait,
-            } => {
-                let submitted = if no_wait {
-                    shared.handle.try_submit(txn_type, params)
-                } else {
-                    shared.handle.submit(txn_type, params)
-                };
-                match submitted {
-                    Ok(ticket) => Outgoing::Pending { request_id, ticket },
-                    Err(PipelineError::QueueFull) => {
-                        Outgoing::Immediate(Response::QueueFull { request_id })
-                    }
-                    Err(PipelineError::BulkFailed(message)) => {
-                        Outgoing::Immediate(Response::BulkFailed {
-                            request_id,
-                            message,
-                        })
-                    }
-                    Err(PipelineError::ShutDown) | Err(PipelineError::Disconnected) => {
-                        Outgoing::Immediate(Response::Disconnected { request_id })
-                    }
-                }
+                Response::Health { request_id, report }
             }
         };
-        // Counted once its submit has returned: a caller that sees the
-        // count can flush and know the transaction is in a closed bulk.
+        // The submits before a Ping or Health are admitted first, so its
+        // answer follows their outcomes.
+        decoded.admit(shared, replies);
+        decoded.out.push(Outgoing::Immediate(immediate));
         shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-        if tx.send(out).is_err() {
-            // Responder already gone (it never exits before the queue closes
-            // unless the whole connection is being torn down).
-            return;
+    };
+    decoded.admit(shared, replies);
+    if let Some(message) = error {
+        shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+        decoded.out.push(Outgoing::Immediate(Response::Error {
+            request_id: 0,
+            message,
+        }));
+    }
+    outbox.hand_over(&mut decoded.out);
+}
+
+/// The response that answers `request_id` with a pipeline result.
+fn response_for(request_id: u64, result: TicketResult) -> Response {
+    match result {
+        Ok((txn_id, TxnOutcome::Committed)) => Response::Committed { request_id, txn_id },
+        Ok((txn_id, TxnOutcome::Aborted(_))) => Response::Aborted { request_id, txn_id },
+        Err(PipelineError::QueueFull) => Response::QueueFull { request_id },
+        Err(PipelineError::BulkFailed(message)) => Response::BulkFailed {
+            request_id,
+            message,
+        },
+        Err(PipelineError::ShutDown) | Err(PipelineError::Disconnected) => {
+            Response::Disconnected { request_id }
         }
     }
 }
@@ -688,7 +906,10 @@ fn reader_loop(
 struct Burst<'a> {
     stream: Box<dyn Duplex>,
     stats: &'a StatCounters,
+    outbox: &'a Outbox,
     buf: Vec<u8>,
+    /// Responses since the last flush: encoded into `buf`, or dropped
+    /// unencoded once the peer is gone.
     frames: u64,
     /// Cleared by the first failed write; later responses are dropped
     /// instead of encoded.
@@ -697,87 +918,84 @@ struct Burst<'a> {
 
 impl Burst<'_> {
     fn push(&mut self, response: &Response) {
+        self.frames += 1;
         if !self.peer_alive {
             return;
         }
         append_response_frame(&mut self.buf, response);
-        self.frames += 1;
         if self.buf.len() >= FLUSH_CAP {
             self.flush();
         }
     }
 
+    /// Write what is encoded, then give the reader room for every response
+    /// since the last flush, written or dropped.
     fn flush(&mut self) {
-        if self.buf.is_empty() {
+        if self.frames == 0 {
             return;
         }
-        self.stats.response_writes.fetch_add(1, Ordering::Relaxed);
-        let written = self.stream.write_all(&self.buf);
-        if written.and_then(|()| self.stream.flush()).is_ok() {
-            self.stats
-                .responses
-                .fetch_add(self.frames, Ordering::Relaxed);
-        } else {
-            self.peer_alive = false;
+        if !self.buf.is_empty() {
+            self.stats.response_writes.fetch_add(1, Ordering::Relaxed);
+            let written = self.stream.write_all(&self.buf);
+            if written.and_then(|()| self.stream.flush()).is_ok() {
+                self.stats
+                    .responses
+                    .fetch_add(self.frames, Ordering::Relaxed);
+            } else {
+                self.peer_alive = false;
+            }
+            self.buf.clear();
         }
-        self.buf.clear();
-        self.frames = 0;
+        self.outbox
+            .answered(std::mem::take(&mut self.frames) as usize);
     }
 }
 
-/// Resolve queued work FIFO and write response frames, every already
-/// resolved response in one write. The one batching rule is **flush before
-/// block**: the loop never parks — on an empty queue or an unresolved ticket
-/// — holding unwritten bytes, so a response never waits on a later one. If
-/// the peer stops accepting writes (disconnect mid-bulk), keep *draining*
-/// tickets without writing, so the pipeline's already-admitted transactions
-/// resolve normally and nothing blocks on the dead connection.
-fn responder_loop(stats: &StatCounters, stream: Box<dyn Duplex>, rx: Receiver<Outgoing>) {
+/// Answer the reader's entries FIFO, pairing each `Pending` request id with
+/// the next result of the reply queue, and write response frames, every
+/// ready response in one write. The one batching rule is **flush before
+/// block**: the loop never parks — on an empty outbox or an undelivered
+/// result — holding unwritten bytes, so a response never waits on a later
+/// one. If the peer stops accepting writes (disconnect mid-bulk), keep
+/// *draining* without writing, so the pipeline's already-admitted
+/// transactions resolve normally and nothing blocks on the dead connection.
+fn responder_loop(
+    stats: &StatCounters,
+    stream: Box<dyn Duplex>,
+    outbox: &OutboxEnd,
+    replies: &ReplyQueue,
+) {
     let mut burst = Burst {
         stream,
         stats,
+        outbox,
         buf: Vec::with_capacity(FLUSH_CAP),
         frames: 0,
         peer_alive: true,
     };
+    let mut entries = Vec::new();
+    let mut results = VecDeque::new();
     loop {
-        let out = match rx.try_recv() {
-            Ok(out) => out,
-            Err(TryRecvError::Disconnected) => break,
-            Err(TryRecvError::Empty) => {
-                burst.flush();
-                match rx.recv() {
-                    Ok(out) => out,
-                    Err(_) => break,
-                }
+        if !outbox.take(&mut entries, false) {
+            burst.flush();
+            if !outbox.take(&mut entries, true) {
+                break;
             }
-        };
-        let response = match out {
-            Outgoing::Immediate(r) => r,
-            Outgoing::Pending { request_id, ticket } => {
-                let resolved = ticket.try_get().unwrap_or_else(|| {
-                    burst.flush();
-                    ticket.wait()
-                });
-                match resolved {
-                    Ok((txn_id, TxnOutcome::Committed)) => {
-                        Response::Committed { request_id, txn_id }
+        }
+        for entry in entries.drain(..) {
+            let response = match entry {
+                Outgoing::Immediate(response) => response,
+                Outgoing::Pending(request_id) => {
+                    if results.is_empty() && replies.take_ready(&mut results) == 0 {
+                        burst.flush();
+                        replies.wait_ready(&mut results);
                     }
-                    Ok((txn_id, TxnOutcome::Aborted(_))) => {
-                        Response::Aborted { request_id, txn_id }
-                    }
-                    Err(PipelineError::QueueFull) => Response::QueueFull { request_id },
-                    Err(PipelineError::BulkFailed(message)) => Response::BulkFailed {
-                        request_id,
-                        message,
-                    },
-                    Err(PipelineError::ShutDown) | Err(PipelineError::Disconnected) => {
-                        Response::Disconnected { request_id }
-                    }
+                    let result = results.pop_front().expect("a result is ready");
+                    response_for(request_id, result)
                 }
-            }
-        };
-        burst.push(&response);
+            };
+            burst.push(&response);
+        }
     }
     burst.flush();
     // All responses written (or drained): signal EOF to the peer even though
@@ -788,7 +1006,9 @@ fn responder_loop(stats: &StatCounters, stream: Box<dyn Duplex>, rx: Receiver<Ou
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proto::{decode_response, encode_response, read_frame, FRAME_HEADER_LEN};
+    use gputx_exec::{BulkRunner, ExecError, PipelineOptions, PipelinedEngine};
+    use gputx_txn::{TxnId, TxnSignature};
+    use proto::{decode_response, encode_response, read_frame};
 
     #[derive(Default)]
     struct WriteLog {
@@ -837,34 +1057,67 @@ mod tests {
         }
     }
 
-    /// Run a responder to completion over a queue pre-filled with `k` Pongs
-    /// (ids 1..=k) and a closed sender: nothing races, so what it writes is a
-    /// function of `FLUSH_CAP` alone.
-    fn respond_to_prefilled_queue(k: u64, ok_calls: usize) -> (WriteLog, StatCounters) {
-        let (tx, rx) = sync_channel(k as usize);
-        for request_id in 1..=k {
-            tx.send(Outgoing::Immediate(Response::Pong { request_id }))
-                .expect("queue sized to hold every response");
+    /// Commits every transaction.
+    struct CommitAll;
+
+    impl BulkRunner for CommitAll {
+        type Output = ();
+        fn run(&mut self, bulk: Vec<TxnSignature>) -> Result<Vec<(TxnId, TxnOutcome)>, ExecError> {
+            Ok(bulk.iter().map(|s| (s.id, TxnOutcome::Committed)).collect())
         }
-        drop(tx);
+        fn finish(self) {}
+    }
+
+    /// A reply queue holding the committed results of `k` transactions,
+    /// ids 0..k.
+    fn prefilled_replies(k: u64) -> ReplyQueue {
+        let engine = PipelinedEngine::new(CommitAll, PipelineOptions::default());
+        let replies = ReplyQueue::new();
+        let batch = (0..k).map(|_| Submission {
+            ty: 0,
+            params: Vec::new(),
+            block: true,
+        });
+        engine
+            .handle()
+            .submit_batch(&replies, batch, |admitted| admitted.expect("admitted"));
+        engine.finish().expect("clean finish");
+        replies
+    }
+
+    /// Run a responder to completion over a reply queue pre-filled with `k`
+    /// results, an outbox holding their request ids 1..=k and a closed
+    /// reader end: nothing races, so what it writes is a function of
+    /// `FLUSH_CAP` alone.
+    fn respond_to_prefilled_queue(k: u64, ok_calls: usize) -> (WriteLog, StatCounters) {
+        let replies = prefilled_replies(k);
+        let (to_responder, from_reader) = outbox();
+        let mut entries = (1..=k).map(Outgoing::Pending).collect();
+        to_responder.hand_over(&mut entries);
+        drop(to_responder);
         let log = Arc::new(Mutex::new(WriteLog::default()));
         let stream = Recording {
             log: Arc::clone(&log),
             ok_calls,
         };
         let stats = StatCounters::default();
-        responder_loop(&stats, Box::new(stream), rx);
+        responder_loop(&stats, Box::new(stream), &from_reader, &replies);
         let log = std::mem::take(&mut *log.lock().expect("log lock"));
         (log, stats)
     }
 
-    fn pong_frame_len() -> usize {
-        FRAME_HEADER_LEN + encode_response(&Response::Pong { request_id: 1 }).len()
+    fn committed_frame_len() -> usize {
+        FRAME_HEADER_LEN
+            + encode_response(&Response::Committed {
+                request_id: 1,
+                txn_id: 0,
+            })
+            .len()
     }
 
     #[test]
     fn ready_responses_leave_in_cap_sized_bursts_of_whole_frames_in_order() {
-        let frame = pong_frame_len();
+        let frame = committed_frame_len();
         // A burst is the shortest run of whole frames reaching the cap.
         let frames_per_burst = FLUSH_CAP.div_ceil(frame) as u64;
         let k = 3 * frames_per_burst + 7;
@@ -887,8 +1140,9 @@ mod tests {
                 let response = decode_response(&payload).expect("well-formed response");
                 assert_eq!(
                     response,
-                    Response::Pong {
-                        request_id: next_id
+                    Response::Committed {
+                        request_id: next_id,
+                        txn_id: next_id - 1
                     }
                 );
                 next_id += 1;
@@ -899,7 +1153,7 @@ mod tests {
 
     #[test]
     fn failed_burst_is_not_counted_and_the_queue_still_drains() {
-        let frames_per_burst = FLUSH_CAP.div_ceil(pong_frame_len()) as u64;
+        let frames_per_burst = FLUSH_CAP.div_ceil(committed_frame_len()) as u64;
         // Three bursts' worth; the peer dies under the second write. The
         // responder returning at all is the drain: it ends only on an empty,
         // closed queue.

@@ -20,7 +20,10 @@
 //!   gives the verdicts the unbuffered one does (proptest).
 //! * **Batching** — the responder never holds a resolved response back for
 //!   an unresolved one (flush before block), and a peer that dies under a
-//!   burst still has every ticket drained.
+//!   burst still has every submit drained. The reader admits what it decoded
+//!   before a read that can block, answers requests in request order (a
+//!   Ping after submits, a `QueueFull` at its own position), and a peer that
+//!   never reads stalls its reader at a bounded number of requests.
 //! * **Lossless under concurrency** — two connections submitting from their
 //!   own threads, each with a bounded window in flight, resolve every
 //!   transaction exactly once.
@@ -28,17 +31,19 @@
 use gputx_client::{Client, ClientConfig, Reply, TxnResult};
 use gputx_core::config::StrategyChoice;
 use gputx_core::{EngineBuilder, PipelineConfig, PipelinedGpuTx};
+use gputx_exec::{BulkRunner, ExecError, PipelineOptions, PipelinedEngine};
 use gputx_server::proto::{
     self, encode_request, read_frame, write_frame, FrameError, Request, Response,
 };
 use gputx_server::{socket_pair, Duplex, Server, ServerConfig};
 use gputx_storage::wire::crc32;
 use gputx_storage::{Database, Value};
-use gputx_txn::{TxnSignature, TxnTypeId};
+use gputx_txn::{TxnId, TxnOutcome, TxnSignature, TxnTypeId};
 use gputx_workloads::{MicroConfig, MicroWorkload, Tm1Config, WorkloadBundle};
 use std::collections::{HashSet, VecDeque};
 use std::io::Write;
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 const BULK: usize = 256;
 
@@ -906,6 +911,335 @@ fn dead_peer_mid_burst_drains_every_ticket_and_counts_no_response() {
     assert_eq!(stats.responses, 0, "the failed burst must not be counted");
     let (_db, pipeline) = engine.finish().expect("clean finish");
     assert_eq!(pipeline.committed + pipeline.aborted, BULK as u64);
+}
+
+/// Append a `Submit` frame to `bytes`.
+fn submit_frame(bytes: &mut Vec<u8>, request_id: u64, (ty, params): &(TxnTypeId, Vec<Value>)) {
+    let request = Request::Submit {
+        request_id,
+        txn_type: *ty,
+        params: params.clone(),
+        no_wait: false,
+    };
+    write_frame(bytes, &encode_request(&request)).expect("vec write");
+}
+
+/// Read and decode the next response; the socket's read timeout is the
+/// watchdog.
+fn next_response(raw: &mut std::os::unix::net::UnixStream) -> Response {
+    let payload = read_frame(raw, proto::MAX_FRAME_LEN)
+        .expect("a response arrives before the watchdog")
+        .expect("response present");
+    proto::decode_response(&payload).expect("server speaks the protocol")
+}
+
+/// A raw connection to `server` whose reads give up after 30 s, so a test
+/// that would hang fails instead.
+fn raw_connection(server: &Server) -> std::os::unix::net::UnixStream {
+    let (server_end, raw) = socket_pair().expect("socketpair");
+    server.attach(server_end).expect("attach");
+    raw.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    raw
+}
+
+/// Block until `cond` holds, failing after 30 s instead of hanging.
+fn await_until(what: &str, mut cond: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+fn is_outcome(response: &Response, id: u64) -> bool {
+    matches!(response,
+        Response::Committed { request_id, .. } | Response::Aborted { request_id, .. }
+            if *request_id == id)
+}
+
+/// `[Submit A, Submit B, Ping]` in one write: the Ping admits A and B before
+/// its Pong is queued, so the Pong follows both outcomes.
+#[test]
+fn submits_then_ping_in_one_write_are_answered_in_order() {
+    let mut bundle = tm1();
+    let stream = bundle.generate(2);
+    let engine = engine_for(
+        &bundle,
+        PipelineConfig::default()
+            .with_max_bulk_size(2)
+            .with_max_wait_us(60_000_000),
+    );
+    let server = Server::new(engine.handle());
+    let mut raw = raw_connection(&server);
+    let mut bytes = Vec::new();
+    submit_frame(&mut bytes, 1, &stream[0]);
+    submit_frame(&mut bytes, 2, &stream[1]);
+    write_frame(
+        &mut bytes,
+        &encode_request(&Request::Ping { request_id: 3 }),
+    )
+    .expect("vec write");
+    raw.write_all(&bytes).expect("one write, three frames");
+    let a = next_response(&mut raw);
+    let b = next_response(&mut raw);
+    assert!(is_outcome(&a, 1), "A's outcome first, got {a:?}");
+    assert!(is_outcome(&b, 2), "B's outcome second, got {b:?}");
+    assert_eq!(next_response(&mut raw), Response::Pong { request_id: 3 });
+    drop(raw);
+    server.stop();
+    engine.finish().expect("clean finish");
+}
+
+/// A gate that parks every caller of [`Gate::pass`] until it is opened.
+#[derive(Clone, Default)]
+struct Gate(Arc<(Mutex<bool>, Condvar)>);
+
+impl Gate {
+    fn pass(&self) {
+        let (open, cond) = &*self.0;
+        let mut open = open.lock().expect("gate lock");
+        while !*open {
+            open = cond.wait(open).expect("gate lock");
+        }
+    }
+
+    fn open(&self) {
+        let (open, cond) = &*self.0;
+        *open.lock().expect("gate lock") = true;
+        cond.notify_all();
+    }
+}
+
+/// Opens its gate when dropped, so a failing assert cannot leave a server
+/// thread parked at the gate and hang the server's drop.
+struct OpenOnDrop(Gate);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.open();
+    }
+}
+
+/// Commits every transaction, but announces each bulk and holds it at the
+/// gate until the gate opens.
+struct GatedRunner {
+    gate: Gate,
+    entered: std::sync::mpsc::Sender<()>,
+}
+
+impl BulkRunner for GatedRunner {
+    type Output = ();
+    fn run(&mut self, bulk: Vec<TxnSignature>) -> Result<Vec<(TxnId, TxnOutcome)>, ExecError> {
+        let _ = self.entered.send(());
+        self.gate.pass();
+        Ok(bulk.iter().map(|s| (s.id, TxnOutcome::Committed)).collect())
+    }
+    fn finish(self) {}
+}
+
+/// One write of no-wait submits against a held engine with a depth-2 queue:
+/// the submits that find it full are answered `QueueFull` at their own
+/// request positions, around the admitted ones and a Ping.
+#[test]
+fn queue_full_replies_keep_their_request_positions() {
+    let gate = Gate::default();
+    let (entered_tx, entered) = std::sync::mpsc::channel();
+    let engine = PipelinedEngine::new(
+        GatedRunner {
+            gate: gate.clone(),
+            entered: entered_tx,
+        },
+        PipelineOptions {
+            max_bulk_size: 1_000,
+            max_wait: Duration::from_millis(1),
+            queue_depth: 2,
+        },
+    );
+    let server = Server::new(engine.handle());
+    let _open_on_exit = OpenOnDrop(gate.clone());
+    let mut raw = raw_connection(&server);
+    let no_wait = |request_id| {
+        let request = Request::Submit {
+            request_id,
+            txn_type: 0,
+            params: vec![Value::Int(request_id as i64)],
+            no_wait: true,
+        };
+        encode_request(&request)
+    };
+    // Request 1 runs alone in the first bulk, held at the gate.
+    write_frame(&mut raw, &no_wait(1)).expect("write submit");
+    entered
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the first bulk reaches the gate");
+    let mut bytes = Vec::new();
+    for payload in [
+        no_wait(2),
+        no_wait(3),
+        no_wait(4),
+        encode_request(&Request::Ping { request_id: 5 }),
+        no_wait(6),
+    ] {
+        write_frame(&mut bytes, &payload).expect("vec write");
+    }
+    raw.write_all(&bytes).expect("one write, five frames");
+    await_until("the reader to handle all six requests", || {
+        server.stats().requests == 6
+    });
+    gate.open();
+    let expected = [
+        Response::Committed {
+            request_id: 1,
+            txn_id: 0,
+        },
+        Response::Committed {
+            request_id: 2,
+            txn_id: 1,
+        },
+        Response::Committed {
+            request_id: 3,
+            txn_id: 2,
+        },
+        Response::QueueFull { request_id: 4 },
+        Response::Pong { request_id: 5 },
+        Response::QueueFull { request_id: 6 },
+    ];
+    for want in expected {
+        assert_eq!(next_response(&mut raw), want);
+    }
+    drop(raw);
+    server.stop();
+    let (_, stats) = engine.finish().expect("clean finish");
+    assert_eq!(stats.committed, 3);
+}
+
+/// After one write of `[Submit A][first half of Submit B]`, A is admitted
+/// and answered while the rest of B is still withheld: the reader admits
+/// once no *complete* frame is buffered, not only once the buffer is empty.
+#[test]
+fn partial_frame_does_not_hold_back_the_complete_one() {
+    let mut bundle = tm1();
+    let stream = bundle.generate(2);
+    let engine = engine_for(
+        &bundle,
+        PipelineConfig::default()
+            .with_max_bulk_size(1)
+            .with_max_wait_us(60_000_000),
+    );
+    let server = Server::new(engine.handle());
+    let mut raw = raw_connection(&server);
+    let mut a = Vec::new();
+    submit_frame(&mut a, 1, &stream[0]);
+    let mut b = Vec::new();
+    submit_frame(&mut b, 2, &stream[1]);
+    let (b_head, b_tail) = b.split_at(b.len() / 2);
+    raw.write_all(&[&a[..], b_head].concat())
+        .expect("A and half of B in one write");
+    let response = next_response(&mut raw);
+    assert!(
+        is_outcome(&response, 1),
+        "A is answered with B half-sent, got {response:?}"
+    );
+    raw.write_all(b_tail).expect("the rest of B");
+    let response = next_response(&mut raw);
+    assert!(is_outcome(&response, 2), "then B, got {response:?}");
+    drop(raw);
+    server.stop();
+    engine.finish().expect("clean finish");
+}
+
+/// A server-side transport whose writes park at a gate; once it opens,
+/// every write fails, as to a peer that went away.
+struct GatedWrites {
+    inner: std::os::unix::net::UnixStream,
+    gate: Gate,
+}
+
+impl std::io::Read for GatedWrites {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.inner.read(buf)
+    }
+}
+
+impl Write for GatedWrites {
+    fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
+        self.gate.pass();
+        Err(std::io::ErrorKind::BrokenPipe.into())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Duplex for GatedWrites {
+    fn try_clone_box(&self) -> std::io::Result<Box<dyn Duplex>> {
+        Ok(Box::new(GatedWrites {
+            inner: self.inner.try_clone()?,
+            gate: self.gate.clone(),
+        }))
+    }
+    fn shutdown_both(&self) -> std::io::Result<()> {
+        self.inner.shutdown(std::net::Shutdown::Both)
+    }
+}
+
+/// A peer that submits but never reads, while the responder's write is
+/// stuck: the reader stops at exactly 1,024 requests whose responses are
+/// unwritten, however many more the peer sent. Once writes fail instead,
+/// the responder drains and every submit commits.
+#[test]
+fn peer_that_never_reads_stalls_its_reader_at_the_bound() {
+    const BOUND: u64 = 1_024;
+    const SENT: usize = 3_000;
+    let mut bundle = tm1();
+    let stream = bundle.generate(SENT);
+    let engine = engine_for(
+        &bundle,
+        PipelineConfig::default()
+            .with_max_bulk_size(BULK)
+            .with_max_wait_us(1_000),
+    );
+    let server = Server::new(engine.handle());
+    let gate = Gate::default();
+    let _open_on_exit = OpenOnDrop(gate.clone());
+    let (server_end, mut raw) = socket_pair().expect("socketpair");
+    server
+        .attach(GatedWrites {
+            inner: server_end,
+            gate: gate.clone(),
+        })
+        .expect("attach");
+    let writer = std::thread::spawn(move || {
+        let mut bytes = Vec::new();
+        for (i, txn) in stream.iter().enumerate() {
+            submit_frame(&mut bytes, i as u64 + 1, txn);
+        }
+        // Blocks once the socket buffer is full and the reader has stalled.
+        raw.write_all(&bytes)
+            .expect("the server reads everything in the end");
+        raw.shutdown(std::net::Shutdown::Write).expect("half-close");
+        raw
+    });
+    await_until("the reader to reach the bound", || {
+        server.stats().requests >= BOUND
+    });
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(
+        server.stats().requests,
+        BOUND,
+        "the reader stalls at the bound"
+    );
+    assert_eq!(server.stats().responses, 0);
+    gate.open();
+    let raw = writer.join().expect("writer thread");
+    await_until("the reader to handle every request", || {
+        server.stats().requests == SENT as u64
+    });
+    server.stop();
+    drop(raw);
+    let (_db, stats) = engine.finish().expect("clean finish");
+    assert_eq!(stats.committed + stats.aborted, SENT as u64);
 }
 
 mod codec_fuzz {
